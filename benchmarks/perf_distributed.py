@@ -18,23 +18,21 @@ execution paths:
     its own core.
 
 ``multiprocessing``
-    The same engine on real worker processes, once with chunk
-    pipelining off and once on.  Reported seconds are actual wall
-    clock, so the speedup only materialises when the machine has at
-    least as many free cores as ranks — the JSON records ``cpu_count``
-    so readers can interpret the numbers.  The pipelined legs
-    additionally report an *overlap efficiency*: worker seconds that
-    overlapped rank-0 compute, divided by rank 0's busy seconds — how
-    much of rank 0's working time the workers spent productively
-    stepping ahead instead of waiting their turn.
+    The same engine on real worker processes, one row per rank count.
+    Reported seconds are actual wall clock, so the speedup only
+    materialises when the machine has at least as many free cores as
+    ranks — the JSON records ``cpu_count`` so readers can interpret
+    the numbers.  Each row also reports an *overlap efficiency*: worker
+    seconds that overlapped rank-0 compute, divided by rank 0's busy
+    seconds — how much of rank 0's working time the workers spent
+    productively stepping ahead instead of waiting their turn.
 
 Every distributed run's fit coefficients are asserted against the
 serial engine within 1e-12, so all reported numbers are for *identical*
 results.  Run directly::
 
     python benchmarks/perf_distributed.py [--quick] [--ranks 4,8] \
-        [--transport auto|shm|pickle] [--min-pipeline-speedup 1.3] \
-        [--output BENCH_distributed.json]
+        [--min-speedup 2] [--output BENCH_distributed.json]
 
 ``--quick`` trims the scenario for CI smoke runs.  Not collected by
 pytest (the module is not named ``test_*``) — this is a timing script,
@@ -98,7 +96,6 @@ def _round_transport_stats(stats):
     if stats is None:
         return None
     return {
-        "transport": stats["transport"],
         "total_bytes_moved": int(stats["total_bytes_moved"]),
         "pipeline": stats.get("pipeline"),
         "per_rank": [
@@ -116,7 +113,7 @@ def _round_transport_stats(stats):
 
 
 def run_scenario(*, n_locations, n_iterations, simcomm_ranks, mp_ranks,
-                 mp_chunk=16, seed=7, transport="auto"):
+                 mp_chunk=16, seed=7):
     factory = partial(make_app, n_iterations, n_locations, seed)
 
     serial_engine = InSituEngine(factory())
@@ -154,62 +151,36 @@ def run_scenario(*, n_locations, n_iterations, simcomm_ranks, mp_ranks,
         )
 
     mp_rows = []
-    pipeline_rows = []
     for ranks in mp_ranks:
-        seconds_by_mode = {}
-        for mode in ("off", "on"):
-            engine = DistributedEngine(
-                backend="multiprocessing",
-                n_ranks=ranks,
-                app_factory=factory,
-                chunk=mp_chunk,
-                transport=transport,
-                pipeline=mode,
+        engine = DistributedEngine(
+            backend="multiprocessing",
+            n_ranks=ranks,
+            app_factory=factory,
+            chunk=mp_chunk,
+        )
+        analysis = engine.add_analysis(_analysis(n_locations, n_iterations))
+        result = engine.run()
+        delta = _coefficient_delta(serial_analysis, analysis)
+        if delta > 1e-12:
+            raise AssertionError(
+                f"multiprocessing {ranks}-rank fit diverged from serial "
+                f"(delta {delta:.3e})"
             )
-            analysis = engine.add_analysis(
-                _analysis(n_locations, n_iterations)
-            )
-            result = engine.run()
-            delta = _coefficient_delta(serial_analysis, analysis)
-            if delta > 1e-12:
-                raise AssertionError(
-                    f"multiprocessing {ranks}-rank (pipeline {mode}) fit "
-                    f"diverged from serial (delta {delta:.3e})"
-                )
-            stats = result.transport_stats
-            row = {
-                "ranks": ranks,
-                "pipeline": mode,
-                "seconds": round(result.seconds, 4),
-                "speedup": round(serial.seconds / result.seconds, 2),
-                "transport": result.transport,
-                "transport_stats": _round_transport_stats(stats),
-                "max_coefficient_delta": delta,
-            }
-            if mode == "on":
-                worker_overlap = sum(
-                    r["overlap_seconds"]
-                    for r in stats["per_rank"]
-                    if r["rank"] > 0
-                )
-                rank0_busy = max(
-                    result.seconds
-                    - stats["per_rank"][0]["idle_seconds"],
-                    1e-9,
-                )
-                row["overlap_efficiency"] = round(
-                    worker_overlap / rank0_busy, 3
-                )
-            seconds_by_mode[mode] = result.seconds
-            mp_rows.append(row)
-        pipeline_rows.append(
+        stats = result.transport_stats
+        worker_overlap = sum(
+            r["overlap_seconds"] for r in stats["per_rank"] if r["rank"] > 0
+        )
+        rank0_busy = max(
+            result.seconds - stats["per_rank"][0]["idle_seconds"], 1e-9
+        )
+        mp_rows.append(
             {
                 "ranks": ranks,
-                "off_seconds": round(seconds_by_mode["off"], 4),
-                "on_seconds": round(seconds_by_mode["on"], 4),
-                "pipeline_speedup": round(
-                    seconds_by_mode["off"] / seconds_by_mode["on"], 2
-                ),
+                "seconds": round(result.seconds, 4),
+                "speedup": round(serial.seconds / result.seconds, 2),
+                "overlap_efficiency": round(worker_overlap / rank0_busy, 3),
+                "transport_stats": _round_transport_stats(stats),
+                "max_coefficient_delta": delta,
             }
         )
 
@@ -220,7 +191,6 @@ def run_scenario(*, n_locations, n_iterations, simcomm_ranks, mp_ranks,
         "serial_seconds": round(serial.seconds, 4),
         "simcomm": simcomm_rows,
         "multiprocessing": mp_rows,
-        "pipeline_comparison": pipeline_rows,
     }
 
 
@@ -241,26 +211,11 @@ def main(argv=None) -> int:
         help="where to write the JSON results",
     )
     parser.add_argument(
-        "--transport",
-        default="auto",
-        choices=["auto", "shared_memory", "shm", "pickle"],
-        help="multiprocessing row transport (shm = shared_memory; auto "
-        "picks shared_memory when available, else pickle)",
-    )
-    parser.add_argument(
         "--min-speedup",
         type=float,
         default=0.0,
         help="fail unless the best multiprocessing speedup beats this "
         "(only meaningful with cpu_count >= ranks)",
-    )
-    parser.add_argument(
-        "--min-pipeline-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless pipelined wall clock beats non-pipelined by "
-        "this factor at some rank count (only meaningful with "
-        "cpu_count >= ranks)",
     )
     args = parser.parse_args(argv)
 
@@ -280,12 +235,11 @@ def main(argv=None) -> int:
         print(
             f"WARNING: {cpu_count} cpu(s) visible but up to "
             f"{max(mp_ranks)} ranks requested — multiprocessing wall-clock "
-            "numbers below measure core contention, not transport speedup; "
+            "numbers below measure core contention, not parallel speedup; "
             "the JSON is flagged cpu_limited"
         )
     result = run_scenario(
-        simcomm_ranks=simcomm_ranks, mp_ranks=mp_ranks,
-        transport=args.transport, **spec
+        simcomm_ranks=simcomm_ranks, mp_ranks=mp_ranks, **spec
     )
 
     print(
@@ -306,29 +260,14 @@ def main(argv=None) -> int:
         worker_rows = [r for r in stats["per_rank"] if r["rank"] > 0] if stats else []
         serialize = sum(r["serialize_seconds"] for r in worker_rows)
         transfer = sum(r["transfer_seconds"] for r in worker_rows)
-        overlap = (
-            f"  overlap-eff {row['overlap_efficiency']:.3f}"
-            if "overlap_efficiency" in row
-            else ""
-        )
         print(
             f"mp       ranks={row['ranks']:>2}  wall {row['seconds']:.3f}s  "
-            f"speedup {row['speedup']:.2f}x  pipeline={row['pipeline']}  "
-            f"transport={row['transport']}  "
+            f"speedup {row['speedup']:.2f}x  "
             f"moved {moved / 1e6:.1f}MB  serialize {serialize:.4f}s  "
-            f"transfer {transfer:.4f}s{overlap}"
-        )
-    for row in result["pipeline_comparison"]:
-        print(
-            f"pipeline ranks={row['ranks']:>2}  off {row['off_seconds']:.3f}s"
-            f"  on {row['on_seconds']:.3f}s  "
-            f"speedup {row['pipeline_speedup']:.2f}x"
+            f"transfer {transfer:.4f}s  "
+            f"overlap-eff {row['overlap_efficiency']:.3f}"
         )
     best = max((r["speedup"] for r in result["multiprocessing"]), default=0.0)
-    best_pipeline = max(
-        (r["pipeline_speedup"] for r in result["pipeline_comparison"]),
-        default=0.0,
-    )
     if cpu_limited:
         print(
             f"note: only {cpu_count} cpu(s) visible — multiprocessing "
@@ -336,14 +275,10 @@ def main(argv=None) -> int:
             "carry the modelled scaling"
         )
 
-    mp_transports = {r["transport"] for r in result["multiprocessing"]}
     payload = {
         "quick": args.quick,
         "cpu_count": cpu_count,
         "cpu_limited": cpu_limited,
-        # the resolved transport the mp rows actually ran on, not the
-        # raw flag (--transport auto/shm resolve at engine start)
-        "transport": mp_transports.pop() if len(mp_transports) == 1 else args.transport,
         "results": result,
     }
     with open(args.output, "w") as fh:
@@ -354,12 +289,6 @@ def main(argv=None) -> int:
         print(
             f"FAIL: best multiprocessing speedup {best}x is below the "
             f"required {args.min_speedup}x"
-        )
-        return 1
-    if args.min_pipeline_speedup and best_pipeline < args.min_pipeline_speedup:
-        print(
-            f"FAIL: best pipeline-on/off speedup {best_pipeline}x is below "
-            f"the required {args.min_pipeline_speedup}x"
         )
         return 1
     return 0

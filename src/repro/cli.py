@@ -21,10 +21,8 @@ Three subcommands drive the scenario registry
     injects deterministic failures (rank kills, slowdowns, transport
     drops) into the distributed run and ``--rebalance`` migrates work
     away from slow ranks; both leave results bit-identical to serial,
-    so the cross-check still applies.  ``--pipeline on|off|auto``
-    controls the multiprocessing backend's speculative chunk pipeline
-    (worker stepping overlapped with rank-0 collection and training;
-    also bit-identical).  Exit status 1 on validation failure or
+    so the cross-check still applies.  ``--kernels`` picks the hot-loop
+    backend.  Exit status 1 on validation failure or
     serial/distributed divergence.
 
 ``bench``
@@ -121,8 +119,6 @@ def _cmd_run(args) -> int:
     config = scenarios.RunConfig(
         n_ranks=args.ranks,
         backend=args.backend,
-        transport=args.transport,
-        pipeline=args.pipeline,
         kernels=args.kernels,
         quick=args.quick,
         adaptive=args.adaptive,
@@ -133,20 +129,18 @@ def _cmd_run(args) -> int:
         rebalance=args.rebalance,
     )
     run = scenarios.run_scenario(args.scenario, config=config)
-    if run.n_ranks == 1:
+    if config.serial:
         mode = "serial"
     else:
-        mode = f"{run.n_ranks} ranks ({run.backend})"
-        if run.result.transport is not None:
-            mode += f", transport={run.result.transport}"
+        mode = f"{config.n_ranks} ranks ({config.backend})"
     mode += f", kernels={run.kernels}"
-    if run.adaptive:
+    if config.adaptive:
         mode += " + adaptive cadence"
-    if run.faults is not None:
-        mode += f" + faults[{run.faults.to_spec()}]"
-    if run.rebalance:
+    if config.faults is not None:
+        mode += f" + faults[{config.faults.to_spec()}]"
+    if config.rebalance:
         mode += " + rebalance"
-    print(f"scenario  : {run.name}{' [quick]' if run.quick else ''}")
+    print(f"scenario  : {run.name}{' [quick]' if config.quick else ''}")
     print(f"mode      : {mode}")
     print(
         f"run       : {run.result.iterations} iterations, "
@@ -225,15 +219,12 @@ def _cmd_bench(args) -> int:
             config=scenarios.RunConfig(quick=args.quick, kernels=args.kernels),
         )
         spec = scenarios.get(name)
-        transport = None
         if args.ranks > 1 and backend in spec.backends:
             dist = scenarios.run_scenario(
                 name,
                 config=scenarios.RunConfig(
                     n_ranks=args.ranks,
                     backend=backend,
-                    transport=args.transport,
-                    pipeline=args.pipeline,
                     kernels=args.kernels,
                     quick=args.quick,
                     crosscheck=True,
@@ -241,7 +232,6 @@ def _cmd_bench(args) -> int:
             )
             dist_seconds: Optional[float] = dist.seconds
             comm_seconds = getattr(dist.result, "comm_seconds", 0.0)
-            transport = dist.result.transport
             ok = serial.ok and dist.ok
         else:
             dist_seconds = None
@@ -265,7 +255,6 @@ def _cmd_bench(args) -> int:
                 "distributed_seconds": dist_seconds,
                 "comm_seconds": comm_seconds,
                 "backend": backend,
-                "transport": transport,
                 "kernels": serial.kernels,
                 "error": scenarios.json_safe(serial.error),
                 "ok": ok,
@@ -321,21 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="simcomm",
         choices=sorted(set(scenarios.spec.BACKEND_ALIASES)),
         help="distributed backend (mp = multiprocessing)",
-    )
-    p_run.add_argument(
-        "--transport",
-        default="auto",
-        choices=sorted(set(scenarios.spec.TRANSPORT_ALIASES)),
-        help="multiprocessing row transport (shm = shared_memory; "
-        "auto picks shared_memory when available, else pickle)",
-    )
-    p_run.add_argument(
-        "--pipeline",
-        default="auto",
-        choices=sorted(set(scenarios.spec.PIPELINE_ALIASES)),
-        help="multiprocessing chunk pipelining (on overlaps worker "
-        "stepping with rank-0 collection and training; auto = on for "
-        "multi-rank mp runs)",
     )
     p_run.add_argument(
         "--kernels",
@@ -394,19 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="simcomm",
         choices=sorted(set(scenarios.spec.BACKEND_ALIASES)),
         help="distributed backend for the parallel leg",
-    )
-    p_bench.add_argument(
-        "--transport",
-        default="auto",
-        choices=sorted(set(scenarios.spec.TRANSPORT_ALIASES)),
-        help="multiprocessing row transport (shm = shared_memory)",
-    )
-    p_bench.add_argument(
-        "--pipeline",
-        default="auto",
-        choices=sorted(set(scenarios.spec.PIPELINE_ALIASES)),
-        help="multiprocessing chunk pipelining for the parallel leg "
-        "(see `run --pipeline`)",
     )
     p_bench.add_argument(
         "--kernels",

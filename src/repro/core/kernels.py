@@ -20,15 +20,14 @@ loops behind ONE seam with two interchangeable backends:
     never lands inside a timed region.  Tier-1 never requires the
     toolchain: without numba, ``auto`` quietly resolves to ``numpy``
     and only an *explicit* ``kernels="numba"`` request fails (eagerly,
-    at engine construction, mirroring ``transport=`` resolution).
+    at engine construction).
 
-Selection mirrors the transport knob: :func:`resolve_kernels` collapses
-``"auto"`` to a concrete backend name, :func:`use` installs a backend
-process-wide (worker ranks call it so a distributed run trains every
-shard on the same backend), and :func:`activated` scopes a backend to
-one engine run.  Hot paths fetch the installed backend per call via
-:func:`active` — a dict lookup, far below the cost of the loops it
-dispatches.
+Selection: :func:`resolve_kernels` collapses ``"auto"`` to a concrete
+backend name, :func:`use` installs a backend process-wide (worker
+ranks call it so a distributed run trains every shard on the same
+backend), and :func:`activated` scopes a backend to one engine run.
+Hot paths fetch the installed backend per call via :func:`active` — a
+dict lookup, far below the cost of the loops it dispatches.
 
 Numerical contract: the two backends agree on fitted AR coefficients
 within 1e-12 over every registered scenario (``tests/test_kernels.py``
@@ -94,8 +93,7 @@ def resolve_kernels(name: str) -> str:
     and quietly falls back to ``"numpy"`` otherwise; an *explicit*
     ``"numba"`` request without the toolchain is a
     :class:`~repro.errors.ConfigurationError` — eagerly, so a bad knob
-    fails at engine construction, never mid-run (the ``transport=``
-    contract).
+    fails at engine construction, never mid-run.
     """
     canonical = KERNEL_ALIASES.get(name)
     if canonical is None:

@@ -39,18 +39,12 @@ from repro.engine.distributed import (
     BACKEND_MULTIPROCESSING,
     BACKEND_SIMCOMM,
     BACKENDS,
-    PIPELINE_ALIASES,
-    PIPELINE_AUTO,
-    PIPELINE_OFF,
-    PIPELINE_ON,
-    PIPELINES,
     DistributedEngine,
     DistributedResult,
     MultiprocessExecutor,
     RankCollector,
     RankExecutor,
     SimCommExecutor,
-    resolve_pipeline,
 )
 from repro.engine.faults import (
     KILL_EXIT_CODE,
@@ -87,15 +81,6 @@ from repro.core.kernels import (
     KERNELS,
     numba_available,
     resolve_kernels,
-)
-from repro.engine.transport import (
-    TRANSPORT_ALIASES,
-    TRANSPORT_AUTO,
-    TRANSPORT_PICKLE,
-    TRANSPORT_SHARED_MEMORY,
-    TRANSPORTS,
-    resolve_transport,
-    shared_memory_available,
 )
 from repro.engine.workload import (
     LuleshApp,
@@ -140,11 +125,6 @@ __all__ = [
     "LocalExecutor",
     "LuleshApp",
     "MultiprocessExecutor",
-    "PIPELINES",
-    "PIPELINE_ALIASES",
-    "PIPELINE_AUTO",
-    "PIPELINE_OFF",
-    "PIPELINE_ON",
     "RankCollector",
     "RankExecutor",
     "RecoveryEvent",
@@ -152,11 +132,6 @@ __all__ = [
     "SharedCollector",
     "SimCommExecutor",
     "SimulationApp",
-    "TRANSPORTS",
-    "TRANSPORT_ALIASES",
-    "TRANSPORT_AUTO",
-    "TRANSPORT_PICKLE",
-    "TRANSPORT_SHARED_MEMORY",
     "WdMergerApp",
     "as_fault_plan",
     "as_simulation_app",
@@ -166,7 +141,4 @@ __all__ = [
     "register_adapter",
     "replay_provider",
     "resolve_kernels",
-    "resolve_pipeline",
-    "resolve_transport",
-    "shared_memory_available",
 ]

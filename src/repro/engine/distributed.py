@@ -37,29 +37,20 @@ Two execution backends ship behind the :class:`RankExecutor` protocol:
     A real process pool for wall-clock speedup on wide-spatial
     scenarios.  Worker ranks step their own deterministic replica of
     the simulation (``app_factory`` must be picklable) and stream
-    their shard rows back in chunks; the parent assembles rows, trains
-    and decides termination, then reduces the workers' partial
-    statistics at shutdown.  Results match the serial engine because
-    row assembly is a pure concatenation of shard gathers.
-
-    The worker→parent data path is pluggable (the ``transport=`` knob,
-    see :mod:`repro.engine.transport`): ``"shared_memory"`` moves raw
-    float64 records through per-worker shared-memory ring buffers (a
-    row transfer is a memcpy) with the pipe reduced to chunk
-    advance/ack control traffic, while ``"pickle"`` is the legacy
-    pickled-payload pipe, kept as the automatic fallback where shared
-    memory is unavailable.  Both transports count bytes moved and
-    serialization/transfer seconds into
+    their shard rows back in chunks, one pickled payload per chunk over
+    the control pipe (:mod:`repro.engine.transport`); the parent
+    assembles rows, trains and decides termination, then reduces the
+    workers' partial statistics at shutdown.  Results match the serial
+    engine because row assembly is a pure concatenation of shard
+    gathers.  Bytes moved and serialization/transfer seconds land in
     ``DistributedResult.transport_stats``.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import pickle
 import sys
-import threading
 import time
 import traceback
 from collections import deque
@@ -93,17 +84,7 @@ from repro.engine.scheduler import (
     POLICY_ANY,
     AnalysisScheduler,
 )
-from repro.engine.transport import (
-    TRANSPORT_AUTO,
-    TRANSPORT_SHARED_MEMORY,
-    PickleRowReceiver,
-    PickleRowSender,
-    ShmRing,
-    ShmRowReceiver,
-    ShmRowSender,
-    resolve_transport,
-    ring_capacity_for,
-)
+from repro.engine.transport import PickleRowReceiver, PickleRowSender
 from repro.engine.workload import SimulationApp, as_simulation_app
 from repro.errors import (
     CommunicatorError,
@@ -116,33 +97,9 @@ BACKEND_SIMCOMM = "simcomm"
 BACKEND_MULTIPROCESSING = "multiprocessing"
 BACKENDS = (BACKEND_SIMCOMM, BACKEND_MULTIPROCESSING)
 
-#: Pipelined chunk execution modes (multiprocessing backend).
-PIPELINE_ON = "on"
-PIPELINE_OFF = "off"
-PIPELINE_AUTO = "auto"
-PIPELINES = (PIPELINE_ON, PIPELINE_OFF)
-PIPELINE_ALIASES = {
-    PIPELINE_AUTO: PIPELINE_AUTO,
-    PIPELINE_ON: PIPELINE_ON,
-    PIPELINE_OFF: PIPELINE_OFF,
-}
-
-
-def resolve_pipeline(name: str) -> str:
-    """Collapse a pipeline knob to a concrete mode (``auto`` -> ``on``).
-
-    Pipelining is a pure latency optimization — results are
-    bit-identical either way — so ``auto`` enables it wherever the
-    multiprocessing backend runs.  ``off`` is kept as an escape hatch
-    (debugging, apples-to-apples benchmarking).
-    """
-    canonical = PIPELINE_ALIASES.get(name)
-    if canonical is None:
-        raise ConfigurationError(
-            f"unknown pipeline mode {name!r}; expected one of "
-            f"{sorted(set(PIPELINE_ALIASES))}"
-        )
-    return PIPELINE_ON if canonical == PIPELINE_AUTO else canonical
+#: Sample-time skew (max over mean) beyond which a rebalance migrates
+#: window slices; enough hysteresis that balanced runs never churn.
+REBALANCE_THRESHOLD = 1.75
 
 #: Back-compat alias: the executor seam now lives in
 #: :mod:`repro.engine.driver` and is shared with the serial engine.
@@ -156,16 +113,10 @@ __all__ = [
     "DistributedResult",
     "GroupPlan",
     "MultiprocessExecutor",
-    "PIPELINES",
-    "PIPELINE_ALIASES",
-    "PIPELINE_AUTO",
-    "PIPELINE_OFF",
-    "PIPELINE_ON",
     "RankCollector",
     "RankExecutor",
     "SimCommExecutor",
     "plan_groups",
-    "resolve_pipeline",
 ]
 
 
@@ -314,8 +265,8 @@ class SimCommExecutor:
     times diverge past the hysteresis threshold.
     """
 
-    #: In-process backend: rows move by assignment, nothing is wired.
-    transport_name = None
+    #: Sampled iterations between skew checks when rebalancing.
+    REBALANCE_EVERY = 8
 
     def __init__(
         self,
@@ -324,10 +275,7 @@ class SimCommExecutor:
         comm: SimComm,
         *,
         faults: Optional[FaultPlan] = None,
-        elastic: bool = True,
         rebalance: bool = False,
-        rebalance_threshold: float = 1.75,
-        rebalance_every: int = 8,
     ) -> None:
         self.app = app
         self.plans = list(plans)
@@ -335,11 +283,8 @@ class SimCommExecutor:
         self.n_ranks = comm.size
         self.ranks = [RankCollector(r, self.plans) for r in range(comm.size)]
         self.last_step_seconds = 0.0
-        self.elastic = elastic
         self.faults = faults
         self.rebalance_enabled = rebalance
-        self.rebalance_threshold = rebalance_threshold
-        self.rebalance_every = rebalance_every
         self.recovery_events: List[RecoveryEvent] = []
         self._dead = [False] * self.n_ranks
         self._kills = (
@@ -414,12 +359,6 @@ class SimCommExecutor:
         for kill in self._kills:
             if kill.iteration > iteration or self._dead[kill.rank]:
                 continue
-            if not self.elastic:
-                raise CommunicatorError(
-                    f"rank {kill.rank} died at iteration {iteration} "
-                    "(injected kill fault) and elastic recovery is "
-                    "disabled"
-                )
             self._dead[kill.rank] = True
             self.recovery_events.append(
                 RecoveryEvent(
@@ -450,7 +389,7 @@ class SimCommExecutor:
             ],
             [seconds[r] - self._rb_seconds[r] for r in range(self.n_ranks)],
             self._dead,
-            self.rebalance_threshold,
+            REBALANCE_THRESHOLD,
         )
         if weights is None:
             return
@@ -458,10 +397,7 @@ class SimCommExecutor:
             weights,
             "rebalance",
             iteration,
-            detail=(
-                f"sample-time skew {skew:.2f} > "
-                f"{self.rebalance_threshold:g}"
-            ),
+            detail=f"sample-time skew {skew:.2f} > {REBALANCE_THRESHOLD:g}",
         )
 
     # -- the executor protocol -------------------------------------------
@@ -474,7 +410,7 @@ class SimCommExecutor:
         self._inject_faults(iteration)
         if (
             self.rebalance_enabled
-            and self._sampled_since_check >= self.rebalance_every
+            and self._sampled_since_check >= self.REBALANCE_EVERY
         ):
             self._sampled_since_check = 0
             self._maybe_rebalance(iteration)
@@ -584,8 +520,6 @@ class _WorkerTask:
     app_factory: Callable[[], object]
     groups: List[_WorkerGroupSpec]
     max_iterations: int
-    transport: str = TRANSPORT_AUTO
-    ring_name: Optional[str] = None
     faults: Optional[FaultPlan] = None
     # Resolved (concrete) kernel backend the parent runs on; the worker
     # installs the same one so every shard's provider gathers dispatch
@@ -602,16 +536,15 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     elastic recovery or rebalance — no reply); ``("resend",)`` replays
     the chunk retained by an injected drop fault; ``("finish",)``
     requests the worker's timing/byte counters and ends the loop.
-    Replies: one ``("rows", ..., extra)`` acknowledgement per chunk —
-    carrying the pickled payload on the pickle transport, or just the
-    ring record count on the shared-memory transport, where the rows
-    themselves travel through the worker's ring buffer; ``extra`` is
-    the worker's cumulative sample-seconds ledger, which the parent's
-    rebalancer reads — and a final ``("stats", {...})``.  An uncaught
-    exception is shipped back as ``("error", traceback)`` before the
-    worker exits nonzero, so the parent's ``CommunicatorError`` can say
-    *why* the rank died.  Workers do *not* fold partial statistics —
-    chunked prefetch may sample iterations the parent never consumes
+    Replies: one ``("rows", pickled_payload, extra)`` acknowledgement
+    per chunk, where ``extra`` carries the worker's cumulative
+    sample-seconds ledger (which the parent's rebalancer reads) and the
+    chunk's busy seconds (stepping plus sampling, which the parent's
+    overlap/idle ledgers read), and a final ``("stats", {...})``.  An
+    uncaught exception is shipped back as ``("error", traceback)``
+    before the worker exits nonzero, so the parent's recovery event can
+    say *why* the rank died.  Workers do *not* fold partial statistics
+    — chunked prefetch may sample iterations the parent never consumes
     (a mid-chunk stop), so the parent folds each rank's partial from
     the shard parts it actually uses.
 
@@ -619,11 +552,10 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     fault ``os._exit``\\ s the process the moment the replica reaches
     the fault iteration (no ack, no cleanup — a reclaimed preemptible
     instance); a delay fault really sleeps inside the timed sampling
-    section; a drop fault withholds one chunk's transport payload once
-    and serves it on the parent's resend request.
+    section; a drop fault withholds one chunk's payload once and serves
+    it on the parent's resend request.
     """
     failed = False
-    sender = None
     try:
         # Same kernel backend as the parent (already resolved there; a
         # spawn-start worker re-imports, so install it explicitly).
@@ -632,10 +564,7 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
         views = [
             ShardView(spec.provider, spec.locations) for spec in task.groups
         ]
-        if task.transport == TRANSPORT_SHARED_MEMORY:
-            sender = ShmRowSender(ShmRing.attach(task.ring_name))
-        else:
-            sender = PickleRowSender()
+        sender = PickleRowSender()
         kill = task.faults.kill_for(task.rank) if task.faults else None
         delay = task.faults.delay_for(task.rank) if task.faults else None
         drop = task.faults.drop_for(task.rank) if task.faults else None
@@ -643,12 +572,13 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
         iteration = 0
         chunks_sent = 0
         dropped_once = False
-        retained: Optional[list] = None
+        retained: Optional[tuple] = None
         while True:
             message = conn.recv()
             command = message[0]
             if command == "advance":
                 _, budget, active = message
+                busy_start = time.perf_counter()
                 payload = []
                 for _ in range(budget):
                     if app.done or iteration >= task.max_iterations:
@@ -683,22 +613,23 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
                         time.sleep(delay.seconds_for(sampled))
                         sample_seconds += time.perf_counter() - tick
                     payload.append((iteration, parts))
-                extra = {"sample_seconds": sample_seconds}
+                extra = {
+                    "sample_seconds": sample_seconds,
+                    "busy_seconds": time.perf_counter() - busy_start,
+                }
                 if (
                     drop is not None
                     and not dropped_once
                     and chunks_sent == drop.chunk
                 ):
                     dropped_once = True
-                    retained = payload
+                    retained = (payload, extra)
                     conn.send(("dropped", extra))
                 else:
                     sender.send(conn, payload, extra)
                     chunks_sent += 1
             elif command == "resend":
-                sender.send(
-                    conn, retained, {"sample_seconds": sample_seconds}
-                )
+                sender.send(conn, *retained)
                 retained = None
                 chunks_sent += 1
             elif command == "reshard":
@@ -732,8 +663,6 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
         except Exception:  # pragma: no cover - pipe already gone
             pass
     finally:
-        if sender is not None:
-            sender.close()
         conn.close()
     if failed:
         sys.exit(1)
@@ -742,10 +671,9 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
 class _WorkerDeath(CommunicatorError):
     """A worker process stopped participating.
 
-    Subclasses :class:`CommunicatorError` so the non-elastic path can
-    simply let it propagate (exactly the historical behaviour), while
-    the elastic path catches it specifically — never mistaking a
-    protocol desync or sizing bug for a recoverable death.
+    Subclasses :class:`CommunicatorError`; the executor catches it
+    specifically and recovers, never mistaking a protocol desync for a
+    recoverable death.
     """
 
     def __init__(
@@ -760,36 +688,14 @@ class _WorkerDeath(CommunicatorError):
         self.worker_traceback = worker_traceback
 
 
+@dataclass
 class _Speculation:
-    """One speculative chunk in flight: reader-thread state.
+    """One speculative chunk in flight: its frozen active set, the
+    workers it was posted to, and when."""
 
-    The dedicated reader thread drains each posted worker's reply (and
-    its ring records) into ``payloads`` while rank 0 is off consuming
-    the previous chunk, so workers never stall on a full ring
-    mid-overlap.  The main thread only touches this object after
-    joining the thread, so no field needs a lock.
-    """
-
-    __slots__ = (
-        "thread",
-        "frozen",
-        "posted",
-        "payloads",
-        "deaths",
-        "error",
-        "post_time",
-        "reply_times",
-    )
-
-    def __init__(self, frozen: tuple, posted: List[int]) -> None:
-        self.thread: Optional[threading.Thread] = None
-        self.frozen = frozen
-        self.posted = posted
-        self.payloads: Dict[int, list] = {}
-        self.deaths: List[_WorkerDeath] = []
-        self.error: Optional[BaseException] = None
-        self.post_time = time.perf_counter()
-        self.reply_times: Dict[int, float] = {}
+    frozen: tuple
+    posted: List[int]
+    post_time: float = field(default_factory=time.perf_counter)
 
 
 class MultiprocessExecutor:
@@ -804,54 +710,50 @@ class MultiprocessExecutor:
     consumes rows by its own per-iteration active set, so results are
     unaffected.
 
-    ``transport`` selects the shard-row data path: ``"shared_memory"``
-    (per-worker ring buffers of binary records, the pipe carries only
-    control traffic), ``"pickle"`` (the legacy pickled-payload pipe),
-    or ``"auto"`` (shared memory when available, pickle otherwise).
+    Each worker ships a chunk as one pickled payload over its control
+    pipe (:mod:`repro.engine.transport`).
 
-    **Pipelined chunk execution** (``pipeline="auto"|"on"``, the
-    default): immediately after a chunk's rows land in the parent's
-    buffer, the next chunk is speculatively requested with the same
-    frozen active set and a dedicated reader thread drains the replies
-    (and ring records) while rank 0 steps its own app, samples its
-    shard, folds stats and trains — worker stepping of chunk *k+1*
-    overlaps rank-0 compute of chunk *k* instead of alternating with
-    it.  Rings are double-buffered (``ring_capacity_for(...,
-    in_flight=2)``) so the worker writes chunk *k+1* while the parent
-    still holds zero-copy views into chunk *k*.  At the next boundary
-    the speculation is adopted when the needed groups are a subset of
-    the speculated set (chunk freezing only ever over-collects);
-    otherwise — the active set grew between chunks, e.g. an adaptive
-    cadence snap-back — it is discarded and rank 0 resamples that
-    boundary chunk's rows from its live app (the worker replicas are
-    already past those iterations and cannot rewind), which is
-    bit-identical because the replicas are deterministic.  Elastic
-    events fence the pipeline: a death or pending rebalance stops new
-    speculation, the in-flight chunk is consumed under the old layout,
-    the reshard applies at a quiet boundary, and speculation resumes.
-    Results are bit-identical to ``pipeline="off"`` — only the fetch
-    timing changes, never what is consumed.
+    **Pipelined chunk execution** (every multi-rank run): immediately
+    after a chunk's rows land in the parent's buffer, the next chunk is
+    speculatively requested with the same frozen active set, so worker
+    stepping and sampling of chunk *k+1* overlaps rank-0 compute of
+    chunk *k* — rank 0 steps its own app, samples its shard, folds
+    stats and trains — instead of alternating with it.  The speculative
+    replies are received on the main thread at the next chunk
+    boundary.  The speculation is adopted when the needed groups are a
+    subset of the speculated set (chunk freezing only ever
+    over-collects); otherwise — the active set grew between chunks,
+    e.g. an adaptive cadence snap-back — it is discarded and rank 0
+    resamples that boundary chunk's rows from its live app (the worker
+    replicas are already past those iterations and cannot rewind),
+    which is bit-identical because the replicas are deterministic.
+    Elastic events fence the pipeline: a death or pending rebalance
+    stops new speculation, the in-flight chunk is consumed under the
+    old layout, the reshard applies at a quiet boundary, and
+    speculation resumes.
 
-    **Elastic recovery** (``elastic=True``, the default): a worker
-    death detected by the poll/liveness path no longer aborts the run.
-    The chunk in flight is completed by rank 0 re-sampling the dead
-    rank's shard columns from its own live app (bit-identical — the
-    replicas are deterministic), and once the buffered chunk drains the
-    dead rank's window is re-sharded over the survivors via
-    :meth:`BlockDecomposition.rebalance` and pushed to the workers as a
-    ``reshard`` message.  Every already-streamed complete-iteration row
-    stays merged; only the dead rank's unacked iterations are
-    re-sampled, and that count is the recovery overhead reported in
-    ``recovery_events``.  ``elastic=False`` restores the historical
-    raise-on-death contract.
+    **Elastic recovery**: a worker death detected by the poll/liveness
+    path never aborts the run.  The chunk in flight is completed by
+    rank 0 re-sampling the dead rank's shard columns from its own live
+    app (bit-identical — the replicas are deterministic), and once the
+    buffered chunk drains the dead rank's window is re-sharded over the
+    survivors via :meth:`BlockDecomposition.rebalance` and pushed to
+    the workers as a ``reshard`` message.  Every already-streamed
+    complete-iteration row stays merged; only the dead rank's unacked
+    iterations are re-sampled, and that count is the recovery overhead
+    reported in ``recovery_events``.  A worker that raised ships its
+    traceback first; it lands in a ``worker_error`` event.
 
     **Rebalancing** (``rebalance=True``): worker chunk acks carry each
-    rank's cumulative sample-seconds ledger; every ``rebalance_every``
-    chunks the parent compares measured per-rank speeds against current
-    shard widths and — only past the ``rebalance_threshold`` hysteresis
-    — migrates columns toward fast ranks with the same reshard
-    machinery.
+    rank's cumulative sample-seconds ledger; every
+    :attr:`REBALANCE_EVERY` chunks the parent compares measured
+    per-rank speeds against current shard widths and — only past the
+    :data:`REBALANCE_THRESHOLD` hysteresis — migrates columns toward
+    fast ranks with the same reshard machinery.
     """
+
+    #: Worker chunks between skew checks when rebalancing.
+    REBALANCE_EVERY = 2
 
     def __init__(
         self,
@@ -862,13 +764,8 @@ class MultiprocessExecutor:
         app_factory: Callable[[], object],
         max_iterations: int,
         chunk: int = 8,
-        transport: str = TRANSPORT_AUTO,
-        pipeline: str = PIPELINE_AUTO,
-        elastic: bool = True,
         faults: Optional[FaultPlan] = None,
         rebalance: bool = False,
-        rebalance_threshold: float = 1.75,
-        rebalance_every: int = 2,
         kernels: str = KERNEL_NUMPY,
     ) -> None:
         if chunk <= 0:
@@ -879,16 +776,10 @@ class MultiprocessExecutor:
         self.app_factory = app_factory
         self.max_iterations = max_iterations
         self.chunk = chunk
-        self.transport_name = resolve_transport(transport)
-        self.pipeline_name = resolve_pipeline(pipeline)
-        self._pipeline = self.pipeline_name == PIPELINE_ON and n_ranks > 1
         self.kernels = resolve_kernels(kernels)
         self.last_step_seconds = 0.0
-        self.elastic = elastic
         self.faults = faults
         self.rebalance_enabled = rebalance
-        self.rebalance_threshold = rebalance_threshold
-        self.rebalance_every = rebalance_every
         self.recovery_events: List[RecoveryEvent] = []
         self._views0 = [
             ShardView(plan.provider, plan.shards[0]) for plan in self.plans
@@ -905,9 +796,7 @@ class MultiprocessExecutor:
         self._chunk_active: tuple = ()
         self._processes: list = []
         self._conns: list = []
-        self._rings: List[ShmRing] = []
-        self._receivers: list = []
-        self._ring_names: List[str] = []
+        self._receivers: List[PickleRowReceiver] = []
         self._worker_stats: Optional[List[Optional[dict]]] = None
         # Elasticity state.
         n_workers = max(0, n_ranks - 1)
@@ -923,16 +812,16 @@ class MultiprocessExecutor:
         self._resampled_total = 0
         self._resampled_marked = 0
         self._delay0 = faults.delay_for(0) if faults else None
-        # Pipelining state: at most one speculative chunk in flight,
-        # drained by a reader thread the main thread joins before it
-        # touches the pipes again.
+        # Pipelining state: at most one speculative chunk in flight.
         self._speculative: Optional[_Speculation] = None
         self._chunks_speculated = 0
         self._chunks_discarded = 0
         self._backfilled_rows = 0
-        # Overlap/idle ledgers (wall-clock instrumentation only).
+        # Overlap/idle ledgers (wall-clock instrumentation only); each
+        # worker's busy seconds for its latest chunk come in its ack.
         self._rank0_overlap = 0.0
         self._rank0_idle = 0.0
+        self._worker_busy = [0.0] * n_workers
         self._worker_overlap = [0.0] * n_workers
         self._worker_idle = [0.0] * n_workers
 
@@ -947,63 +836,36 @@ class MultiprocessExecutor:
             else "spawn"
         )
         ctx = multiprocessing.get_context(method)
-        use_shm = self.transport_name == TRANSPORT_SHARED_MEMORY
-        # Rings are sized for FULL window widths, not the rank's initial
-        # shard: an elastic reshard can hand any rank up to the whole
-        # window, and the ring must already fit it.
-        widths = [int(plan.width) for plan in self.plans]
-        # Pipelined rings are double-buffered: the worker writes the
-        # speculative chunk while the parent still holds views into the
-        # previous one, so two worst-case chunks must fit at once while
-        # each individual chunk stays bounded by the single-chunk
-        # budget (preserving overflow detection of sizing bugs).
-        chunk_budget = ring_capacity_for(widths, self.chunk)
-        ring_capacity = ring_capacity_for(
-            widths, self.chunk, in_flight=2 if self._pipeline else 1
-        )
-        tasks = []
-        for rank in range(1, self.n_ranks):
-            ring = None
-            if use_shm:
-                ring = ShmRing.create(ring_capacity, chunk_budget)
-                self._rings.append(ring)
-                self._ring_names.append(ring.name)
-            tasks.append(
-                _WorkerTask(
-                    rank=rank,
-                    app_factory=self.app_factory,
-                    groups=[
-                        _WorkerGroupSpec(
-                            provider=plan.provider,
-                            locations=plan.shards[rank],
-                            temporal=plan.temporal,
-                        )
-                        for plan in self.plans
-                    ],
-                    max_iterations=self.max_iterations,
-                    transport=self.transport_name,
-                    ring_name=None if ring is None else ring.name,
-                    faults=self.faults,
-                    kernels=self.kernels,
-                )
+        tasks = [
+            _WorkerTask(
+                rank=rank,
+                app_factory=self.app_factory,
+                groups=[
+                    _WorkerGroupSpec(
+                        provider=plan.provider,
+                        locations=plan.shards[rank],
+                        temporal=plan.temporal,
+                    )
+                    for plan in self.plans
+                ],
+                max_iterations=self.max_iterations,
+                faults=self.faults,
+                kernels=self.kernels,
             )
-        try:
-            for task in tasks:
-                try:
-                    pickle.dumps(task)
-                except Exception as exc:
-                    raise ConfigurationError(
-                        "the multiprocessing backend ships the app factory "
-                        "and providers to worker ranks, so both must be "
-                        "picklable (module-level callables, functools."
-                        "partial of classes); pickling rank "
-                        f"{task.rank}'s task failed: {exc}"
-                    ) from exc
-        except ConfigurationError:
-            self.close()
-            raise
-        n_groups = len(self.plans)
-        for index, task in enumerate(tasks):
+            for rank in range(1, self.n_ranks)
+        ]
+        for task in tasks:
+            try:
+                pickle.dumps(task)
+            except Exception as exc:
+                raise ConfigurationError(
+                    "the multiprocessing backend ships the app factory "
+                    "and providers to worker ranks, so both must be "
+                    "picklable (module-level callables, functools."
+                    "partial of classes); pickling rank "
+                    f"{task.rank}'s task failed: {exc}"
+                ) from exc
+        for task in tasks:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_shard_worker, args=(child_conn, task), daemon=True
@@ -1012,12 +874,7 @@ class MultiprocessExecutor:
             child_conn.close()
             self._processes.append(process)
             self._conns.append(parent_conn)
-            if use_shm:
-                self._receivers.append(
-                    ShmRowReceiver(self._rings[index], n_groups)
-                )
-            else:
-                self._receivers.append(PickleRowReceiver(n_groups))
+            self._receivers.append(PickleRowReceiver())
 
     def _died(
         self, index: int, worker_traceback: Optional[str] = None
@@ -1101,7 +958,7 @@ class MultiprocessExecutor:
                     f"worker protocol desync: expected {expected!r}, "
                     f"got {reply[0]!r}"
                 )
-            if expected == "rows" and len(reply) > 2:
+            if expected == "rows":
                 self._note_extra(index, reply[2])
             if resent:
                 self.recovery_events.append(
@@ -1116,8 +973,8 @@ class MultiprocessExecutor:
             return reply
 
     def _note_extra(self, index: int, extra) -> None:
-        if isinstance(extra, dict) and "sample_seconds" in extra:
-            self._worker_seconds[index] = float(extra["sample_seconds"])
+        self._worker_seconds[index] = float(extra["sample_seconds"])
+        self._worker_busy[index] = float(extra["busy_seconds"])
 
     def _on_worker_death(self, death: _WorkerDeath) -> None:
         if self._worker_dead[death.index]:
@@ -1200,8 +1057,6 @@ class MultiprocessExecutor:
                     ),
                 )
             except _WorkerDeath as death:
-                if not self.elastic:
-                    raise
                 # Its freshly-assigned shard will be resampled by rank
                 # 0 until the next chunk boundary reshards again.
                 self._on_worker_death(death)
@@ -1240,17 +1095,14 @@ class MultiprocessExecutor:
                 )
             ],
             [False] + list(self._worker_dead),
-            self.rebalance_threshold,
+            REBALANCE_THRESHOLD,
         )
         if weights is None:
             return
         self._apply_layout(
             weights,
             "rebalance",
-            detail=(
-                f"sample-time skew {skew:.2f} > "
-                f"{self.rebalance_threshold:g}"
-            ),
+            detail=f"sample-time skew {skew:.2f} > {REBALANCE_THRESHOLD:g}",
         )
 
     def _pre_chunk_reshard(self) -> None:
@@ -1270,12 +1122,15 @@ class MultiprocessExecutor:
                     "survivors"
                 ),
             )
-        elif (
-            self.rebalance_enabled
-            and self._chunks_since_check >= self.rebalance_every
-        ):
+        elif self._rebalance_due():
             self._chunks_since_check = 0
             self._maybe_rebalance()
+
+    def _rebalance_due(self) -> bool:
+        return (
+            self.rebalance_enabled
+            and self._chunks_since_check >= self.REBALANCE_EVERY
+        )
 
     def _post_advance(self, frozen: tuple) -> List[int]:
         """Post one chunk request to every live worker."""
@@ -1287,8 +1142,6 @@ class MultiprocessExecutor:
                 self._post(index, ("advance", self.chunk, frozen))
                 posted.append(index)
             except _WorkerDeath as death:
-                if not self.elastic:
-                    raise
                 self._on_worker_death(death)
         return posted
 
@@ -1336,26 +1189,24 @@ class MultiprocessExecutor:
 
     # -- pipelined speculation -----------------------------------------
 
-    def _reader_main(self, state: _Speculation) -> None:
-        """Reader-thread body: drain every posted worker's chunk reply.
+    def _collect(self, posted: Sequence[int]) -> Dict[int, list]:
+        """Receive and decode one chunk reply from every posted worker.
 
-        Runs concurrently with rank-0 compute; the main thread does not
-        touch the pipes or receivers until it has joined this thread.
-        Deaths and errors are recorded on ``state`` for the main thread
-        to handle at the next boundary — raising across threads is not
-        a thing.
+        A worker found dead is recorded for recovery; its slot stays
+        empty, so rank 0 resamples its shard.  The whole wait counts as
+        rank-0 idle time.
         """
-        for index in state.posted:
+        start = time.perf_counter()
+        payloads: Dict[int, list] = {}
+        for index in posted:
             try:
                 reply = self._recv(index, "rows")
-                state.payloads[index] = self._receivers[index].decode(reply)
             except _WorkerDeath as death:
-                state.deaths.append(death)
-            except BaseException as exc:  # CommunicatorError, desyncs, ...
-                state.error = exc
-                return
-            finally:
-                state.reply_times[index] = time.perf_counter()
+                self._on_worker_death(death)
+                continue
+            payloads[index] = self._receivers[index].decode(reply)
+        self._rank0_idle += time.perf_counter() - start
+        return payloads
 
     def _post_speculation(self) -> None:
         """Speculatively request the next chunk behind the buffered one.
@@ -1366,109 +1217,66 @@ class MultiprocessExecutor:
         speculation resumes right after.
         """
         if (
-            not self._pipeline
-            or self._speculative is not None
+            self._speculative is not None
             or self._reshard_needed
+            or self._rebalance_due()
             or not self._buffer
             or not self._any_alive()
         ):
             return
-        if (
-            self.rebalance_enabled
-            and self._chunks_since_check >= self.rebalance_every
-        ):
-            return
         frozen = self._chunk_active
         posted = self._post_advance(frozen)
-        if not posted:
-            return
-        state = _Speculation(frozen, posted)
-        state.thread = threading.Thread(
-            target=self._reader_main,
-            args=(state,),
-            name="repro-chunk-reader",
-            daemon=True,
-        )
-        self._speculative = state
-        self._chunks_speculated += 1
-        state.thread.start()
+        if posted:
+            self._speculative = _Speculation(frozen, posted)
+            self._chunks_speculated += 1
 
-    def _retire_speculation(self) -> Optional[_Speculation]:
-        """Join the reader thread and surface what it collected.
+    def _retire_speculation(self) -> Tuple[Optional[_Speculation], dict]:
+        """Receive the in-flight speculative chunk, if any.
 
-        Returns the speculation state (payloads decoded, deaths
-        recorded) or ``None`` when nothing was in flight.  Updates the
+        Returns the speculation state and the decoded payloads, or
+        ``(None, {})`` when nothing was in flight.  Updates the
         overlap/idle ledgers: the post-to-retire window is rank-0
-        compute that overlapped worker stepping; any wait past the
-        retire point is rank-0 idle (stragglers).
+        compute that overlapped worker stepping.  A worker's busy
+        seconds (from its ack) inside that window overlapped; the rest
+        of the window its finished chunk sat waiting for rank 0.
         """
         state = self._speculative
         if state is None:
-            return None
+            return None, {}
         self._speculative = None
-        retire_start = time.perf_counter()
-        state.thread.join()
-        joined = time.perf_counter()
-        self._rank0_overlap += retire_start - state.post_time
-        self._rank0_idle += joined - retire_start
-        for index in state.posted:
-            reply = state.reply_times.get(index, joined)
-            self._worker_overlap[index] += max(
-                0.0, min(reply, retire_start) - state.post_time
-            )
-            self._worker_idle[index] += max(0.0, retire_start - reply)
-        if state.error is not None:
-            raise state.error
-        for death in state.deaths:
-            if not self.elastic:
-                raise death
-            self._on_worker_death(death)
-            # The traceback pins the reader-thread frame, whose `state`
-            # local closes a reference cycle back to this exception —
-            # the decoded ring views in state.payloads would then only
-            # die at the next cyclic GC, keeping the shm segments
-            # mapped past close().  Handled: drop it.
-            death.__traceback__ = None
-        return state
+        window = time.perf_counter() - state.post_time
+        self._rank0_overlap += window
+        payloads = self._collect(state.posted)
+        for index in payloads:
+            busy = self._worker_busy[index]
+            self._worker_overlap[index] += min(busy, window)
+            self._worker_idle[index] += max(0.0, window - busy)
+        return state, payloads
 
     def _prefetch(self, active: Sequence[int]) -> None:
         frozen = tuple(sorted(active))
-        state = self._retire_speculation()
-        if state is not None:
-            if set(frozen) <= set(state.frozen):
-                # Chunk freezing only ever over-collects: the engine
-                # consumes rows by its per-iteration active set, so a
-                # speculated superset is adopted as-is.
-                self._ingest_payloads(state.payloads, state.frozen)
-            else:
-                # The active set grew between chunks (adaptive cadence
-                # snap-back / re-widening): the speculated chunk lacks
-                # rows for the new groups and the worker replicas are
-                # already past these iterations, so the chunk cannot be
-                # re-collected from them.  Drop the payloads and fall
-                # back to synchronous for this boundary — rank 0
-                # resamples every row from its live app, bit-identical
-                # because the replicas are deterministic.
-                self._chunks_discarded += 1
-                self._ingest_payloads(state.payloads, frozen, adopt=False)
-            self._chunks_since_check += 1
-            self._post_speculation()
-            return
-        self._pre_chunk_reshard()
-        posted = self._post_advance(frozen)
-        payloads: Dict[int, list] = {}
-        wait_start = time.perf_counter()
-        for index in posted:
-            try:
-                payloads[index] = self._receivers[index].decode(
-                    self._recv(index, "rows")
-                )
-            except _WorkerDeath as death:
-                if not self.elastic:
-                    raise
-                self._on_worker_death(death)
-        self._rank0_idle += time.perf_counter() - wait_start
-        self._ingest_payloads(payloads, frozen)
+        state, payloads = self._retire_speculation()
+        if state is None:
+            self._pre_chunk_reshard()
+            self._ingest_payloads(
+                self._collect(self._post_advance(frozen)), frozen
+            )
+        elif set(frozen) <= set(state.frozen):
+            # Chunk freezing only ever over-collects: the engine
+            # consumes rows by its per-iteration active set, so a
+            # speculated superset is adopted as-is.
+            self._ingest_payloads(payloads, state.frozen)
+        else:
+            # The active set grew between chunks (adaptive cadence
+            # snap-back / re-widening): the speculated chunk lacks rows
+            # for the new groups and the worker replicas are already
+            # past these iterations, so the chunk cannot be re-collected
+            # from them.  Drop the payloads and fall back to synchronous
+            # for this boundary — rank 0 resamples every row from its
+            # live app, bit-identical because the replicas are
+            # deterministic.
+            self._chunks_discarded += 1
+            self._ingest_payloads(payloads, frozen, adopt=False)
         self._chunks_since_check += 1
         self._post_speculation()
 
@@ -1600,8 +1408,6 @@ class MultiprocessExecutor:
                 self._post(index, ("finish",))
                 stats[index] = self._recv(index, "stats")[1]
             except _WorkerDeath as death:
-                if not self.elastic:
-                    raise
                 self._on_worker_death(death)
         self._worker_stats = stats
         for process in self._processes:
@@ -1633,10 +1439,10 @@ class MultiprocessExecutor:
     def transport_stats(self) -> Dict[str, object]:
         """Per-rank serialization/transfer seconds and bytes moved.
 
-        Worker entries combine the worker-side counters (ring-write or
-        pickle time, bytes pushed) with the parent-side receiver
-        counters (ring-drain or unpickle time for that worker's rows).
-        Rank 0 samples in-process and moves nothing.
+        Worker entries combine the worker-side counters (pickle time,
+        bytes pushed) with the parent-side receiver counters (unpickle
+        time for that worker's rows).  Rank 0 samples in-process and
+        moves nothing.
 
         Every per-rank entry also carries the pipeline overlap ledgers:
         ``overlap_seconds`` — for rank 0, compute time spent while a
@@ -1687,11 +1493,9 @@ class MultiprocessExecutor:
                 }
             )
         return {
-            "transport": self.transport_name,
             "per_rank": per_rank,
             "total_bytes_moved": sum(r["bytes_moved"] for r in per_rank),
             "pipeline": {
-                "enabled": bool(self._pipeline),
                 "chunks_speculated": int(self._chunks_speculated),
                 "chunks_discarded": int(self._chunks_discarded),
                 "backfilled_rows": int(self._backfilled_rows),
@@ -1703,32 +1507,14 @@ class MultiprocessExecutor:
 
         Called by the driver's ``finally`` on every exit path, so a
         :class:`CommunicatorError` or any parent-side exception still
-        terminates/joins worker processes and unlinks every
-        shared-memory segment — no orphaned daemons, no leaked
-        ``/dev/shm`` entries.
+        terminates and joins every worker process — no orphaned
+        daemons.
         """
-        # Undelivered prefetched rows may be zero-copy views into the
-        # rings (a mid-chunk stop leaves some); drop them first or the
-        # exported buffers would keep the segments from unmapping.
         self._buffer.clear()
-        # A reader thread may still be draining a speculative chunk
-        # (close on a failure path runs with the pipeline live).
-        # Terminate the workers first so the thread's death detection
-        # wakes it, then join it before touching conns or receivers.
-        state = self._speculative
         self._speculative = None
         for process in self._processes:
             if process.is_alive():
                 process.terminate()
-        if state is not None and state.thread is not None:
-            state.thread.join(timeout=10.0)
-            # Its decoded payloads are ring views too; recorded death
-            # tracebacks pin the reader frame (and through it the
-            # payload dict) in a cycle only the cyclic GC would break.
-            state.payloads.clear()
-            for death in state.deaths:
-                death.__traceback__ = None
-            state.deaths.clear()
         for conn in self._conns:
             try:
                 conn.close()
@@ -1739,22 +1525,9 @@ class MultiprocessExecutor:
             if process.is_alive():  # pragma: no cover - stuck in a syscall
                 process.kill()
                 process.join(timeout=10.0)
-        for receiver in self._receivers:
-            receiver.close()
-        if self._rings:
-            # Worker-death exceptions travel through frames whose locals
-            # reference decoded ring views; those tracebacks form
-            # reference cycles that only the cyclic GC frees.  Collect
-            # now so every exported buffer is truly gone and the
-            # segments unmap here, not at interpreter exit.
-            gc.collect()
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
         self._processes = []
         self._conns = []
         self._receivers = []
-        self._rings = []
 
 
 # ----------------------------------------------------------------------
@@ -1841,48 +1614,24 @@ class DistributedEngine:
         worker replicas are deterministic.
     chunk:
         Multiprocessing only: iterations per worker round trip.
-    transport:
-        Multiprocessing only: the worker→parent shard-row data path —
-        ``"shared_memory"`` (per-worker ring buffers of raw float64
-        records; a row transfer is a memcpy), ``"pickle"`` (the legacy
-        pickled-payload pipe), or ``"auto"`` (the default: shared
-        memory when the platform supports it, pickle otherwise).  See
-        :mod:`repro.engine.transport`.
-    pipeline:
-        Multiprocessing only: speculative chunk pipelining — ``"on"``
-        overlaps worker stepping/sampling of the next chunk with rank
-        0's compute of the current one (see
-        :class:`MultiprocessExecutor`), ``"off"`` restores strictly
-        alternating chunk execution, ``"auto"`` (default) enables it.
-        Results are bit-identical either way; resolved eagerly like
-        the transport.
     kernels:
         Hot-loop backend (``"auto"``/``"numpy"``/``"numba"``, see
-        :mod:`repro.core.kernels`), resolved eagerly like the
-        transport.  Worker ranks install the same resolved backend, so
+        :mod:`repro.core.kernels`), resolved eagerly at construction.
+        Worker ranks install the same resolved backend, so
         shard gathers and the parent's training dispatch identically.
     faults:
         Optional :class:`~repro.engine.faults.FaultPlan` (or its spec
         string) of deterministic failures to inject — rank kills,
         per-rank slowdowns, one-shot transport drops.  Validated
-        against the rank count and backend at construction.
-    elastic:
-        When ``True`` (default) a dead rank's shard is re-sharded over
-        the survivors and the run continues; when ``False`` a rank
-        death raises :class:`CommunicatorError` immediately (the
-        pre-elastic behaviour).
+        against the rank count and backend at construction.  A rank
+        death never aborts the run: the dead rank's shard is re-sharded
+        over the survivors.
     rebalance:
-        Enable skew-triggered rebalancing: between chunks, per-rank
-        sample-seconds are compared and window slices migrate away from
-        slow ranks when the max/mean skew exceeds
-        ``rebalance_threshold``.
-    rebalance_threshold:
-        Sample-time skew (max over mean, > 1) that triggers a
-        migration.  The default 1.75 includes enough hysteresis that
-        balanced runs never churn.
-    rebalance_every:
-        Iterations (simcomm) or worker chunks (multiprocessing)
-        between skew checks; defaults to 8 (simcomm) / 2 (chunks).
+        Enable skew-triggered rebalancing: every
+        ``REBALANCE_EVERY`` iterations (simcomm) or worker chunks
+        (multiprocessing), per-rank sample-seconds are compared and
+        window slices migrate away from slow ranks when the max/mean
+        skew exceeds :data:`REBALANCE_THRESHOLD`.
     """
 
     def __init__(
@@ -1898,13 +1647,8 @@ class DistributedEngine:
         record_timings: bool = False,
         cadence=None,
         chunk: int = 8,
-        transport: str = TRANSPORT_AUTO,
-        pipeline: str = PIPELINE_AUTO,
         faults: Union[None, str, "FaultPlan"] = None,
-        elastic: bool = True,
         rebalance: bool = False,
-        rebalance_threshold: float = 1.75,
-        rebalance_every: Optional[int] = None,
         kernels: str = KERNEL_AUTO,
         name: str = "distributed-engine",
     ) -> None:
@@ -1912,52 +1656,13 @@ class DistributedEngine:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {backend!r}"
             )
-        if backend == BACKEND_SIMCOMM and transport != TRANSPORT_AUTO:
-            raise ConfigurationError(
-                "transport selects the multiprocessing backend's shard-row "
-                "data path; the simcomm backend moves rows in-process and "
-                "takes no transport"
-            )
-        if backend == BACKEND_SIMCOMM and pipeline != PIPELINE_AUTO:
-            raise ConfigurationError(
-                "pipeline controls the multiprocessing backend's "
-                "speculative chunk execution; the simcomm backend runs "
-                "in-process and takes no pipeline mode"
-            )
         self.backend = backend
         self.name = name
         self.record_timings = record_timings
         self.chunk = chunk
         self.faults = as_fault_plan(faults)
-        self.elastic = bool(elastic)
         self.rebalance = bool(rebalance)
-        if not rebalance_threshold > 1.0:
-            raise ConfigurationError(
-                "rebalance_threshold is a max-over-mean skew and must be "
-                f"> 1, got {rebalance_threshold!r}"
-            )
-        self.rebalance_threshold = float(rebalance_threshold)
-        if rebalance_every is None:
-            rebalance_every = 8 if backend == BACKEND_SIMCOMM else 2
-        if int(rebalance_every) <= 0:
-            raise ConfigurationError(
-                f"rebalance_every must be positive, got {rebalance_every}"
-            )
-        self.rebalance_every = int(rebalance_every)
-        # Resolved eagerly so a bad name (or an explicit shared-memory
-        # request on a platform without it) fails at construction, and
-        # so results report the concrete transport, never "auto".
-        self.transport = (
-            resolve_transport(transport)
-            if backend == BACKEND_MULTIPROCESSING
-            else None
-        )
-        self.pipeline = (
-            resolve_pipeline(pipeline)
-            if backend == BACKEND_MULTIPROCESSING
-            else None
-        )
-        # Same contract for the kernel backend: an unknown name or an
+        # Resolved eagerly: an unknown kernel backend name or an
         # explicit numba request without the toolchain fails here, not
         # mid-run (and never inside a worker).
         self.kernels = resolve_kernels(kernels)
@@ -2083,10 +1788,7 @@ class DistributedEngine:
                 plans,
                 self.comm,
                 faults=self.faults,
-                elastic=self.elastic,
                 rebalance=self.rebalance,
-                rebalance_threshold=self.rebalance_threshold,
-                rebalance_every=self.rebalance_every,
             )
         return MultiprocessExecutor(
             self.app,
@@ -2095,13 +1797,8 @@ class DistributedEngine:
             app_factory=self.app_factory,
             max_iterations=limit,
             chunk=self.chunk,
-            transport=self.transport,
-            pipeline=self.pipeline,
             faults=self.faults,
-            elastic=self.elastic,
             rebalance=self.rebalance,
-            rebalance_threshold=self.rebalance_threshold,
-            rebalance_every=self.rebalance_every,
             kernels=self.kernels,
         )
 
@@ -2119,7 +1816,6 @@ class DistributedEngine:
             **base,
             n_ranks=self.n_ranks,
             backend=self.backend,
-            transport=getattr(executor, "transport_name", None),
             transport_stats=executor.transport_stats(),
             comm_seconds=(
                 self.comm.charged_seconds if self.comm is not None else 0.0

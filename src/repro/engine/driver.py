@@ -225,12 +225,10 @@ class EngineResult:
     ``app.step()`` took.  Cumulative cost up to an iteration comes from
     :meth:`seconds_at`.
 
-    ``transport`` / ``transport_stats`` describe the shard-row data
-    path when one exists (the multiprocessing backend's resolved
-    ``"shared_memory"``/``"pickle"`` transport with per-rank
-    serialization/transfer seconds and bytes moved; ``"simcomm"`` with
-    no stats for the modelled backend).  Serial runs move rows
-    in-process and leave both ``None``.
+    ``transport_stats`` describes the shard-row data path when one
+    exists: the multiprocessing backend's per-rank
+    serialization/transfer seconds, bytes moved and pipeline ledgers.
+    Serial and simcomm runs move rows in-process and leave it ``None``.
 
     ``recovery_events`` is the elasticity audit trail: one
     :class:`~repro.engine.faults.RecoveryEvent` per rank death,
@@ -246,7 +244,6 @@ class EngineResult:
     step_seconds: Optional[np.ndarray] = None
     analysis_seconds: Dict[str, float] = field(default_factory=dict)
     cadence: Optional[Dict[str, object]] = None
-    transport: Optional[str] = None
     transport_stats: Optional[Dict[str, object]] = None
     recovery_events: List[object] = field(default_factory=list)
 

@@ -17,7 +17,7 @@ at an exact, named point:
   sample-seconds ledger without sleeping, so rebalancing decisions
   stay bit-deterministic.
 * :class:`DropFault` — worker rank ``R``'s ``chunk``-th transport
-  chunk is dropped once before it is written/pickled; the parent
+  chunk is dropped once before it is pickled; the parent
   detects the hole and requests a resend from the worker's retained
   payload.  Transport-level, so multiprocessing-only.
 
@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 #: Exit code a kill-fault worker dies with — distinctive on purpose, so
-#: a recovery event (or a non-elastic CommunicatorError) names the
-#: injected kill rather than looking like a genuine crash.
+#: a recovery event names the injected kill rather than looking like a
+#: genuine crash.
 KILL_EXIT_CODE = 117
 
 

@@ -315,8 +315,8 @@ class InSituEngine:
         self.name = name
         self.record_timings = record_timings
         # Resolved here — an unknown backend name or an explicit numba
-        # request without the toolchain fails at construction, mirroring
-        # the distributed engine's transport resolution.
+        # request without the toolchain fails at construction, not
+        # mid-run.
         self.kernels = resolve_kernels(kernels)
         self.scheduler = AnalysisScheduler(
             comm=comm, policy=policy, quorum=quorum,

@@ -1,44 +1,14 @@
-"""Binary shard-row transport for the multiprocessing backend.
+"""Shard-row transport for the multiprocessing backend.
 
-The distributed runtime's honest bottleneck (BENCH_distributed.json)
-was the rank↔driver data path: every shard row round-tripped as a
-pickled Python object over a ``multiprocessing.Pipe``, so the measured
-wall-clock speedup (1.07x@4 ranks) never tracked the simulated
-sampling speedup (3.8x@4).  This module replaces that path with
-per-worker ``multiprocessing.shared_memory`` **ring buffers** carrying
-fixed-layout binary records, so a row transfer is a memcpy instead of
-a pickle:
+Each worker ships one chunk of shard rows as a single pickled payload
+over its existing control ``Pipe``: :class:`PickleRowSender` pickles
+the chunk on the worker, :class:`PickleRowReceiver` unpickles it on
+the parent.  A chunk payload is ``(iteration, [shard-row-or-None per
+group])`` per advanced iteration (:data:`ChunkPayload`).  README
+"Shard-row transport" holds the measurements behind using the pipe
+rather than shared memory.
 
-* **Record layout** — a :data:`RECORD_HEADER` ``struct.Struct`` header
-  (``iteration``, ``group`` id, ``n_values``, ``sequence`` number; four
-  little-endian int64s, 32 bytes) followed by ``n_values`` raw float64
-  shard values.  Special group ids mark iteration boundaries
-  (:data:`GROUP_ITER_MARK` — one per advanced iteration, so the reader
-  reconstructs iterations where no group matched the temporal stride)
-  and ring-tail padding (:data:`GROUP_PAD` — skipped transparently, it
-  keeps every record's payload contiguous across the wrap).
-* **Synchronization** — the existing control ``Pipe`` shrinks to chunk
-  advance/stop signals and per-chunk acknowledgements; no bulk data
-  crosses it.  The worker only writes between receiving an ``advance``
-  and sending its ack, and the parent only reads after the ack and
-  drains the chunk completely before requesting the next one, so the
-  single-producer/single-consumer cursors never race and the writer
-  can never lap the reader (rings are sized for a full chunk, see
-  :func:`ring_capacity_for`).  Monotonic per-record sequence numbers
-  catch any desync as a :class:`~repro.errors.CommunicatorError`
-  instead of silent corruption.
-* **Zero-copy** — both ends address the ring through ``np.frombuffer``
-  views: the worker writes its sampled shard straight into the ring,
-  and the parent assembles the full-width row by one memcpy per shard
-  out of the ring view.
-
-The legacy pickle path survives as :class:`PickleRowSender` /
-:class:`PickleRowReceiver` behind the same two-method interface — it
-is the automatic fallback wherever ``multiprocessing.shared_memory``
-is unavailable (see :func:`resolve_transport`), and stays selectable
-explicitly through the ``transport=`` knob for A/B benchmarking.
-
-Both transports count bytes moved and serialization/transfer seconds
+Both ends count bytes moved and serialization/transfer seconds
 (:class:`TransportCounters`), which the executor surfaces in
 ``DistributedResult.transport_stats`` so benchmarks can show where
 wall-clock goes.
@@ -47,44 +17,11 @@ wall-clock goes.
 from __future__ import annotations
 
 import pickle
-import struct
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-
-from repro.errors import CommunicatorError, ConfigurationError
-
-#: Canonical transport names (``TRANSPORT_AUTO`` resolves to one of them).
-TRANSPORT_SHARED_MEMORY = "shared_memory"
-TRANSPORT_PICKLE = "pickle"
-TRANSPORT_AUTO = "auto"
-TRANSPORTS = (TRANSPORT_SHARED_MEMORY, TRANSPORT_PICKLE)
-
-#: Names accepted anywhere a transport is selected (CLI ``--transport shm``).
-TRANSPORT_ALIASES = {
-    TRANSPORT_AUTO: TRANSPORT_AUTO,
-    TRANSPORT_SHARED_MEMORY: TRANSPORT_SHARED_MEMORY,
-    "shm": TRANSPORT_SHARED_MEMORY,
-    TRANSPORT_PICKLE: TRANSPORT_PICKLE,
-}
-
-#: Fixed record header: iteration, group id, value count, sequence number.
-RECORD_HEADER = struct.Struct("<qqqq")
-
-#: Group id of an iteration-boundary record (no payload).
-GROUP_ITER_MARK = -1
-#: Group id of a ring-tail padding record (payload skipped by the reader).
-GROUP_PAD = -2
-
-#: Byte offset of the ring payload inside the segment (the first 8 bytes
-#: hold the ring capacity so attaching processes agree on the modulus
-#: even when the OS rounds the segment up to a page; the rest of the
-#: 32-byte prefix keeps the payload header-aligned).
-_PAYLOAD_BASE = 32
-
-_EMPTY_ROW = np.empty(0, dtype=np.float64)
 
 _shm_probe: Optional[bool] = None
 
@@ -94,7 +31,8 @@ def shared_memory_available() -> bool:
 
     Probes once by creating (and immediately unlinking) a tiny segment:
     the import can succeed on platforms where ``/dev/shm`` is missing
-    or unwritable, and the fallback decision must reflect reality.
+    or unwritable.  Nothing in the engine depends on the answer; it is
+    recorded in benchmark environment stamps.
     """
     global _shm_probe
     if _shm_probe is None:
@@ -110,305 +48,8 @@ def shared_memory_available() -> bool:
     return _shm_probe
 
 
-def resolve_transport(name: str) -> str:
-    """Canonical transport for ``name`` (resolving ``"auto"``).
-
-    ``"auto"`` picks shared memory when the platform supports it and
-    falls back to the pickle pipe otherwise.  Asking for
-    ``"shared_memory"`` explicitly on a platform without it is a
-    :class:`~repro.errors.ConfigurationError` — an explicit choice must
-    not silently degrade.
-    """
-    canonical = TRANSPORT_ALIASES.get(name)
-    if canonical is None:
-        raise ConfigurationError(
-            f"unknown transport {name!r}; expected one of "
-            f"{sorted(set(TRANSPORT_ALIASES))}"
-        )
-    if canonical == TRANSPORT_AUTO:
-        return (
-            TRANSPORT_SHARED_MEMORY
-            if shared_memory_available()
-            else TRANSPORT_PICKLE
-        )
-    if canonical == TRANSPORT_SHARED_MEMORY and not shared_memory_available():
-        raise ConfigurationError(
-            "transport='shared_memory' was requested but "
-            "multiprocessing.shared_memory is unavailable on this "
-            "platform; use transport='auto' to fall back to the pickle "
-            "pipe automatically"
-        )
-    return canonical
-
-
-def ring_capacity_for(
-    widths: Sequence[int], chunk: int, in_flight: int = 1
-) -> int:
-    """Ring payload bytes needed for ``in_flight`` worst-case chunks.
-
-    Per iteration a worker writes one iteration mark plus, at worst,
-    one record per group; the parent drains every chunk completely
-    before requesting another, so a ring holding one full chunk (plus
-    wrap-padding slack of two maximal records) can never block the
-    writer mid-chunk.
-
-    With pipelined execution the parent holds chunk *k*'s decoded views
-    while the worker is already writing speculative chunk *k+1*, so the
-    ring must hold two chunks at once: pass ``in_flight=2`` and the
-    capacity doubles while each individual chunk is still bounded by
-    the single-chunk budget (see :meth:`ShmRing.create`'s
-    ``chunk_budget``), preserving the wrap/sentinel invariants — no
-    chunk's records can ever reach around into the other chunk's
-    region.
-    """
-    per_iteration = RECORD_HEADER.size + sum(
-        RECORD_HEADER.size + int(width) * 8 for width in widths
-    )
-    largest = RECORD_HEADER.size + (max(widths) if len(widths) else 0) * 8
-    per_chunk = chunk * per_iteration + 2 * largest + RECORD_HEADER.size
-    per_chunk = max(per_chunk, 4096)
-    per_chunk = ((per_chunk + RECORD_HEADER.size - 1) // RECORD_HEADER.size) * (
-        RECORD_HEADER.size
-    )
-    return max(1, int(in_flight)) * per_chunk
-
-
-def _attach_segment(name: str):
-    """Attach an existing segment without resource-tracker side effects.
-
-    Before Python 3.13 (``track=False``), a process that merely
-    *attaches* to a segment still registers it with its resource
-    tracker, whose exit-time cleanup can unlink the segment out from
-    under the creator (bpo-39959).  The creator owns unlinking here, so
-    an attacher that spawned its *own* tracker (a fresh worker process)
-    unregisters itself.  A forked worker shares the creator's tracker —
-    registration there is a set-dedup no-op and must be left alone, or
-    the creator's own registration would be erased.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    try:
-        from multiprocessing import resource_tracker
-
-        inherited = resource_tracker._resource_tracker._fd is not None
-    except Exception:  # pragma: no cover - private API drift
-        inherited = True
-    segment = shared_memory.SharedMemory(name=name)
-    if not inherited:
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - best effort
-            pass
-    return segment
-
-
-class ShmRing:
-    """Single-producer/single-consumer record ring over shared memory.
-
-    Byte offsets are process-local monotonic counters taken modulo the
-    ring capacity; the chunk protocol (write only between ``advance``
-    and ack, read only after ack, drain fully) is what keeps the two
-    sides consistent without shared atomics.  Records never straddle
-    the wrap: when the tail is too short for the next record the writer
-    emits a :data:`GROUP_PAD` record filling it (or, when not even a
-    header fits, both sides skip the remainder unconditionally), so a
-    record's float payload is always one contiguous ``np.frombuffer``
-    view.
-    """
-
-    def __init__(
-        self, segment, capacity: int, created: bool, chunk_budget: int = 0
-    ) -> None:
-        self._segment = segment
-        self._created = created
-        self.capacity = int(capacity)
-        # A single chunk may use at most this many bytes; 0 means the
-        # whole capacity (the non-pipelined, single-chunk layout).
-        self.chunk_budget = int(chunk_budget) or int(capacity)
-        self._view = segment.buf
-        self._write = 0
-        self._read = 0
-        self._write_sequence = 0
-        self._read_sequence = 0
-        self._chunk_start = 0
-        self._unlinked = False
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def create(cls, capacity: int, chunk_budget: int = 0) -> "ShmRing":
-        """Create a fresh segment sized for ``capacity`` payload bytes.
-
-        ``chunk_budget`` caps how many bytes any single chunk may
-        occupy (0 = the full capacity).  A double-buffered pipeline
-        ring is created with ``capacity = 2 * chunk_budget`` so two
-        chunks can be in flight while each one individually still
-        trips the sizing-bug overflow check at the single-chunk bound.
-        """
-        from multiprocessing import shared_memory
-
-        if capacity <= 0 or capacity % RECORD_HEADER.size:
-            raise ConfigurationError(
-                f"ring capacity must be a positive multiple of "
-                f"{RECORD_HEADER.size}, got {capacity}"
-            )
-        if chunk_budget < 0 or chunk_budget > capacity:
-            raise ConfigurationError(
-                f"ring chunk budget must lie in [0, capacity], got "
-                f"{chunk_budget} with capacity {capacity}"
-            )
-        segment = shared_memory.SharedMemory(
-            create=True, size=_PAYLOAD_BASE + capacity
-        )
-        struct.pack_into("<qq", segment.buf, 0, capacity, chunk_budget)
-        return cls(segment, capacity, created=True, chunk_budget=chunk_budget)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmRing":
-        """Attach to a segment created elsewhere (layout self-describes)."""
-        segment = _attach_segment(name)
-        capacity, chunk_budget = struct.unpack_from("<qq", segment.buf, 0)
-        return cls(segment, capacity, created=False, chunk_budget=chunk_budget)
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    # -- writer side ----------------------------------------------------
-
-    def begin_chunk(self) -> None:
-        """Mark a chunk boundary (the reader has fully drained)."""
-        self._chunk_start = self._write
-
-    def push(self, iteration: int, group: int, values: np.ndarray) -> int:
-        """Append one record; returns the bytes written (incl. padding)."""
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        written = 0
-        position = self._write % self.capacity
-        contiguous = self.capacity - position
-        if contiguous < RECORD_HEADER.size:
-            # Not even a header fits before the wrap: both sides skip.
-            self._write += contiguous
-            written += contiguous
-            position, contiguous = 0, self.capacity
-        need = RECORD_HEADER.size + values.nbytes
-        if need > contiguous:
-            pad_values = (contiguous - RECORD_HEADER.size) // 8
-            self._check_overflow(contiguous, written)
-            RECORD_HEADER.pack_into(
-                self._view,
-                _PAYLOAD_BASE + position,
-                0,
-                GROUP_PAD,
-                pad_values,
-                self._write_sequence,
-            )
-            self._write_sequence += 1
-            self._write += contiguous
-            written += contiguous
-            position, contiguous = 0, self.capacity
-        self._check_overflow(need, written)
-        RECORD_HEADER.pack_into(
-            self._view,
-            _PAYLOAD_BASE + position,
-            int(iteration),
-            int(group),
-            int(values.shape[0]),
-            self._write_sequence,
-        )
-        if values.nbytes:
-            destination = np.frombuffer(
-                self._view,
-                dtype=np.float64,
-                count=values.shape[0],
-                offset=_PAYLOAD_BASE + position + RECORD_HEADER.size,
-            )
-            destination[:] = values
-        self._write_sequence += 1
-        self._write += need
-        return written + need
-
-    def _check_overflow(self, need: int, already: int) -> None:
-        used = self._write - self._chunk_start + already
-        if used + need > self.chunk_budget:
-            raise CommunicatorError(
-                f"shared-memory ring overflow: chunk needs more than the "
-                f"{self.chunk_budget}-byte per-chunk budget (capacity "
-                f"{self.capacity}); the ring was sized for a smaller "
-                "chunk/window (this is a sizing bug, not a data race)"
-            )
-
-    # -- reader side ----------------------------------------------------
-
-    def pop(self) -> Tuple[int, int, np.ndarray]:
-        """Read the next data record as ``(iteration, group, values)``.
-
-        ``values`` is a zero-copy view into the ring: it stays valid
-        until the next chunk is requested from the writer, so consume
-        (or copy) it before then.  Padding records are skipped
-        transparently; sequence-number mismatches raise
-        :class:`~repro.errors.CommunicatorError`.
-        """
-        while True:
-            position = self._read % self.capacity
-            contiguous = self.capacity - position
-            if contiguous < RECORD_HEADER.size:
-                self._read += contiguous
-                continue
-            iteration, group, n_values, sequence = RECORD_HEADER.unpack_from(
-                self._view, _PAYLOAD_BASE + position
-            )
-            if sequence != self._read_sequence:
-                raise CommunicatorError(
-                    f"shared-memory ring desync: expected record sequence "
-                    f"{self._read_sequence}, found {sequence} — the "
-                    "writer and reader cursors disagree"
-                )
-            self._read_sequence += 1
-            self._read += RECORD_HEADER.size + n_values * 8
-            if group == GROUP_PAD:
-                continue
-            values = np.frombuffer(
-                self._view,
-                dtype=np.float64,
-                count=n_values,
-                offset=_PAYLOAD_BASE + position + RECORD_HEADER.size,
-            )
-            return int(iteration), int(group), values
-
-    # -- lifecycle ------------------------------------------------------
-
-    def close(self) -> None:
-        """Unmap this process's view (safe to call repeatedly)."""
-        self._view = None
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - stray live views
-            # numpy views into the buffer are still alive somewhere;
-            # the mapping is released at process exit instead.
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment from the system (creator side, idempotent)."""
-        if self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-# ----------------------------------------------------------------------
-# row senders / receivers (the executor-facing interface)
-# ----------------------------------------------------------------------
-
 #: One chunk's payload: ``(iteration, [shard-row-or-None per group])``
-#: per advanced iteration — the shape both transports carry.
+#: per advanced iteration.
 ChunkPayload = List[Tuple[int, List[Optional[np.ndarray]]]]
 
 
@@ -420,24 +61,14 @@ class TransportCounters:
     seconds: float = 0.0
     records: int = 0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "bytes_moved": int(self.bytes_moved),
-            "seconds": float(self.seconds),
-            "records": int(self.records),
-        }
-
 
 class PickleRowSender:
-    """Worker side of the legacy pipe transport: one pickle per chunk.
+    """Worker side: one pickle per chunk, sent as the chunk's ack.
 
     ``extra`` rides the ack tuple as a third element — a small plain
-    dict of worker-side bookkeeping (cumulative sample seconds, fault
-    markers) that both transports deliver identically, keeping the
-    elastic executor transport-agnostic.
+    dict of worker-side bookkeeping (cumulative sample and busy
+    seconds) the parent's rebalancer and ledgers read.
     """
-
-    transport = TRANSPORT_PICKLE
 
     def __init__(self) -> None:
         self.counters = TransportCounters()
@@ -450,17 +81,11 @@ class PickleRowSender:
         self.counters.records += len(payload)
         conn.send(("rows", blob, extra))
 
-    def close(self) -> None:
-        pass
-
 
 class PickleRowReceiver:
-    """Parent side of the legacy pipe transport."""
+    """Parent side: unpickle one worker's chunk ack."""
 
-    transport = TRANSPORT_PICKLE
-
-    def __init__(self, n_groups: int) -> None:
-        self.n_groups = n_groups
+    def __init__(self) -> None:
         self.counters = TransportCounters()
 
     def decode(self, reply) -> ChunkPayload:
@@ -471,85 +96,3 @@ class PickleRowReceiver:
         self.counters.bytes_moved += len(blob)
         self.counters.records += len(payload)
         return payload
-
-    def close(self) -> None:
-        pass
-
-
-class ShmRowSender:
-    """Worker side of the shared-memory transport.
-
-    Writes one iteration-mark record per advanced iteration plus one
-    data record per sampled group into the ring, then acks the record
-    count over the control pipe — the only bytes the pipe carries.
-    """
-
-    transport = TRANSPORT_SHARED_MEMORY
-
-    def __init__(self, ring: ShmRing) -> None:
-        self.ring = ring
-        self.counters = TransportCounters()
-
-    def send(self, conn, payload: ChunkPayload, extra=None) -> None:
-        tick = time.perf_counter()
-        self.ring.begin_chunk()
-        records = 0
-        moved = 0
-        for iteration, parts in payload:
-            moved += self.ring.push(iteration, GROUP_ITER_MARK, _EMPTY_ROW)
-            records += 1
-            for group, part in enumerate(parts):
-                if part is not None:
-                    moved += self.ring.push(iteration, group, part)
-                    records += 1
-        self.counters.seconds += time.perf_counter() - tick
-        self.counters.bytes_moved += moved
-        self.counters.records += records
-        conn.send(("rows", records, extra))
-
-    def close(self) -> None:
-        self.ring.close()
-
-
-class ShmRowReceiver:
-    """Parent side of the shared-memory transport.
-
-    Rebuilds the chunk payload from the ring.  The shard arrays it
-    returns are zero-copy views into the ring, valid until the next
-    chunk is requested — the executor consumes every row (assembling
-    full-width rows is itself the one memcpy) before prefetching more,
-    so the discipline holds by construction.
-    """
-
-    transport = TRANSPORT_SHARED_MEMORY
-
-    def __init__(self, ring: ShmRing, n_groups: int) -> None:
-        self.ring = ring
-        self.n_groups = n_groups
-        self.counters = TransportCounters()
-
-    def decode(self, reply) -> ChunkPayload:
-        records = reply[1]
-        tick = time.perf_counter()
-        payload: ChunkPayload = []
-        moved = 0
-        for _ in range(records):
-            iteration, group, values = self.ring.pop()
-            moved += RECORD_HEADER.size + values.nbytes
-            if group == GROUP_ITER_MARK:
-                payload.append((iteration, [None] * self.n_groups))
-                continue
-            if not payload or payload[-1][0] != iteration:
-                raise CommunicatorError(
-                    f"shared-memory ring desync: group {group} record for "
-                    f"iteration {iteration} arrived outside its iteration "
-                    "mark"
-                )
-            payload[-1][1][group] = values
-        self.counters.seconds += time.perf_counter() - tick
-        self.counters.bytes_moved += moved
-        self.counters.records += records
-        return payload
-
-    def close(self) -> None:
-        self.ring.close()

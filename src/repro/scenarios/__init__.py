@@ -37,8 +37,6 @@ from repro.scenarios.spec import (
     replay_report,
     resolve_backend,
     resolve_kernels_name,
-    resolve_pipeline_name,
-    resolve_transport_name,
     run_scenario,
     specs,
     unregister,
@@ -70,8 +68,6 @@ __all__ = [
     "replay_report",
     "resolve_backend",
     "resolve_kernels_name",
-    "resolve_pipeline_name",
-    "resolve_transport_name",
     "run_scenario",
     "specs",
     "unregister",

@@ -31,7 +31,6 @@ import functools
 import hashlib
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -53,11 +52,7 @@ from repro.engine import (
     BACKENDS,
     KERNEL_ALIASES,
     KERNEL_AUTO,
-    PIPELINE_ALIASES,
-    PIPELINE_AUTO,
     POLICIES,
-    TRANSPORT_ALIASES,
-    TRANSPORT_AUTO,
     CadenceController,
     CadencePolicy,
     DistributedEngine,
@@ -115,46 +110,12 @@ def resolve_backend(name: str) -> str:
     return backend
 
 
-def resolve_transport_name(name: str) -> str:
-    """Canonical transport name for ``name`` (accepts the ``shm`` alias).
-
-    Unlike :func:`repro.engine.resolve_transport` this does *not*
-    collapse ``"auto"`` to a concrete transport — the scenario layer
-    keeps the caller's intent so the runner can tell "explicitly asked
-    for shared_memory" apart from "take whatever works here".
-    """
-    transport = TRANSPORT_ALIASES.get(name)
-    if transport is None:
-        raise ScenarioError(
-            f"unknown transport {name!r}; expected one of "
-            f"{sorted(set(TRANSPORT_ALIASES))}"
-        )
-    return transport
-
-
-def resolve_pipeline_name(name: str) -> str:
-    """Canonical pipeline mode for ``name``.
-
-    Like :func:`resolve_transport_name` this keeps ``"auto"`` intact —
-    the engine collapses it at construction, and the run report carries
-    the resolved concrete mode.
-    """
-    pipeline = PIPELINE_ALIASES.get(name)
-    if pipeline is None:
-        raise ScenarioError(
-            f"unknown pipeline mode {name!r}; expected one of "
-            f"{sorted(set(PIPELINE_ALIASES))}"
-        )
-    return pipeline
-
-
 def resolve_kernels_name(name: str) -> str:
     """Canonical kernel-backend name for ``name`` (accepts ``jit`` etc.).
 
-    Like :func:`resolve_transport_name` this keeps ``"auto"`` intact —
-    the engines collapse it (and validate availability) at
-    construction; the run report then carries the *resolved* concrete
-    backend.
+    This keeps ``"auto"`` intact — the engines collapse it (and
+    validate availability) at construction; the run report then
+    carries the *resolved* concrete backend.
     """
     kernels = KERNEL_ALIASES.get(name)
     if kernels is None:
@@ -415,8 +376,10 @@ def build_sim(name: str, **overrides) -> object:
 
 #: Schema version of ``ScenarioRun.to_json`` payloads.  Version 2 added
 #: the embedded ``"config"`` (the resolved :class:`RunConfig`), making
-#: every report replayable from its own JSON.
-SCHEMA_VERSION = 2
+#: every report replayable from its own JSON; version 3 dropped the
+#: ``transport`` and ``pipeline`` knobs from that config (and the
+#: report's ``"transport"`` key).
+SCHEMA_VERSION = 3
 
 #: RunConfig fields the cross-check leg overrides: the serial agreement
 #: run keeps everything that shapes the fitted results and replaces only
@@ -430,8 +393,6 @@ CROSSCHECK_OVERRIDES = frozenset(
     {
         "n_ranks",
         "backend",
-        "transport",
-        "pipeline",
         "faults",
         "rebalance",
         "crosscheck",
@@ -487,8 +448,6 @@ class RunConfig:
 
     n_ranks: int = 1
     backend: str = BACKEND_SIMCOMM
-    transport: str = TRANSPORT_AUTO
-    pipeline: str = PIPELINE_AUTO
     quick: bool = False
     adaptive: bool = False
     params: Mapping[str, object] = field(default_factory=dict)
@@ -502,12 +461,6 @@ class RunConfig:
         # Normalise aliases and coercible forms first (frozen dataclass,
         # hence object.__setattr__), then validate the combination.
         object.__setattr__(self, "backend", resolve_backend(self.backend))
-        object.__setattr__(
-            self, "transport", resolve_transport_name(self.transport)
-        )
-        object.__setattr__(
-            self, "pipeline", resolve_pipeline_name(self.pipeline)
-        )
         object.__setattr__(self, "kernels", resolve_kernels_name(self.kernels))
         object.__setattr__(self, "faults", as_fault_plan(self.faults))
         params = self.params
@@ -545,24 +498,6 @@ class RunConfig:
                 "(n_ranks > 1); a serial run has no ranks to kill, slow or "
                 "rebalance"
             )
-        if self.transport != TRANSPORT_AUTO and (
-            self.n_ranks == 1 or self.backend != BACKEND_MULTIPROCESSING
-        ):
-            raise ScenarioError(
-                f"transport={self.transport!r} only applies to "
-                "multiprocessing runs (n_ranks > 1, "
-                "backend='multiprocessing'); serial and simcomm runs move "
-                "no rows between processes"
-            )
-        if self.pipeline != PIPELINE_AUTO and (
-            self.n_ranks == 1 or self.backend != BACKEND_MULTIPROCESSING
-        ):
-            raise ScenarioError(
-                f"pipeline={self.pipeline!r} only applies to "
-                "multiprocessing runs (n_ranks > 1, "
-                "backend='multiprocessing'); serial and simcomm runs have "
-                "no worker chunks to pipeline"
-            )
 
     # -- derived views ---------------------------------------------------
 
@@ -596,8 +531,6 @@ class RunConfig:
         return self.replace(
             n_ranks=1,
             backend=BACKEND_SIMCOMM,
-            transport=TRANSPORT_AUTO,
-            pipeline=PIPELINE_AUTO,
             faults=None,
             rebalance=False,
             crosscheck=False,
@@ -610,8 +543,6 @@ class RunConfig:
         return {
             "n_ranks": self.n_ranks,
             "backend": self.backend,
-            "transport": self.transport,
-            "pipeline": self.pipeline,
             "quick": self.quick,
             "adaptive": self.adaptive,
             "params": {k: json_safe(v) for k, v in sorted(self.params.items())},
@@ -626,10 +557,12 @@ class RunConfig:
     def from_json(cls, data: Mapping) -> "RunConfig":
         """Rebuild a config from :meth:`to_json` output.
 
-        Strict about unknown keys (a typo'd knob in a serve request
-        must not silently run with defaults); missing keys take their
-        defaults, so older schema-2 reports stay replayable as fields
-        are added.
+        Strict about unknown keys: a typo'd knob in a serve request must
+        not silently run with defaults, and a schema-2 config carrying
+        the removed ``transport``/``pipeline`` knobs is rejected rather
+        than replayed under different semantics.  Missing keys take
+        their defaults, so stored reports stay replayable as fields are
+        added.
         """
         if not isinstance(data, Mapping):
             raise ScenarioError(
@@ -676,12 +609,15 @@ class RunConfig:
 
 @dataclass
 class ScenarioRun:
-    """Outcome of one :func:`run_scenario` call."""
+    """Outcome of one :func:`run_scenario` call.
+
+    ``config`` is the request that produced the run; the report reads
+    the rank count, backend and run flags from it (and embeds it, so
+    every report is replayable from its own JSON).
+    """
 
     name: str
-    n_ranks: int
-    backend: str
-    quick: bool
+    config: RunConfig
     params: Dict[str, object]
     result: EngineResult
     analyses: Tuple[Analysis, ...]
@@ -689,14 +625,8 @@ class ScenarioRun:
     tolerance: float
     seconds: float
     crosscheck: Optional[Dict[str, object]] = None
-    adaptive: bool = False
-    faults: Optional[FaultPlan] = None
-    rebalance: bool = False
     #: The *resolved* kernel backend the run trained on ("numpy"/"numba").
     kernels: str = "numpy"
-    #: The request that produced this run (embedded in ``to_json`` so
-    #: every schema-2 report is replayable from its own JSON).
-    config: Optional[RunConfig] = None
 
     @property
     def error(self) -> float:
@@ -723,20 +653,20 @@ class ScenarioRun:
         ``error: inf`` on a failed run) are rendered as strings, never
         as the bare ``Infinity`` token strict parsers reject.
 
-        Schema 2: the payload embeds the resolved :class:`RunConfig`
-        under ``"config"``, so a stored report alone is enough to
-        re-run it (see :meth:`replay` / :func:`replay_report`).
+        The payload embeds the resolved :class:`RunConfig` under
+        ``"config"``, so a stored report alone is enough to re-run it
+        (see :meth:`replay` / :func:`replay_report`).
         """
+        config = self.config
         return {
             "schema": SCHEMA_VERSION,
             "scenario": self.name,
-            "config": self.config.to_json() if self.config else None,
-            "ranks": self.n_ranks,
-            "backend": self.backend,
-            "transport": self.result.transport,
+            "config": config.to_json(),
+            "ranks": config.n_ranks,
+            "backend": config.backend if config.n_ranks > 1 else "serial",
             "kernels": self.kernels,
-            "quick": self.quick,
-            "adaptive": self.adaptive,
+            "quick": config.quick,
+            "adaptive": config.adaptive,
             "params": {k: repr(v) for k, v in sorted(self.params.items())},
             "iterations": self.result.iterations,
             "terminated_early": self.result.terminated_early,
@@ -745,8 +675,8 @@ class ScenarioRun:
             "tolerance": self.tolerance,
             "seconds": self.seconds,
             "cadence": self.result.cadence,
-            "faults": self.faults.to_spec() if self.faults else None,
-            "rebalance": self.rebalance,
+            "faults": config.faults.to_spec() if config.faults else None,
+            "rebalance": config.rebalance,
             "recovery_events": [
                 event.to_json()
                 for event in getattr(self.result, "recovery_events", [])
@@ -768,10 +698,7 @@ class ScenarioRun:
         returns the fresh :class:`ScenarioRun` otherwise.
         """
         if self.config is None:
-            raise ScenarioError(
-                "cannot replay: this ScenarioRun carries no RunConfig "
-                "(built through a pre-schema-2 path)"
-            )
+            raise ScenarioError("cannot replay: this ScenarioRun carries no RunConfig")
         fresh = run_scenario(self.name, config=self.config)
         mine = replay_fingerprint(self.to_json())
         theirs = replay_fingerprint(fresh.to_json())
@@ -811,7 +738,7 @@ def replay_fingerprint(report: Mapping) -> str:
 
 
 def replay_report(report: Mapping) -> "ScenarioRun":
-    """Replay a stored schema-2 report (the JSON alone, no live objects).
+    """Replay a stored report (the JSON alone, no live objects).
 
     Rebuilds the :class:`RunConfig` embedded under ``"config"``, re-runs
     the scenario, and asserts the fresh report matches the stored one
@@ -825,7 +752,7 @@ def replay_report(report: Mapping) -> "ScenarioRun":
     if config_json is None:
         raise ScenarioError(
             f"report schema {report.get('schema', 1)!r} embeds no config; "
-            "only schema >= 2 reports are replayable"
+            f"only schema {SCHEMA_VERSION} reports are replayable"
         )
     config = RunConfig.from_json(config_json)
     fresh = run_scenario(str(report["scenario"]), config=config)
@@ -906,8 +833,6 @@ def _execute_leg(
             policy=spec.policy,
             quorum=spec.quorum,
             cadence=spec.cadence_controller() if config.adaptive else None,
-            transport=config.transport,
-            pipeline=config.pipeline,
             kernels=config.kernels,
             faults=config.faults,
             rebalance=config.rebalance,
@@ -935,16 +860,11 @@ def _execute_leg(
     return engine, analyses, result
 
 
-#: The deprecated ``run_scenario`` keyword knobs, now RunConfig fields.
-_LEGACY_KNOBS = tuple(f.name for f in dataclasses.fields(RunConfig))
-
-
 def run_scenario(
     name: str,
     config: Optional[RunConfig] = None,
     *,
     progress: Optional[Callable[[dict], None]] = None,
-    **knobs,
 ) -> ScenarioRun:
     """Resolve ``name`` and run it end to end (build, run, validate).
 
@@ -957,8 +877,7 @@ def run_scenario(
     * ``n_ranks == 1`` drives the serial
       :class:`~repro.engine.InSituEngine`; more ranks shard the
       scenario through :class:`~repro.engine.DistributedEngine` on
-      ``config.backend`` (``transport`` picks the multiprocessing row
-      path, ``kernels`` the hot-loop backend).
+      ``config.backend`` (``kernels`` picks the hot-loop backend).
     * ``crosscheck`` (default: on for distributed runs) additionally
       runs a fresh **serial** leg built from
       :meth:`RunConfig.crosscheck_config` — the same config with only
@@ -977,38 +896,11 @@ def run_scenario(
     dispatched iteration of the main leg (never of the cross-check
     leg).  This is the seam ``repro serve`` threads its NDJSON
     subscribers through.
-
-    The pre-:class:`RunConfig` keyword form
-    (``run_scenario(name, quick=True, n_ranks=2, ...)``) still works:
-    the knobs are packed into a ``RunConfig`` and a
-    :class:`DeprecationWarning` is emitted.
     """
-    if config is not None:
-        if knobs:
-            raise ScenarioError(
-                "pass either config=RunConfig(...) or legacy knob "
-                f"keywords, not both (got config and {sorted(knobs)})"
-            )
-        if not isinstance(config, RunConfig):
-            raise ScenarioError(
-                f"config must be a RunConfig, got {type(config).__name__}"
-            )
-    else:
-        unknown = sorted(set(knobs) - set(_LEGACY_KNOBS))
-        if unknown:
-            raise ScenarioError(
-                f"run_scenario() got unknown knob(s) {unknown}; "
-                f"RunConfig fields: {sorted(_LEGACY_KNOBS)}"
-            )
-        if knobs:
-            warnings.warn(
-                "passing engine knobs as run_scenario(**keywords) is "
-                "deprecated; build a RunConfig and call "
-                "run_scenario(name, config=RunConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        config = RunConfig(**knobs)
+    if config is None:
+        config = RunConfig()
+    elif not isinstance(config, RunConfig):
+        raise ScenarioError(f"config must be a RunConfig, got {type(config).__name__}")
 
     spec = get(name)
     if config.n_ranks > 1 and config.backend not in spec.backends:
@@ -1059,9 +951,7 @@ def run_scenario(
 
     return ScenarioRun(
         name=name,
-        n_ranks=config.n_ranks,
-        backend=config.backend if config.n_ranks > 1 else "serial",
-        quick=config.quick,
+        config=config,
         params=merged,
         result=result,
         analyses=tuple(analyses),
@@ -1069,10 +959,6 @@ def run_scenario(
         tolerance=spec.tolerance,
         seconds=seconds,
         crosscheck=report,
-        adaptive=config.adaptive,
-        faults=config.faults,
-        rebalance=config.rebalance,
         # The engine collapsed "auto" to the concrete backend it ran on.
         kernels=engine.kernels,
-        config=config,
     )

@@ -63,7 +63,7 @@ class TestRun:
         assert payload["ranks"] == 2
         assert payload["crosscheck"]["max_coefficient_delta"] <= 1e-12
 
-    def test_mp_run_reports_transport(self, capsys, tmp_path):
+    def test_mp_run_reports_backend(self, capsys, tmp_path):
         report = tmp_path / "run.json"
         status = main(
             [
@@ -74,31 +74,38 @@ class TestRun:
                 "2",
                 "--backend",
                 "mp",
-                "--transport",
-                "pickle",
                 "--json",
                 str(report),
             ]
         )
         assert status == 0
-        assert "transport=pickle" in capsys.readouterr().out
+        assert "2 ranks (multiprocessing)" in capsys.readouterr().out
         payload = json.loads(report.read_text())
-        assert payload["transport"] == "pickle"
+        assert payload["backend"] == "multiprocessing"
+        assert payload["crosscheck"]["ok"] is True
 
     def test_transport_rejected_on_simcomm(self, capsys):
-        status = main(
-            [
-                "run",
-                "heat-diffusion",
-                "--quick",
-                "--ranks",
-                "2",
-                "--transport",
-                "pickle",
-            ]
-        )
-        assert status == 2
-        assert "transport" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "run",
+                    "heat-diffusion",
+                    "--quick",
+                    "--ranks",
+                    "2",
+                    "--transport",
+                    "pickle",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--transport" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_pipeline_flag_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "heat-diffusion", "--ranks", "2", "--pipeline", "on"])
+        assert excinfo.value.code == 2
+        assert "--pipeline" in capsys.readouterr().err
 
     def test_param_overrides_reach_the_scenario(self, capsys):
         status = main(
@@ -152,7 +159,7 @@ class TestBench:
         assert payload["rows"][0]["ok"] is True
         assert payload["rows"][0]["distributed_seconds"] is not None
 
-    def test_bench_mp_backend_records_transport(self, capsys, tmp_path):
+    def test_bench_mp_backend(self, capsys, tmp_path):
         report = tmp_path / "bench.json"
         status = main(
             [
@@ -163,8 +170,6 @@ class TestBench:
                 "2",
                 "--backend",
                 "mp",
-                "--transport",
-                "pickle",
                 "--json",
                 str(report),
             ]
@@ -172,7 +177,8 @@ class TestBench:
         assert status == 0
         payload = json.loads(report.read_text())
         assert payload["backend"] == "multiprocessing"
-        assert payload["rows"][0]["transport"] == "pickle"
+        assert payload["rows"][0]["ok"] is True
+        assert "transport" not in payload["rows"][0]
 
 
 @pytest.mark.parametrize(

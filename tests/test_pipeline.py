@@ -1,14 +1,15 @@
 """Tests for pipelined chunk execution on the multiprocessing backend.
 
-The acceptance core: with the pipeline ON, results stay bit-identical
-to both the serial engine and the non-pipelined multiprocessing run —
-speculation only ever changes *when* rows are fetched, never what the
-engine consumes.  The hard edges each get a deterministic test: a
-speculative chunk discarded when the active set grows between chunk
-boundaries, a worker killed while a speculative chunk is in flight,
-and reader-thread/shm teardown on failure paths.
+The acceptance core: every multi-rank run speculates the next chunk,
+and results stay bit-identical to the serial engine — speculation only
+ever changes *when* rows are fetched, never what the engine consumes.
+The hard edges each get a deterministic test: a speculative chunk
+discarded when the active set grows between chunk boundaries, a worker
+killed while a speculative chunk is in flight, and teardown on failure
+paths.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -25,34 +26,11 @@ from repro.engine import (
     ReplayApp,
     SharedCollector,
     plan_groups,
-    resolve_pipeline,
-    shared_memory_available,
 )
-from repro.engine.transport import ShmRing, ring_capacity_for
-from repro.errors import (
-    CollectionError,
-    CommunicatorError,
-    ConfigurationError,
-)
+from repro.engine import transport
+from repro.errors import CollectionError
 
 TOL = 1e-12
-
-TRANSPORT_CASES = [
-    "pickle",
-    pytest.param(
-        "shared_memory",
-        marks=pytest.mark.skipif(
-            not shared_memory_available(),
-            reason="multiprocessing.shared_memory unavailable",
-        ),
-    ),
-]
-
-
-def _reader_threads():
-    return [
-        t for t in threading.enumerate() if t.name == "repro-chunk-reader"
-    ]
 
 
 def _replay_app(seed=11, n_iterations=120, n_locations=32):
@@ -110,124 +88,39 @@ def _regime_app():
 
 
 # ----------------------------------------------------------------------
-# knob resolution and rejection
+# the pipeline is not a knob
 # ----------------------------------------------------------------------
 
 
 class TestPipelineKnob:
-    def test_auto_resolves_on(self):
-        assert resolve_pipeline("auto") == "on"
-        assert resolve_pipeline("on") == "on"
-        assert resolve_pipeline("off") == "off"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="pipeline"):
-            resolve_pipeline("warp")
-
     def test_simcomm_rejects_pipeline(self):
-        with pytest.raises(ConfigurationError, match="pipeline"):
+        with pytest.raises(TypeError, match="pipeline"):
             DistributedEngine(_replay_app(), n_ranks=2, pipeline="on")
 
-    def test_engine_threads_knob_to_executor(self):
-        engine = DistributedEngine(
-            backend="multiprocessing",
-            n_ranks=2,
-            app_factory=_replay_app,
-            pipeline="off",
-        )
-        assert engine.pipeline == "off"
-
 
 # ----------------------------------------------------------------------
-# double-buffered ring sizing
-# ----------------------------------------------------------------------
-
-
-class TestRingSizing:
-    def test_in_flight_multiplies_single_chunk_budget_exactly(self):
-        widths = [32, 7]
-        single = ring_capacity_for(widths, chunk=8)
-        assert ring_capacity_for(widths, chunk=8, in_flight=1) == single
-        assert ring_capacity_for(widths, chunk=8, in_flight=2) == 2 * single
-
-    def test_tiny_chunk_floor_applies_before_doubling(self):
-        # The 4096-byte floor and header-rounding apply to the
-        # per-chunk budget first, so a double-buffered ring is exactly
-        # twice the budget the overflow check enforces.
-        single = ring_capacity_for([1], chunk=1)
-        assert single >= 4096
-        assert ring_capacity_for([1], chunk=1, in_flight=2) == 2 * single
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory"
-    )
-    def test_chunk_budget_survives_attach(self):
-        ring = ShmRing.create(8192, 4096)
-        try:
-            attached = ShmRing.attach(ring.name)
-            assert attached.capacity == 8192
-            assert attached.chunk_budget == 4096
-            attached.close()
-        finally:
-            ring.close()
-            ring.unlink()
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory"
-    )
-    def test_overflow_checked_against_chunk_budget_not_capacity(self):
-        # A double-sized ring must still flag a single chunk that
-        # overruns the per-chunk budget — otherwise pipelining would
-        # mask ring-sizing bugs until both chunks collide.
-        budget = ring_capacity_for([4], chunk=1)
-        ring = ShmRing.create(2 * budget, budget)
-        try:
-            ring.begin_chunk()
-            row = np.ones(8, dtype=np.float64)
-            with pytest.raises(CommunicatorError, match="overflow"):
-                for _ in range(2 * budget):
-                    ring.push(1, 0, row)
-        finally:
-            ring.close()
-            ring.unlink()
-
-
-# ----------------------------------------------------------------------
-# bit-identity: pipeline on == pipeline off == serial
+# bit-identity: pipelined == serial
 # ----------------------------------------------------------------------
 
 
 class TestPipelinedEquivalence:
-    @pytest.mark.parametrize("transport", TRANSPORT_CASES)
-    def test_on_off_and_serial_bit_identical(self, transport):
+    def test_pipelined_and_serial_bit_identical(self):
         serial_engine = InSituEngine(_replay_app(), policy="all")
         serial_analysis = serial_engine.add_analysis(_replay_analysis())
         serial_result = serial_engine.run()
 
-        results = {}
-        analyses = {}
-        for mode in ("on", "off"):
-            engine = DistributedEngine(
-                backend="multiprocessing",
-                n_ranks=2,
-                app_factory=_replay_app,
-                chunk=8,
-                policy="all",
-                transport=transport,
-                pipeline=mode,
-            )
-            analyses[mode] = engine.add_analysis(_replay_analysis())
-            results[mode] = engine.run()
-
-        for mode in ("on", "off"):
-            assert results[mode].stopped_at == serial_result.stopped_at
-            _assert_fits_match(serial_analysis, analyses[mode])
-        stats_on = results["on"].transport_stats
-        stats_off = results["off"].transport_stats
-        assert stats_on["pipeline"]["enabled"] is True
-        assert stats_on["pipeline"]["chunks_speculated"] > 0
-        assert stats_off["pipeline"]["enabled"] is False
-        assert stats_off["pipeline"]["chunks_speculated"] == 0
+        engine = DistributedEngine(
+            backend="multiprocessing",
+            n_ranks=2,
+            app_factory=_replay_app,
+            chunk=8,
+            policy="all",
+        )
+        analysis = engine.add_analysis(_replay_analysis())
+        result = engine.run()
+        assert result.stopped_at == serial_result.stopped_at
+        _assert_fits_match(serial_analysis, analysis)
+        assert result.transport_stats["pipeline"]["chunks_speculated"] > 0
 
     def test_overlap_and_idle_seconds_reported_per_rank(self):
         engine = DistributedEngine(
@@ -236,7 +129,6 @@ class TestPipelinedEquivalence:
             app_factory=_replay_app,
             chunk=8,
             policy="all",
-            pipeline="on",
         )
         engine.add_analysis(_replay_analysis())
         result = engine.run()
@@ -249,6 +141,25 @@ class TestPipelinedEquivalence:
         # overlapped worker stepping.
         assert stats["pipeline"]["chunks_speculated"] > 0
         assert stats["per_rank"][0]["overlap_seconds"] > 0.0
+
+    def test_worker_idles_while_rank0_is_slow(self):
+        # Rank 0 sleeps per sampled value, so each speculative chunk a
+        # worker produces waits for rank 0 to catch up.  The worker's
+        # busy seconds ride its chunk acks; the rest of each
+        # speculation window is its idle time.
+        engine = DistributedEngine(
+            backend="multiprocessing",
+            n_ranks=2,
+            app_factory=_replay_app,
+            chunk=8,
+            policy="all",
+            faults="slow:rank=0,per_sample=1e-4",
+        )
+        engine.add_analysis(_replay_analysis())
+        stats = engine.run().transport_stats
+        worker = stats["per_rank"][1]
+        assert worker["idle_seconds"] > 0.0
+        assert worker["idle_seconds"] > worker["overlap_seconds"]
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +176,7 @@ def _two_group_app():
     return ReplayApp(history + 3.0)
 
 
-def _two_group_executor(pipeline="on"):
+def _two_group_executor():
     """A 2-rank executor over two spatial groups, driven by hand."""
     app = _two_group_app()
     shared = SharedCollector()
@@ -288,7 +199,6 @@ def _two_group_executor(pipeline="on"):
         app_factory=_two_group_app,
         max_iterations=N_ITER,
         chunk=4,
-        pipeline=pipeline,
     )
     return executor, plans, app.history
 
@@ -323,7 +233,6 @@ class TestSpeculationDiscard:
             assert executor._chunks_speculated >= 2
         finally:
             executor.close()
-        assert not _reader_threads()
 
     def test_shrunk_active_set_adopts_the_speculated_chunk(self):
         # The other direction of drift — a group going inactive — only
@@ -348,15 +257,12 @@ class TestSpeculationDiscard:
 
 
 class TestElasticInteractions:
-    @pytest.mark.parametrize("transport", TRANSPORT_CASES)
-    def test_kill_during_speculation_recovers_bit_identical(
-        self, transport
-    ):
-        # With chunk=8 and the pipeline on, iteration 16 of the
-        # worker's replica is always reached while its chunk is
-        # speculative (the parent consumes iterations 1-8 concurrently)
-        # — the death lands on the reader thread, which must record it
-        # for the main thread to fence, reshard and resume.
+    def test_kill_during_speculation_recovers_bit_identical(self):
+        # With chunk=8, iteration 16 of the worker's replica is always
+        # reached while its chunk is speculative (the parent consumes
+        # iterations 1-8 concurrently) — the death surfaces when the
+        # speculation is received, and the parent must record it,
+        # fence, reshard and resume.
         serial_engine = InSituEngine(_replay_app(), policy="all")
         serial_analysis = serial_engine.add_analysis(_replay_analysis())
         serial_result = serial_engine.run()
@@ -367,10 +273,7 @@ class TestElasticInteractions:
             app_factory=_replay_app,
             chunk=8,
             policy="all",
-            transport=transport,
-            pipeline="on",
             faults="kill:rank=1,iter=16",
-            elastic=True,
         )
         analysis = engine.add_analysis(_replay_analysis())
         result = engine.run()
@@ -379,23 +282,6 @@ class TestElasticInteractions:
         kinds = [event.kind for event in result.recovery_events]
         assert "rank_death" in kinds and "reshard" in kinds
         assert result.transport_stats["pipeline"]["chunks_speculated"] > 0
-        assert not _reader_threads()
-
-    def test_non_elastic_death_still_raises(self):
-        engine = DistributedEngine(
-            backend="multiprocessing",
-            n_ranks=2,
-            app_factory=_replay_app,
-            chunk=8,
-            pipeline="on",
-            faults="kill:rank=1,iter=16",
-            elastic=False,
-        )
-        engine.add_analysis(_replay_analysis())
-        with pytest.raises(CommunicatorError, match="worker rank 1 died"):
-            engine.run(max_iterations=120)
-        assert engine.executor._processes == []
-        assert not _reader_threads()
 
     def test_adaptive_cadence_pipelined_matches_serial(self):
         # Regime change: converge, widen, drift, snap back — the
@@ -431,7 +317,6 @@ class TestElasticInteractions:
             app_factory=_regime_app,
             chunk=8,
             cadence=CadenceController(policy),
-            pipeline="on",
         )
         analysis = engine.add_analysis(build_analysis())
         result = engine.run()
@@ -440,24 +325,24 @@ class TestElasticInteractions:
             == serial_result.cadence["totals"]["snapbacks"]
         )
         _assert_fits_match(serial_analysis, analysis)
-        assert not _reader_threads()
 
 
 # ----------------------------------------------------------------------
-# teardown: no leaked reader threads, processes or shm segments
+# teardown: no leaked processes, no threads, no shm segments
 # ----------------------------------------------------------------------
+
+
+def _shm_entries():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
 class TestCleanup:
-    @pytest.mark.parametrize("transport", TRANSPORT_CASES)
-    def test_failure_mid_pipeline_tears_everything_down(self, transport):
+    def test_failure_mid_pipeline_tears_everything_down(self):
         engine = DistributedEngine(
             backend="multiprocessing",
             n_ranks=2,
             app_factory=_nan_replay_app,
             chunk=4,
-            transport=transport,
-            pipeline="on",
         )
         engine.add_analysis(
             CurveFitting(
@@ -475,24 +360,29 @@ class TestCleanup:
         executor = engine.executor
         assert executor._processes == []
         assert executor._conns == []
-        assert executor._rings == []
         assert executor._speculative is None
-        for name in executor._ring_names:
-            with pytest.raises(FileNotFoundError):
-                ShmRing.attach(name)
-        if transport == "shared_memory":
-            assert executor._ring_names
-        assert not _reader_threads()
 
-    def test_clean_run_leaves_no_reader_thread(self):
+    def test_clean_run_leaves_no_reader_thread(self, monkeypatch):
+        # The parent receives every chunk on its own thread: a run
+        # starts no thread and creates no shared-memory segment.
+        started = []
+        original_start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        shm_before = _shm_entries()
         engine = DistributedEngine(
             backend="multiprocessing",
             n_ranks=2,
             app_factory=_replay_app,
             chunk=8,
-            pipeline="on",
         )
         engine.add_analysis(_replay_analysis())
-        engine.run()
-        assert not _reader_threads()
-        assert engine.executor._rings == []
+        result = engine.run()
+        assert result.transport_stats["pipeline"]["chunks_speculated"] > 0
+        assert started == []
+        assert _shm_entries() <= shm_before
+        assert not hasattr(transport, "ShmRing")

@@ -156,27 +156,6 @@ class TestRunner:
                 "heat-diffusion", config=scenarios.RunConfig(n_ranks=0)
             )
 
-    def test_transport_alias_resolution(self):
-        assert scenarios.resolve_transport_name("shm") == "shared_memory"
-        assert scenarios.resolve_transport_name("pickle") == "pickle"
-        assert scenarios.resolve_transport_name("auto") == "auto"
-        with pytest.raises(ScenarioError, match="unknown transport"):
-            scenarios.resolve_transport_name("udp")
-
-    def test_transport_needs_multiprocessing(self):
-        with pytest.raises(ScenarioError, match="multiprocessing"):
-            scenarios.run_scenario(
-                "heat-diffusion",
-                config=scenarios.RunConfig(quick=True, transport="pickle"),
-            )
-        with pytest.raises(ScenarioError, match="multiprocessing"):
-            scenarios.run_scenario(
-                "heat-diffusion",
-                config=scenarios.RunConfig(
-                    n_ranks=2, backend="simcomm", transport="shm", quick=True
-                ),
-            )
-
     def test_validator_must_report_error(self):
         spec = _dummy_spec(
             name="no-error-metric",
@@ -266,7 +245,7 @@ class TestRoundTrip:
             "heat-diffusion", config=scenarios.RunConfig(quick=True)
         )
         assert run.crosscheck is None
-        assert run.backend == "serial"
+        assert run.to_json()["backend"] == "serial"
         assert run.ok
 
     def test_multiprocessing_backend_roundtrip(self):
@@ -274,19 +253,20 @@ class TestRoundTrip:
             "heat-diffusion",
             config=scenarios.RunConfig(n_ranks=2, backend="mp", quick=True),
         )
-        assert run.backend == "multiprocessing"
-        assert run.result.transport in ("shared_memory", "pickle")
-        assert run.to_json()["transport"] == run.result.transport
+        payload = run.to_json()
+        assert payload["backend"] == "multiprocessing"
+        assert "transport" not in payload
         assert run.ok
 
     def test_multiprocessing_pickle_transport_roundtrip(self):
+        # Shard rows travel as one pickled payload per worker chunk.
         run = scenarios.run_scenario(
             "heat-diffusion",
-            config=scenarios.RunConfig(
-                n_ranks=2, backend="mp", transport="pickle", quick=True
-            ),
+            config=scenarios.RunConfig(n_ranks=2, backend="mp", quick=True),
         )
-        assert run.result.transport == "pickle"
+        stats = run.result.transport_stats
+        assert stats["total_bytes_moved"] > 0
+        assert all(rank["bytes_moved"] > 0 for rank in stats["per_rank"][1:])
         assert run.ok
 
     def test_advection_wavefront_ranks_span_decomposition(self):
@@ -375,11 +355,8 @@ class TestAdapterRegistry:
 
 class TestRunConfig:
     def test_normalizes_aliases_at_construction(self):
-        config = scenarios.RunConfig(
-            n_ranks=2, backend="mp", transport="shm", kernels="np"
-        )
+        config = scenarios.RunConfig(n_ranks=2, backend="mp", kernels="np")
         assert config.backend == "multiprocessing"
-        assert config.transport == "shared_memory"
         assert config.kernels == "numpy"
 
     def test_validates_eagerly(self):
@@ -387,20 +364,11 @@ class TestRunConfig:
             scenarios.RunConfig(n_ranks=0)
         with pytest.raises(ScenarioError, match="distributed"):
             scenarios.RunConfig(faults="kill:rank=1,iter=4")
-        with pytest.raises(ScenarioError, match="multiprocessing"):
-            scenarios.RunConfig(transport="pickle")
-        with pytest.raises(ScenarioError, match="multiprocessing"):
-            scenarios.RunConfig(pipeline="on")
-        with pytest.raises(ScenarioError, match="multiprocessing"):
-            scenarios.RunConfig(n_ranks=2, pipeline="off")
-        with pytest.raises(ScenarioError, match="pipeline"):
-            scenarios.RunConfig(n_ranks=2, backend="mp", pipeline="warp")
 
     def test_json_round_trip(self):
         config = scenarios.RunConfig(
             n_ranks=4,
             backend="mp",
-            transport="pickle",
             quick=True,
             params={"train_iterations": 64},
             faults="kill:rank=2,iter=40",
@@ -418,19 +386,12 @@ class TestRunConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             scenarios.RunConfig().quick = True
 
-    def test_legacy_kwargs_warn_and_still_run(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            run = scenarios.run_scenario(
-                "heat-diffusion", quick=True, crosscheck=False,
-                max_iterations=8,
-            )
-        assert run.result.iterations == 8
-        assert run.config == scenarios.RunConfig(
-            quick=True, crosscheck=False, max_iterations=8
-        )
+    def test_legacy_kwargs_rejected(self):
+        with pytest.raises(TypeError):
+            scenarios.run_scenario("heat-diffusion", quick=True)
 
     def test_config_and_kwargs_are_exclusive(self):
-        with pytest.raises(ScenarioError, match="not both"):
+        with pytest.raises(TypeError):
             scenarios.run_scenario(
                 "heat-diffusion",
                 config=scenarios.RunConfig(quick=True),
@@ -438,7 +399,7 @@ class TestRunConfig:
             )
 
     def test_unknown_kwargs_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown knob"):
+        with pytest.raises(TypeError):
             scenarios.run_scenario("heat-diffusion", turbo=True)
 
     def test_config_must_be_runconfig(self):
@@ -464,7 +425,6 @@ class TestCrosscheckConfigPartition:
         config = scenarios.RunConfig(
             n_ranks=4,
             backend="mp",
-            transport="pickle",
             quick=True,
             params={"train_iterations": 64},
             faults="kill:rank=2,iter=40",
@@ -501,7 +461,7 @@ class TestSchema2AndReplay:
         config = scenarios.RunConfig(quick=True, crosscheck=False)
         run = scenarios.run_scenario("heat-diffusion", config=config)
         payload = run.to_json()
-        assert payload["schema"] == scenarios.SCHEMA_VERSION == 2
+        assert payload["schema"] == scenarios.SCHEMA_VERSION == 3
         assert payload["config"] == config.to_json()
         assert scenarios.RunConfig.from_json(payload["config"]) == config
 
@@ -523,6 +483,17 @@ class TestSchema2AndReplay:
         stored = run.to_json()
         fresh = scenarios.replay_report(stored)
         assert fresh.result.iterations == 32
+
+    @pytest.mark.parametrize("knob", ["transport", "pipeline"])
+    def test_schema_2_config_with_removed_knob_rejected(self, knob):
+        run = scenarios.run_scenario(
+            "heat-diffusion", config=scenarios.RunConfig(quick=True)
+        )
+        stored = run.to_json()
+        stored["schema"] = 2
+        stored["config"] = dict(stored["config"], **{knob: "auto"})
+        with pytest.raises(ScenarioError, match=knob):
+            scenarios.replay_report(stored)
 
     def test_replay_without_config_rejected(self):
         import dataclasses as _dc

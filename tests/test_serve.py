@@ -129,12 +129,6 @@ class TestCacheKey:
     VARIANTS = [
         ("n_ranks", RunConfig(quick=True), RunConfig(quick=True, n_ranks=2)),
         ("backend", RunConfig(quick=True), RunConfig(quick=True, backend="mp")),
-        ("transport",
-         RunConfig(quick=True, n_ranks=2, backend="mp"),
-         RunConfig(quick=True, n_ranks=2, backend="mp", transport="pickle")),
-        ("pipeline",
-         RunConfig(quick=True, n_ranks=2, backend="mp"),
-         RunConfig(quick=True, n_ranks=2, backend="mp", pipeline="off")),
         ("quick", RunConfig(quick=True), RunConfig(quick=False)),
         ("adaptive", RunConfig(quick=True), RunConfig(quick=True, adaptive=True)),
         ("params",
@@ -235,12 +229,13 @@ class TestServerRoundTrip:
     def test_bad_requests_rejected(self, client):
         unknown = client.run("no-such-scenario", QUICK)
         assert unknown.status == 400 and "no-such-scenario" in unknown.error
-        bad_config = client._request(
-            "POST", "/run",
-            json.dumps({"scenario": "heat-diffusion",
-                        "config": {"warp": 9}}).encode(),
-        )
-        assert bad_config[0] == 400
+        for config in ({"warp": 9}, {"transport": "shm"}):
+            bad_config = client._request(
+                "POST", "/run",
+                json.dumps({"scenario": "heat-diffusion",
+                            "config": config}).encode(),
+            )
+            assert bad_config[0] == 400
         assert client._request("GET", "/nope")[0] == 404
         assert client._request("GET", "/run")[0] == 405
 

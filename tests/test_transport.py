@@ -1,39 +1,16 @@
-"""Unit tests for the binary shard-row transport layer.
+"""Unit test for the shard-row transport pair.
 
-Covers the shared-memory ring in isolation (record round trips, wrap
-padding, sequence desync, overflow sizing) plus the sender/receiver
-pairs both executors plug in, without spawning worker processes — the
-end-to-end paths live in tests/test_distributed.py.
+Runs the pickle sender/receiver in-process, without spawning worker
+processes — the end-to-end paths live in tests/test_distributed.py.
 """
 
 import numpy as np
-import pytest
 
-from repro.engine import transport as tp
-from repro.engine.transport import (
-    GROUP_ITER_MARK,
-    RECORD_HEADER,
-    TRANSPORT_PICKLE,
-    TRANSPORT_SHARED_MEMORY,
-    PickleRowReceiver,
-    PickleRowSender,
-    ShmRing,
-    ShmRowReceiver,
-    ShmRowSender,
-    resolve_transport,
-    ring_capacity_for,
-    shared_memory_available,
-)
-from repro.errors import CommunicatorError, ConfigurationError
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
-)
+from repro.engine.transport import PickleRowReceiver, PickleRowSender
 
 
 class _FakeConn:
-    """Captures conn.send() so sender/receiver pairs run in-process."""
+    """Captures conn.send() so the sender/receiver pair runs in-process."""
 
     def __init__(self):
         self.sent = []
@@ -42,135 +19,21 @@ class _FakeConn:
         self.sent.append(message)
 
 
-@pytest.fixture
-def ring():
-    ring = ShmRing.create(ring_capacity_for([8], chunk=4))
-    ring.begin_chunk()
-    yield ring
-    ring.close()
-    ring.unlink()
-
-
-class TestResolveTransport:
-    def test_aliases_resolve(self):
-        assert resolve_transport("shm") == TRANSPORT_SHARED_MEMORY
-        assert resolve_transport("shared_memory") == TRANSPORT_SHARED_MEMORY
-        assert resolve_transport("pickle") == TRANSPORT_PICKLE
-
-    def test_auto_prefers_shared_memory(self):
-        assert resolve_transport("auto") == TRANSPORT_SHARED_MEMORY
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
-
-    def test_auto_falls_back_without_shm(self, monkeypatch):
-        monkeypatch.setattr(tp, "_shm_probe", False)
-        assert resolve_transport("auto") == TRANSPORT_PICKLE
-        with pytest.raises(ConfigurationError, match="unavailable"):
-            resolve_transport("shared_memory")
-
-
-class TestRingCapacity:
-    def test_holds_one_full_chunk(self):
-        widths = [8, 3]
-        chunk = 5
-        capacity = ring_capacity_for(widths, chunk)
-        per_iteration = RECORD_HEADER.size + sum(
-            RECORD_HEADER.size + w * 8 for w in widths
-        )
-        assert capacity >= chunk * per_iteration
-        assert capacity % RECORD_HEADER.size == 0
-
-    def test_minimum_floor(self):
-        assert ring_capacity_for([], 1) >= 4096
-
-    def test_create_rejects_bad_capacity(self):
-        with pytest.raises(ConfigurationError, match="multiple"):
-            ShmRing.create(RECORD_HEADER.size + 1)
-        with pytest.raises(ConfigurationError, match="positive"):
-            ShmRing.create(0)
-
-
-class TestShmRing:
-    def test_roundtrip_preserves_records(self, ring):
-        rows = [np.arange(8, dtype=np.float64) * (i + 1) for i in range(3)]
-        for i, row in enumerate(rows):
-            ring.push(i + 1, 0, row)
-        for i, row in enumerate(rows):
-            iteration, group, values = ring.pop()
-            assert (iteration, group) == (i + 1, 0)
-            np.testing.assert_array_equal(values, row)
-
-    def test_views_are_zero_copy(self, ring):
-        ring.push(1, 0, np.ones(8))
-        _, _, values = ring.pop()
-        assert values.base is not None  # a view into the ring, not a copy
-
-    def test_wraparound_pads_transparently(self, ring):
-        # Push/pop enough chunks that records cross the wrap point; the
-        # payload must stay contiguous (pads absorb the ring tail).
-        total = 0
-        for chunk_index in range(10):
-            ring.begin_chunk()
-            for i in range(4):
-                ring.push(total + i, 0, np.full(8, float(total + i)))
-            for i in range(4):
-                iteration, group, values = ring.pop()
-                assert iteration == total + i
-                np.testing.assert_array_equal(
-                    values, np.full(8, float(total + i))
-                )
-            total += 4
-        assert total == 40
-
-    def test_attach_sees_creator_records(self, ring):
-        ring.push(7, 0, np.arange(8, dtype=np.float64))
-        attached = ShmRing.attach(ring.name)
-        try:
-            assert attached.capacity == ring.capacity
-            iteration, group, values = attached.pop()
-            assert iteration == 7
-            np.testing.assert_array_equal(
-                values, np.arange(8, dtype=np.float64)
-            )
-            # Drop the zero-copy view before close: live views keep the
-            # segment's exported buffer from releasing.
-            del values
-        finally:
-            attached.close()
-
-    def test_sequence_desync_detected(self, ring):
-        ring.push(1, 0, np.ones(8))
-        ring.pop()
-        # Simulate a reader that lost a record: rewind its cursor so the
-        # sequence number it expects no longer matches what it reads.
-        ring._read = 0
-        ring._read_sequence = 5
-        with pytest.raises(CommunicatorError, match="desync"):
-            ring.pop()
-
-    def test_overflow_raises_not_corrupts(self, ring):
-        with pytest.raises(CommunicatorError, match="overflow"):
-            for i in range(10_000):
-                ring.push(i, 0, np.ones(8))
-
-    def test_unlink_idempotent(self):
-        ring = ShmRing.create(ring_capacity_for([4], 2))
-        ring.close()
-        ring.unlink()
-        ring.unlink()  # second call is a no-op, not an error
-
-
 class TestSenderReceiverPairs:
-    def _payload(self):
-        return [
+    def test_pickle_roundtrip_and_counters(self):
+        payload = [
             (1, [np.arange(4, dtype=np.float64), None]),
             (2, [None, None]),
             (3, [np.ones(4), np.full(2, 9.0)]),
         ]
-
-    def _assert_payload_matches(self, decoded, payload):
+        conn = _FakeConn()
+        sender = PickleRowSender()
+        receiver = PickleRowReceiver()
+        sender.send(conn, payload, {"sample_seconds": 0.5})
+        kind, _blob, extra = conn.sent[0]
+        assert kind == "rows"
+        assert extra == {"sample_seconds": 0.5}
+        decoded = receiver.decode(conn.sent[0])
         assert len(decoded) == len(payload)
         for (it_a, parts_a), (it_b, parts_b) in zip(decoded, payload):
             assert it_a == it_b
@@ -179,63 +42,6 @@ class TestSenderReceiverPairs:
                     assert part_a is None
                 else:
                     np.testing.assert_array_equal(part_a, part_b)
-
-    def test_pickle_roundtrip_and_counters(self):
-        conn = _FakeConn()
-        sender = PickleRowSender()
-        receiver = PickleRowReceiver(n_groups=2)
-        payload = self._payload()
-        sender.send(conn, payload)
-        self._assert_payload_matches(receiver.decode(conn.sent[0]), payload)
         assert sender.counters.bytes_moved > 0
         assert sender.counters.bytes_moved == receiver.counters.bytes_moved
-        assert sender.counters.records == len(payload)
-
-    def test_shm_roundtrip_and_counters(self):
-        ring = ShmRing.create(ring_capacity_for([4, 2], chunk=4))
-        conn = _FakeConn()
-        sender = ShmRowSender(ring)
-        receiver = ShmRowReceiver(ring, n_groups=2)
-        try:
-            payload = self._payload()
-            sender.send(conn, payload)
-            kind, records, _extra = conn.sent[0]
-            assert kind == "rows"  # the pipe carries only the count
-            assert isinstance(records, int)
-            decoded = receiver.decode(conn.sent[0])
-            self._assert_payload_matches(decoded, payload)
-            # Both ends counted the same record stream.
-            assert sender.counters.records == receiver.counters.records
-            assert sender.counters.bytes_moved > 0
-            # Decoded rows are views into the ring; drop them so close
-            # can release the segment's exported buffer.
-            del decoded
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_shm_receiver_rejects_orphan_group_record(self):
-        ring = ShmRing.create(ring_capacity_for([4], chunk=4))
-        try:
-            ring.begin_chunk()
-            # A group record with no preceding iteration mark is a
-            # protocol violation the receiver must refuse to guess at.
-            ring.push(1, 0, np.ones(4))
-            receiver = ShmRowReceiver(ring, n_groups=1)
-            with pytest.raises(CommunicatorError, match="iteration"):
-                receiver.decode(("rows", 1))
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_shm_iteration_marks_reconstruct_empty_iterations(self):
-        ring = ShmRing.create(ring_capacity_for([4], chunk=4))
-        try:
-            ring.begin_chunk()
-            ring.push(5, GROUP_ITER_MARK, np.empty(0))
-            receiver = ShmRowReceiver(ring, n_groups=1)
-            decoded = receiver.decode(("rows", 1))
-            assert decoded == [(5, [None])]
-        finally:
-            ring.close()
-            ring.unlink()
+        assert sender.counters.records == receiver.counters.records == 3
