@@ -27,10 +27,8 @@ Three legs:
     on the decaying tail — a smaller but honest reduction.
 
 An untimed warmup pass (one quick heat-diffusion run) precedes the
-timed legs so allocator pools, import caches and — when the ``auto``
-kernel knob resolves to numba — JIT compilation never land inside a
-timed region; the payload records the resolved ``kernel_backend`` and
-the ``warmup_seconds`` it cost.
+timed legs so allocator pools and import caches never land inside a
+timed region; the payload records the ``warmup_seconds`` it cost.
 
 Run directly::
 
@@ -51,7 +49,6 @@ import json
 import time
 
 from repro import scenarios
-from repro.core import kernels as kernel_registry
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam
 from repro.engine import CadenceController, CadencePolicy, InSituEngine
@@ -168,23 +165,20 @@ def bench_lulesh_wide(*, quick: bool) -> dict:
     }
 
 
-def warmup() -> "tuple[str, float]":
+def warmup() -> float:
     """One untimed pass before any timed leg.
 
-    Resolves the ``auto`` kernel backend (absorbing JIT compilation
-    when numba is importable) and drives one quick scenario end to end
-    so the timed runs below measure steady state.  Returns the resolved
-    backend name and the warmup wall seconds.
+    Drives one quick scenario end to end so the timed runs below
+    measure steady state.  Returns the warmup wall seconds.
     """
     tick = time.perf_counter()
-    backend = kernel_registry.get_backend()
     scenarios.run_scenario(
         "heat-diffusion", config=scenarios.RunConfig(quick=True)
     )
     scenarios.run_scenario(
         "heat-diffusion", config=scenarios.RunConfig(quick=True, adaptive=True)
     )
-    return backend.name, time.perf_counter() - tick
+    return time.perf_counter() - tick
 
 
 def main(argv=None) -> int:
@@ -207,7 +201,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    kernel_backend, warmup_seconds = warmup()
+    warmup_seconds = warmup()
     results = [
         bench_scenario("heat-diffusion", quick=args.quick),
         bench_scenario("oscillator-ringdown", quick=args.quick),
@@ -230,7 +224,6 @@ def main(argv=None) -> int:
 
     payload = {
         "quick": args.quick,
-        "kernel_backend": kernel_backend,
         "warmup_seconds": round(warmup_seconds, 4),
         "scenarios": results,
     }

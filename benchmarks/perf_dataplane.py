@@ -19,27 +19,18 @@ implementations of the data plane:
 
 Both paths train the same four AR models on the same replayed history;
 the benchmark asserts their fitted coefficients agree within 1e-9, so
-the reported speedup is for *identical* results.
-
-``--kernels`` adds a backend-comparison leg: when it resolves to
-``numba`` (or ``auto`` finds the toolchain), the vectorized path runs a
-third time on the compiled kernels (:mod:`repro.core.kernels`) and the
-row records compiled seconds, the compiled-vs-interpreted speedup and
-the coefficient delta between the two backends (contract: <= 1e-12).
-An untimed warmup pass — which also absorbs JIT compilation — runs
-before any timed region; its cost lands in ``warmup_seconds``.
+the reported speedup is for *identical* results.  An untimed warmup
+pass runs before any timed region; its cost lands in
+``warmup_seconds``.
 
 Run directly::
 
-    python benchmarks/perf_dataplane.py [--quick] \
-        [--kernels auto|numpy|numba] [--output BENCH_dataplane.json]
+    python benchmarks/perf_dataplane.py [--quick] [--output BENCH_dataplane.json]
 
 ``--quick`` trims the grid for CI smoke runs.  ``--min-speedup`` gates
-the wide-window scenario: on the numpy backend it bounds the
-scalar-vs-vector speedup; on numba it bounds the
-compiled-vs-interpreted speedup.  Not collected by pytest (the module
-is not named ``test_*``) — this is a timing script, not a correctness
-test.
+the wide-window scenario's scalar-vs-vector speedup.  Not collected by
+pytest (the module is not named ``test_*``) — this is a timing script,
+not a correctness test.
 """
 
 from __future__ import annotations
@@ -54,10 +45,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core import kernels as kernel_registry
 from repro.core.ar_model import ARModel, RunningStats
 from repro.core.collector import DataCollector, SeriesStore
-from repro.core.kernels import KERNEL_NUMBA, KERNEL_NUMPY, resolve_kernels
 from repro.core.minibatch import MiniBatchTrainer
 from repro.core.params import IterParam
 from repro.errors import CollectionError
@@ -84,12 +73,12 @@ class ScalarRunningStats(RunningStats):
 class ScalarARModel(ARModel):
     """Seed training path, frozen pre-kernel.
 
-    The live :meth:`ARModel.partial_fit` now runs as one fused call on
-    the active kernel backend; the reference copy below preserves the
-    seed sequence — a stats fold through ``RunningStats.update`` (the
-    per-row Welford loop of :class:`ScalarRunningStats`) followed by
-    interpreted GD epochs — so the scalar leg keeps measuring the
-    original implementation.
+    The live :meth:`ARModel.partial_fit` now runs as one fused call to
+    :func:`repro.core.kernels.ar_batch_update`; the reference copy
+    below preserves the seed sequence — a stats fold through
+    ``RunningStats.update`` (the per-row Welford loop of
+    :class:`ScalarRunningStats`) followed by interpreted GD epochs — so
+    the scalar leg keeps measuring the original implementation.
     """
 
     def partial_fit(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -350,33 +339,27 @@ def _model_delta(models_a, models_b) -> float:
     return delta
 
 
-def warmup(kernels: str) -> float:
+def warmup() -> float:
     """One untimed pass over a tiny grid before any timed region.
 
-    Warms allocator pools, import caches and — when ``kernels`` is the
-    compiled backend — triggers the one-time JIT compilation, so the
-    timed runs below measure steady-state throughput only.  Returns the
-    wall seconds the warmup itself cost (recorded in the JSON payload,
-    never counted against a timed leg).
+    Warms allocator pools and import caches, so the timed runs below
+    measure steady-state throughput only.  Returns the wall seconds the
+    warmup itself cost (recorded in the JSON payload, never counted
+    against a timed leg).
     """
     start = time.perf_counter()
-    kernel_registry.get_backend(kernels)  # JIT warmup for compiled backends
     history = _history(40, 32, seed=11)
     spatial = IterParam(0, 31, 1)
     temporal = IterParam(1, 40, 1)
     for axis in ("space", "time"):
         kwargs = dict(axis=axis, order=3, batch_size=64, n_analyses=1)
         _run_scalar(history, spatial, temporal, **kwargs)
-        with kernel_registry.activated(KERNEL_NUMPY):
-            _run_vector(history, spatial, temporal, **kwargs)
-        if kernels == KERNEL_NUMBA:
-            with kernel_registry.activated(KERNEL_NUMBA):
-                _run_vector(history, spatial, temporal, **kwargs)
+        _run_vector(history, spatial, temporal, **kwargs)
     return time.perf_counter() - start
 
 
 def run_scenario(name, *, n_locations, n_iterations, axis, order=3,
-                 batch_size=256, n_analyses=4, kernels=KERNEL_NUMPY):
+                 batch_size=256, n_analyses=4):
     history = _history(n_iterations, n_locations)
     spatial = IterParam(0, n_locations - 1, 1)
     temporal = IterParam(1, n_iterations, 1)
@@ -389,18 +372,15 @@ def run_scenario(name, *, n_locations, n_iterations, axis, order=3,
     scalar_seconds, scalar_models = _run_scalar(
         history, spatial, temporal, **kwargs
     )
-    # The interpreted leg always runs on the pure-NumPy kernels so the
-    # compiled comparison below has a stable baseline.
-    with kernel_registry.activated(KERNEL_NUMPY):
-        vector_seconds, vector_models = _run_vector(
-            history, spatial, temporal, **kwargs
-        )
+    vector_seconds, vector_models = _run_vector(
+        history, spatial, temporal, **kwargs
+    )
     max_delta = _model_delta(scalar_models, vector_models)
     if max_delta > 1e-9:
         raise AssertionError(
             f"{name}: scalar/vector fits diverged (max delta {max_delta:.3e})"
         )
-    row = {
+    return {
         "scenario": name,
         "axis": axis,
         "n_locations": n_locations,
@@ -408,30 +388,11 @@ def run_scenario(name, *, n_locations, n_iterations, axis, order=3,
         "n_analyses": n_analyses,
         "order": order,
         "batch_size": batch_size,
-        "kernel_backend": kernels,
         "scalar_seconds": round(scalar_seconds, 4),
         "vector_seconds": round(vector_seconds, 4),
         "speedup": round(scalar_seconds / vector_seconds, 2),
         "max_coefficient_delta": max_delta,
-        "compiled_seconds": None,
-        "compiled_speedup": None,
-        "interpreted_vs_compiled_delta": None,
     }
-    if kernels == KERNEL_NUMBA:
-        with kernel_registry.activated(KERNEL_NUMBA):
-            compiled_seconds, compiled_models = _run_vector(
-                history, spatial, temporal, **kwargs
-            )
-        compiled_delta = _model_delta(vector_models, compiled_models)
-        if compiled_delta > 1e-12:
-            raise AssertionError(
-                f"{name}: interpreted/compiled fits diverged "
-                f"(max delta {compiled_delta:.3e}, contract 1e-12)"
-            )
-        row["compiled_seconds"] = round(compiled_seconds, 4)
-        row["compiled_speedup"] = round(vector_seconds / compiled_seconds, 2)
-        row["interpreted_vs_compiled_delta"] = compiled_delta
-    return row
 
 
 def main(argv=None) -> int:
@@ -450,17 +411,10 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=0.0,
-        help="fail unless the wide-window scenario beats this speedup "
-        "(scalar-vs-vector on numpy, compiled-vs-interpreted on numba)",
-    )
-    parser.add_argument(
-        "--kernels",
-        default="numpy",
-        help="hot-loop backend: auto / numpy / numba (plus aliases); "
-        "numba adds a compiled comparison leg per scenario",
+        help="fail unless the wide-window scenario beats this "
+        "scalar-vs-vector speedup",
     )
     args = parser.parse_args(argv)
-    kernels = resolve_kernels(args.kernels)
 
     if args.quick:
         grid = [
@@ -477,37 +431,25 @@ def main(argv=None) -> int:
                  axis="time"),
         ]
 
-    warmup_seconds = warmup(kernels)
-    results = [
-        run_scenario(spec.pop("name"), kernels=kernels, **spec)
-        for spec in grid
-    ]
+    warmup_seconds = warmup()
+    results = [run_scenario(spec.pop("name"), **spec) for spec in grid]
 
     header = (
         f"{'scenario':<16}{'axis':<7}{'locs':>6}{'iters':>7}"
         f"{'scalar s':>10}{'vector s':>10}{'speedup':>9}"
     )
-    if kernels == KERNEL_NUMBA:
-        header += f"{'jit s':>9}{'jit x':>7}"
     print(header)
     print("-" * len(header))
     for r in results:
-        line = (
+        print(
             f"{r['scenario']:<16}{r['axis']:<7}{r['n_locations']:>6}"
             f"{r['n_iterations']:>7}{r['scalar_seconds']:>10.3f}"
             f"{r['vector_seconds']:>10.3f}{r['speedup']:>8.1f}x"
         )
-        if r["compiled_seconds"] is not None:
-            line += (
-                f"{r['compiled_seconds']:>9.3f}"
-                f"{r['compiled_speedup']:>6.1f}x"
-            )
-        print(line)
 
     cpu_count = os.cpu_count() or 1
     payload = {
         "quick": args.quick,
-        "kernel_backend": kernels,
         "warmup_seconds": round(warmup_seconds, 4),
         "cpu_count": cpu_count,
         # Timing-contention flag, following the distributed bench
@@ -519,15 +461,11 @@ def main(argv=None) -> int:
         json.dump(payload, fh, indent=2)
     print(f"\nwrote {args.output}")
 
-    wide = results[0]
-    if kernels == KERNEL_NUMBA:
-        gate, label = wide["compiled_speedup"], "compiled-vs-interpreted"
-    else:
-        gate, label = wide["speedup"], "scalar-vs-vector"
+    gate = results[0]["speedup"]
     if args.min_speedup and gate < args.min_speedup:
         print(
-            f"FAIL: wide-window {label} speedup {gate}x is below the "
-            f"required {args.min_speedup}x"
+            f"FAIL: wide-window scalar-vs-vector speedup {gate}x is below "
+            f"the required {args.min_speedup}x"
         )
         return 1
     return 0

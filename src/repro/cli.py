@@ -21,9 +21,8 @@ Three subcommands drive the scenario registry
     injects deterministic failures (rank kills, slowdowns, transport
     drops) into the distributed run and ``--rebalance`` migrates work
     away from slow ranks; both leave results bit-identical to serial,
-    so the cross-check still applies.  ``--kernels`` picks the hot-loop
-    backend.  Exit status 1 on validation failure or
-    serial/distributed divergence.
+    so the cross-check still applies.  Exit status 1 on validation
+    failure or serial/distributed divergence.
 
 ``bench``
     Time every (or the named) scenario serial and distributed, print a
@@ -119,7 +118,6 @@ def _cmd_run(args) -> int:
     config = scenarios.RunConfig(
         n_ranks=args.ranks,
         backend=args.backend,
-        kernels=args.kernels,
         quick=args.quick,
         adaptive=args.adaptive,
         params=_parse_params(args.param),
@@ -133,7 +131,6 @@ def _cmd_run(args) -> int:
         mode = "serial"
     else:
         mode = f"{config.n_ranks} ranks ({config.backend})"
-    mode += f", kernels={run.kernels}"
     if config.adaptive:
         mode += " + adaptive cadence"
     if config.faults is not None:
@@ -215,8 +212,7 @@ def _cmd_bench(args) -> int:
     failures = 0
     for name in names:
         serial = scenarios.run_scenario(
-            name,
-            config=scenarios.RunConfig(quick=args.quick, kernels=args.kernels),
+            name, config=scenarios.RunConfig(quick=args.quick)
         )
         spec = scenarios.get(name)
         if args.ranks > 1 and backend in spec.backends:
@@ -225,7 +221,6 @@ def _cmd_bench(args) -> int:
                 config=scenarios.RunConfig(
                     n_ranks=args.ranks,
                     backend=backend,
-                    kernels=args.kernels,
                     quick=args.quick,
                     crosscheck=True,
                 ),
@@ -255,7 +250,6 @@ def _cmd_bench(args) -> int:
                 "distributed_seconds": dist_seconds,
                 "comm_seconds": comm_seconds,
                 "backend": backend,
-                "kernels": serial.kernels,
                 "error": scenarios.json_safe(serial.error),
                 "ok": ok,
             }
@@ -312,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed backend (mp = multiprocessing)",
     )
     p_run.add_argument(
-        "--kernels",
-        default="auto",
-        choices=sorted(set(scenarios.spec.KERNEL_ALIASES)),
-        help="hot-loop backend (auto picks compiled numba kernels when "
-        "importable, else pure NumPy; jit/compiled = numba, "
-        "np/interpreted = numpy)",
-    )
-    p_run.add_argument(
         "--quick", action="store_true", help="use the spec's smoke parameters"
     )
     p_run.add_argument(
@@ -368,12 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="simcomm",
         choices=sorted(set(scenarios.spec.BACKEND_ALIASES)),
         help="distributed backend for the parallel leg",
-    )
-    p_bench.add_argument(
-        "--kernels",
-        default="auto",
-        choices=sorted(set(scenarios.spec.KERNEL_ALIASES)),
-        help="hot-loop backend for both legs (see `run --kernels`)",
     )
     p_bench.add_argument("--quick", action="store_true")
     p_bench.add_argument("--json", metavar="PATH")

@@ -55,13 +55,13 @@ class RunningStats:
         instead of the per-row Welford recurrence (a Python loop over
         the block).  Numerically this matches the scalar recurrence to
         machine rounding — the regression tests pin coefficients of the
-        two variants within 1e-9.  The merge itself runs on the active
-        kernel backend (:mod:`repro.core.kernels`).
+        two variants within 1e-9.  The merge itself is
+        :func:`repro.core.kernels.chan_update`.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         if rows.shape[0] == 0:
             return
-        self._mean, self._m2, count = kernels.active().chan_update(
+        self._mean, self._m2, count = kernels.chan_update(
             self._mean, self._m2, self.count, rows
         )
         self.count = int(count)
@@ -302,7 +302,7 @@ class ARModel:
             )
         # The whole update — stats fold, standardisation, GD epochs with
         # clipping and the stationarity projection — is one fused call
-        # on the active kernel backend; the stats aggregates are written
+        # to kernels.ar_batch_update; the stats aggregates are written
         # back so merge/serialisation semantics are unchanged.
         (
             self._w,
@@ -314,7 +314,7 @@ class ARModel:
             y_mean,
             y_m2,
             y_count,
-        ) = kernels.active().ar_batch_update(
+        ) = kernels.ar_batch_update(
             x,
             y,
             self._w,
@@ -386,14 +386,8 @@ class ARModel:
         self._y_stats.update(y.reshape(-1, 1))
         xs = (x - self._x_stats.mean) / self._x_stats.std
         ys = (y - self._y_stats.mean[0]) / self._y_stats.std[0]
-        # Normal-equation accumulation + ridge solve on the active
-        # kernel backend.
-        coef = kernels.active().normal_solve(
-            np.ascontiguousarray(xs),
-            np.ascontiguousarray(ys),
-            self._prior,
-            self.l2,
-        )
+        # Normal-equation accumulation + ridge solve.
+        coef = kernels.normal_solve(xs, ys, self._prior, self.l2)
         self._b = float(coef[0])
         self._w = np.asarray(coef[1:], dtype=np.float64)
         self._updates += 1

@@ -454,11 +454,9 @@ class DataCollector:
         # predecessors ending at the anchor row (most recent first)
         # predicting its value in the newest row.  One push_block over
         # all columns replaces the per-location push loop — O(order)
-        # rows are touched, independent of history length.  The window
-        # construction runs on the active kernel backend (a zero-copy
-        # strided view on the NumPy backend, a contiguous compiled
-        # gather on numba).
-        features = kernels.active().temporal_features(
+        # rows are touched, independent of history length.  The feature
+        # windows are a zero-copy strided view of the store.
+        features = kernels.temporal_features(
             self.store.matrix(), anchor, self.order
         )
         targets = self.store.row(n - 1)

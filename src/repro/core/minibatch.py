@@ -198,9 +198,7 @@ class MiniBatchTrainer:
         is the hot path the in-situ collector calls once per matching
         iteration.  Each full batch trains through
         ``model.partial_fit``, whose Chan statistics merge and gradient
-        epochs dispatch to the active kernel backend
-        (:mod:`repro.core.kernels`) — compiled when the engine resolved
-        ``kernels`` to numba, pure NumPy otherwise.
+        epochs are :func:`repro.core.kernels.ar_batch_update`.
         """
         y = np.ravel(np.asarray(targets, dtype=np.float64))
         x = np.asarray(features, dtype=np.float64)

@@ -207,7 +207,7 @@ def array_provider(values: Sequence[float]) -> ProviderFn:
         return float(values[location])
 
     def _batch(domain: object, locations: np.ndarray) -> np.ndarray:
-        return kernels.active().gather(
+        return kernels.gather(
             np.asarray(values, dtype=np.float64), locations
         )
 
@@ -228,7 +228,7 @@ def attribute_provider(attribute: str) -> ProviderFn:
         return float(getattr(domain, attribute)[location])
 
     def _batch(domain: object, locations: np.ndarray) -> np.ndarray:
-        return kernels.active().gather(
+        return kernels.gather(
             np.asarray(getattr(domain, attribute), dtype=np.float64),
             locations,
         )

@@ -43,7 +43,6 @@ from repro.engine.distributed import (
     DistributedResult,
     MultiprocessExecutor,
     RankCollector,
-    RankExecutor,
     SimCommExecutor,
 )
 from repro.engine.faults import (
@@ -72,15 +71,6 @@ from repro.engine.scheduler import (
     AnalysisScheduler,
     AnalysisState,
     InSituEngine,
-)
-from repro.core.kernels import (
-    KERNEL_ALIASES,
-    KERNEL_AUTO,
-    KERNEL_NUMBA,
-    KERNEL_NUMPY,
-    KERNELS,
-    numba_available,
-    resolve_kernels,
 )
 from repro.engine.workload import (
     LuleshApp,
@@ -115,18 +105,12 @@ __all__ = [
     "FaultPlan",
     "GroupPlan",
     "InSituEngine",
-    "KERNELS",
-    "KERNEL_ALIASES",
-    "KERNEL_AUTO",
-    "KERNEL_NUMBA",
-    "KERNEL_NUMPY",
     "KILL_EXIT_CODE",
     "KillFault",
     "LocalExecutor",
     "LuleshApp",
     "MultiprocessExecutor",
     "RankCollector",
-    "RankExecutor",
     "RecoveryEvent",
     "ReplayApp",
     "SharedCollector",
@@ -135,10 +119,8 @@ __all__ = [
     "WdMergerApp",
     "as_fault_plan",
     "as_simulation_app",
-    "numba_available",
     "plan_groups",
     "progress_snapshot",
     "register_adapter",
     "replay_provider",
-    "resolve_kernels",
 ]

@@ -24,7 +24,8 @@ but the collection plane is sharded:
   passes through an allreduce every iteration (``stop_reducer``), and
   status events still flow through the broadcast path.
 
-Two execution backends ship behind the :class:`RankExecutor` protocol:
+Two execution backends ship behind the
+:class:`~repro.engine.driver.Executor` protocol:
 
 ``"simcomm"``
     Deterministic in-process backend.  All ranks share one live
@@ -59,11 +60,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core import kernels as kernel_registry
 from repro.core.ar_model import RunningStats
 from repro.core.collector import SeriesStore
 from repro.core.curve_fitting import Analysis
-from repro.core.kernels import KERNEL_AUTO, KERNEL_NUMPY, resolve_kernels
 from repro.core.params import IterParam
 from repro.core.providers import ShardView
 from repro.engine.cadence import as_cadence_controller
@@ -101,10 +100,6 @@ BACKENDS = (BACKEND_SIMCOMM, BACKEND_MULTIPROCESSING)
 #: window slices; enough hysteresis that balanced runs never churn.
 REBALANCE_THRESHOLD = 1.75
 
-#: Back-compat alias: the executor seam now lives in
-#: :mod:`repro.engine.driver` and is shared with the serial engine.
-RankExecutor = Executor
-
 __all__ = [
     "BACKENDS",
     "BACKEND_MULTIPROCESSING",
@@ -114,7 +109,6 @@ __all__ = [
     "GroupPlan",
     "MultiprocessExecutor",
     "RankCollector",
-    "RankExecutor",
     "SimCommExecutor",
     "plan_groups",
 ]
@@ -521,10 +515,6 @@ class _WorkerTask:
     groups: List[_WorkerGroupSpec]
     max_iterations: int
     faults: Optional[FaultPlan] = None
-    # Resolved (concrete) kernel backend the parent runs on; the worker
-    # installs the same one so every shard's provider gathers dispatch
-    # identically.
-    kernels: str = KERNEL_NUMPY
 
 
 def _shard_worker(conn, task: _WorkerTask) -> None:
@@ -557,9 +547,6 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     """
     failed = False
     try:
-        # Same kernel backend as the parent (already resolved there; a
-        # spawn-start worker re-imports, so install it explicitly).
-        kernel_registry.use(task.kernels)
         app = as_simulation_app(task.app_factory())
         views = [
             ShardView(spec.provider, spec.locations) for spec in task.groups
@@ -766,7 +753,6 @@ class MultiprocessExecutor:
         chunk: int = 8,
         faults: Optional[FaultPlan] = None,
         rebalance: bool = False,
-        kernels: str = KERNEL_NUMPY,
     ) -> None:
         if chunk <= 0:
             raise ConfigurationError(f"chunk must be positive, got {chunk}")
@@ -776,7 +762,6 @@ class MultiprocessExecutor:
         self.app_factory = app_factory
         self.max_iterations = max_iterations
         self.chunk = chunk
-        self.kernels = resolve_kernels(kernels)
         self.last_step_seconds = 0.0
         self.faults = faults
         self.rebalance_enabled = rebalance
@@ -850,7 +835,6 @@ class MultiprocessExecutor:
                 ],
                 max_iterations=self.max_iterations,
                 faults=self.faults,
-                kernels=self.kernels,
             )
             for rank in range(1, self.n_ranks)
         ]
@@ -1614,11 +1598,6 @@ class DistributedEngine:
         worker replicas are deterministic.
     chunk:
         Multiprocessing only: iterations per worker round trip.
-    kernels:
-        Hot-loop backend (``"auto"``/``"numpy"``/``"numba"``, see
-        :mod:`repro.core.kernels`), resolved eagerly at construction.
-        Worker ranks install the same resolved backend, so
-        shard gathers and the parent's training dispatch identically.
     faults:
         Optional :class:`~repro.engine.faults.FaultPlan` (or its spec
         string) of deterministic failures to inject — rank kills,
@@ -1649,7 +1628,6 @@ class DistributedEngine:
         chunk: int = 8,
         faults: Union[None, str, "FaultPlan"] = None,
         rebalance: bool = False,
-        kernels: str = KERNEL_AUTO,
         name: str = "distributed-engine",
     ) -> None:
         if backend not in BACKENDS:
@@ -1662,10 +1640,6 @@ class DistributedEngine:
         self.chunk = chunk
         self.faults = as_fault_plan(faults)
         self.rebalance = bool(rebalance)
-        # Resolved eagerly: an unknown kernel backend name or an
-        # explicit numba request without the toolchain fails here, not
-        # mid-run (and never inside a worker).
-        self.kernels = resolve_kernels(kernels)
         self.app_factory = app_factory
         if app is None:
             if app_factory is None:
@@ -1736,7 +1710,6 @@ class DistributedEngine:
             on_plans=self._wire_wavefront_ranks,
             cadence=as_cadence_controller(cadence),
             finalize_result=self._finalize_result,
-            kernels=self.kernels,
         )
 
     def add_analysis(self, analysis: Analysis) -> Analysis:
@@ -1799,7 +1772,6 @@ class DistributedEngine:
             chunk=self.chunk,
             faults=self.faults,
             rebalance=self.rebalance,
-            kernels=self.kernels,
         )
 
     def _finalize_result(self, base: dict, executor: Executor) -> "DistributedResult":

@@ -45,7 +45,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core import kernels as kernel_registry
 from repro.core.collector import SeriesStore
 from repro.core.features import ExtractionSummary
 from repro.core.params import IterParam
@@ -377,13 +376,6 @@ class ExecutionDriver:
         ``finalize_result(base_kwargs, executor) -> EngineResult``
         assembling the engine-flavoured result from the driver's base
         fields; defaults to plain :class:`EngineResult`.
-    kernels:
-        Resolved kernel-backend name (see
-        :mod:`repro.core.kernels`).  When set, every ``run()`` executes
-        with that backend activated (scoped — restored on exit), so
-        the collection data plane and AR training dispatch to it.
-        ``None`` (the default) leaves the process-wide backend
-        untouched.
     """
 
     def __init__(
@@ -399,7 +391,6 @@ class ExecutionDriver:
         on_plans: Optional[Callable[[Sequence[GroupPlan]], None]] = None,
         cadence=None,
         finalize_result: Optional[Callable[[dict, Executor], EngineResult]] = None,
-        kernels: Optional[str] = None,
     ) -> None:
         self.app = app
         self.scheduler = scheduler
@@ -411,14 +402,6 @@ class ExecutionDriver:
         self.on_plans = on_plans
         self.cadence = cadence
         self.finalize_result = finalize_result
-        # Resolved eagerly (and the compiled backend JIT-warmed) so a
-        # bad knob fails at construction and compilation cost never
-        # lands inside a timed run.
-        self.kernels = (
-            None if kernels is None else kernel_registry.resolve_kernels(kernels)
-        )
-        if self.kernels is not None:
-            kernel_registry.get_backend(self.kernels)
         self.iteration = 0
         # Per-iteration step durations persist across run() calls so a
         # resumed run's EngineResult still indexes them by absolute
@@ -478,9 +461,7 @@ class ExecutionDriver:
         The loop mirrors the paper's instrumented main loop: advance
         the simulation one step, collect the declared data windows,
         then give every active analysis its in-situ look at the new
-        state.  With a ``kernels=`` backend attached, the whole run
-        executes under it (scoped, so engines with different knobs can
-        interleave in one process).
+        state.
 
         ``progress`` is the streaming seam: when set, it is called with
         a :func:`progress_snapshot` after every dispatched iteration —
@@ -489,9 +470,8 @@ class ExecutionDriver:
         ``None`` (the default) the loop builds no snapshots and is
         byte-for-byte the pre-hook loop.
         """
-        if self.kernels is not None:
-            with kernel_registry.activated(self.kernels):
-                return self._run(max_iterations=max_iterations, progress=progress)
+        # The loop body stays its own method: perfbench/layers.py wraps
+        # ``_run`` as the ``driver.loop`` span.
         return self._run(max_iterations=max_iterations, progress=progress)
 
     def _run(

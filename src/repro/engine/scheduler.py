@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.core.curve_fitting import Analysis
 from repro.core.events import ACTION_TERMINATE, StatusBroadcaster
 from repro.core.features import ExtractionSummary
-from repro.core.kernels import KERNEL_AUTO, resolve_kernels
 from repro.engine.cadence import as_cadence_controller
 from repro.engine.collection import SharedCollector
 from repro.engine.driver import EngineResult, ExecutionDriver, LocalExecutor
@@ -290,11 +289,6 @@ class InSituEngine:
         Optional :class:`~repro.engine.cadence.CadenceController`
         enabling adaptive collection cadence.  Off by default — without
         it results are bit-identical to full-cadence collection.
-    kernels:
-        Hot-loop backend: ``"auto"`` (default — compiled kernels when
-        numba is importable, pure NumPy otherwise), ``"numpy"`` or
-        ``"numba"``.  Resolved (and validated) eagerly at
-        construction; see :mod:`repro.core.kernels`.
     name:
         Label for reports.
     """
@@ -308,16 +302,11 @@ class InSituEngine:
         quorum: Optional[Union[int, float]] = None,
         record_timings: bool = False,
         cadence=None,
-        kernels: str = KERNEL_AUTO,
         name: str = "engine",
     ) -> None:
         self.app = as_simulation_app(app)
         self.name = name
         self.record_timings = record_timings
-        # Resolved here — an unknown backend name or an explicit numba
-        # request without the toolchain fails at construction, not
-        # mid-run.
-        self.kernels = resolve_kernels(kernels)
         self.scheduler = AnalysisScheduler(
             comm=comm, policy=policy, quorum=quorum,
             record_timings=record_timings,
@@ -333,7 +322,6 @@ class InSituEngine:
             # not exist at one rank).
             replan_each_run=True,
             cadence=as_cadence_controller(cadence),
-            kernels=self.kernels,
         )
 
     def add_analysis(self, analysis: Analysis) -> Analysis:

@@ -36,7 +36,6 @@ from repro.scenarios.spec import (
     replay_fingerprint,
     replay_report,
     resolve_backend,
-    resolve_kernels_name,
     run_scenario,
     specs,
     unregister,
@@ -67,7 +66,6 @@ __all__ = [
     "replay_fingerprint",
     "replay_report",
     "resolve_backend",
-    "resolve_kernels_name",
     "run_scenario",
     "specs",
     "unregister",

@@ -50,8 +50,6 @@ from repro.engine import (
     BACKEND_MULTIPROCESSING,
     BACKEND_SIMCOMM,
     BACKENDS,
-    KERNEL_ALIASES,
-    KERNEL_AUTO,
     POLICIES,
     CadenceController,
     CadencePolicy,
@@ -108,22 +106,6 @@ def resolve_backend(name: str) -> str:
             f"{sorted(set(BACKEND_ALIASES))}"
         )
     return backend
-
-
-def resolve_kernels_name(name: str) -> str:
-    """Canonical kernel-backend name for ``name`` (accepts ``jit`` etc.).
-
-    This keeps ``"auto"`` intact — the engines collapse it (and
-    validate availability) at construction; the run report then
-    carries the *resolved* concrete backend.
-    """
-    kernels = KERNEL_ALIASES.get(name)
-    if kernels is None:
-        raise ScenarioError(
-            f"unknown kernel backend {name!r}; expected one of "
-            f"{sorted(set(KERNEL_ALIASES))}"
-        )
-    return kernels
 
 
 @dataclass(frozen=True)
@@ -378,8 +360,9 @@ def build_sim(name: str, **overrides) -> object:
 #: the embedded ``"config"`` (the resolved :class:`RunConfig`), making
 #: every report replayable from its own JSON; version 3 dropped the
 #: ``transport`` and ``pipeline`` knobs from that config (and the
-#: report's ``"transport"`` key).
-SCHEMA_VERSION = 3
+#: report's ``"transport"`` key); version 4 dropped ``kernels`` from
+#: both.
+SCHEMA_VERSION = 4
 
 #: RunConfig fields the cross-check leg overrides: the serial agreement
 #: run keeps everything that shapes the fitted results and replaces only
@@ -400,9 +383,7 @@ CROSSCHECK_OVERRIDES = frozenset(
 )
 
 #: RunConfig fields the cross-check leg inherits unchanged.
-CROSSCHECK_INHERITED = frozenset(
-    {"quick", "adaptive", "params", "max_iterations", "kernels"}
-)
+CROSSCHECK_INHERITED = frozenset({"quick", "adaptive", "params", "max_iterations"})
 
 
 def _tuplify(value):
@@ -455,13 +436,11 @@ class RunConfig:
     max_iterations: Optional[int] = None
     faults: Union[None, str, FaultPlan] = None
     rebalance: bool = False
-    kernels: str = KERNEL_AUTO
 
     def __post_init__(self) -> None:
         # Normalise aliases and coercible forms first (frozen dataclass,
         # hence object.__setattr__), then validate the combination.
         object.__setattr__(self, "backend", resolve_backend(self.backend))
-        object.__setattr__(self, "kernels", resolve_kernels_name(self.kernels))
         object.__setattr__(self, "faults", as_fault_plan(self.faults))
         params = self.params
         if params is None:
@@ -483,15 +462,21 @@ class RunConfig:
             raise ScenarioError(
                 f"n_ranks must be positive, got {self.n_ranks}"
             )
-        if self.max_iterations is not None and self.max_iterations < 0:
+        limit = self.max_iterations
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
+        ):
             raise ScenarioError(
-                f"max_iterations must be >= 0, got {self.max_iterations}"
+                f"max_iterations must be None or an int >= 0, got {limit!r}"
             )
-        object.__setattr__(self, "quick", bool(self.quick))
-        object.__setattr__(self, "adaptive", bool(self.adaptive))
-        object.__setattr__(self, "rebalance", bool(self.rebalance))
-        if self.crosscheck is not None:
-            object.__setattr__(self, "crosscheck", bool(self.crosscheck))
+        # Flags are never coerced: bool("false") is True, so a JSON
+        # string would silently flip the knob (and its cache key).
+        for flag in ("quick", "adaptive", "rebalance", "crosscheck"):
+            value = getattr(self, flag)
+            if flag == "crosscheck" and value is None:
+                continue
+            if not isinstance(value, bool):
+                raise ScenarioError(f"{flag} must be a bool, got {value!r}")
         if self.n_ranks == 1 and (self.faults is not None or self.rebalance):
             raise ScenarioError(
                 "faults/rebalance only apply to distributed runs "
@@ -550,7 +535,6 @@ class RunConfig:
             "max_iterations": self.max_iterations,
             "faults": self.faults.to_spec() if self.faults else None,
             "rebalance": self.rebalance,
-            "kernels": self.kernels,
         }
 
     @classmethod
@@ -558,11 +542,11 @@ class RunConfig:
         """Rebuild a config from :meth:`to_json` output.
 
         Strict about unknown keys: a typo'd knob in a serve request must
-        not silently run with defaults, and a schema-2 config carrying
-        the removed ``transport``/``pipeline`` knobs is rejected rather
-        than replayed under different semantics.  Missing keys take
-        their defaults, so stored reports stay replayable as fields are
-        added.
+        not silently run with defaults, and an older config carrying a
+        removed knob (``transport``/``pipeline`` in schema 2,
+        ``kernels`` in schema 3) is rejected rather than replayed under
+        different semantics.  Missing keys take their defaults, so
+        stored reports stay replayable as fields are added.
         """
         if not isinstance(data, Mapping):
             raise ScenarioError(
@@ -625,8 +609,6 @@ class ScenarioRun:
     tolerance: float
     seconds: float
     crosscheck: Optional[Dict[str, object]] = None
-    #: The *resolved* kernel backend the run trained on ("numpy"/"numba").
-    kernels: str = "numpy"
 
     @property
     def error(self) -> float:
@@ -664,7 +646,6 @@ class ScenarioRun:
             "config": config.to_json(),
             "ranks": config.n_ranks,
             "backend": config.backend if config.n_ranks > 1 else "serial",
-            "kernels": self.kernels,
             "quick": config.quick,
             "adaptive": config.adaptive,
             "params": {k: repr(v) for k, v in sorted(self.params.items())},
@@ -822,7 +803,6 @@ def _execute_leg(
             policy=spec.policy,
             quorum=spec.quorum,
             cadence=spec.cadence_controller() if config.adaptive else None,
-            kernels=config.kernels,
             name=spec.name,
         )
     elif config.backend == BACKEND_MULTIPROCESSING:
@@ -833,7 +813,6 @@ def _execute_leg(
             policy=spec.policy,
             quorum=spec.quorum,
             cadence=spec.cadence_controller() if config.adaptive else None,
-            kernels=config.kernels,
             faults=config.faults,
             rebalance=config.rebalance,
             name=spec.name,
@@ -846,7 +825,6 @@ def _execute_leg(
             policy=spec.policy,
             quorum=spec.quorum,
             cadence=spec.cadence_controller() if config.adaptive else None,
-            kernels=config.kernels,
             faults=config.faults,
             rebalance=config.rebalance,
             name=spec.name,
@@ -877,7 +855,7 @@ def run_scenario(
     * ``n_ranks == 1`` drives the serial
       :class:`~repro.engine.InSituEngine`; more ranks shard the
       scenario through :class:`~repro.engine.DistributedEngine` on
-      ``config.backend`` (``kernels`` picks the hot-loop backend).
+      ``config.backend``.
     * ``crosscheck`` (default: on for distributed runs) additionally
       runs a fresh **serial** leg built from
       :meth:`RunConfig.crosscheck_config` — the same config with only
@@ -959,6 +937,4 @@ def run_scenario(
         tolerance=spec.tolerance,
         seconds=seconds,
         crosscheck=report,
-        # The engine collapsed "auto" to the concrete backend it ran on.
-        kernels=engine.kernels,
     )

@@ -72,8 +72,9 @@ def parse_run_request(body: bytes) -> ServeRequest:
     """Parse and validate a ``/run`` request body.
 
     Raises :class:`ServeError` (→ HTTP 400) on malformed JSON, unknown
-    keys, a missing/unknown-field config, or a bad ``inject`` spec —
-    the same eager-validation posture as :class:`RunConfig` itself.
+    keys, a missing/unknown-field config, a non-boolean ``stream`` or
+    ``no_cache``, or a bad ``inject`` spec — the same eager-validation
+    posture as :class:`RunConfig` itself.
     """
     try:
         data = json.loads(body.decode("utf-8"))
@@ -102,6 +103,11 @@ def parse_run_request(body: bytes) -> ServeRequest:
         config = RunConfig.from_json(raw_config)
     except Exception as exc:
         raise ServeError(f"bad run config: {exc}") from exc
+    stream = data.get("stream", True)
+    no_cache = data.get("no_cache", False)
+    for key, value in (("stream", stream), ("no_cache", no_cache)):
+        if not isinstance(value, bool):
+            raise ServeError(f"{key} must be a JSON boolean, got {value!r}")
     stream_every = data.get("stream_every", 1)
     if not isinstance(stream_every, int) or stream_every <= 0:
         raise ServeError(
@@ -123,9 +129,9 @@ def parse_run_request(body: bytes) -> ServeRequest:
     return ServeRequest(
         scenario=scenario,
         config=config,
-        stream=bool(data.get("stream", True)),
+        stream=stream,
         stream_every=stream_every,
-        no_cache=bool(data.get("no_cache", False)),
+        no_cache=no_cache,
         inject=inject,
     )
 

@@ -102,10 +102,11 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_pipeline_flag_rejected(self, capsys, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "heat-diffusion", "--ranks", "2", "--pipeline", "on"])
-        assert excinfo.value.code == 2
-        assert "--pipeline" in capsys.readouterr().err
+        for flag, value in (("--pipeline", "on"), ("--kernels", "numpy")):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "heat-diffusion", "--ranks", "2", flag, value])
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_param_overrides_reach_the_scenario(self, capsys):
         status = main(

@@ -1,181 +1,43 @@
-"""Tests for the kernel dispatch registry (:mod:`repro.core.kernels`).
+"""Tests for the data plane's hot loops (:mod:`repro.core.kernels`).
 
-Four layers:
-
-* registry semantics — alias resolution, eager validation, the
-  process-wide install (:func:`~repro.core.kernels.use`) and the scoped
-  :func:`~repro.core.kernels.activated` context;
-* fallback behaviour with the numba toolchain absent (forced via the
-  probe cache / a monkeypatched import), including the eager
-  engine-construction failure for an explicit ``kernels="numba"``;
-* numpy-backend unit checks against straight-line reference
-  implementations of each hot loop (the golden driver suite already
-  pins the end-to-end numerics; these pin the kernels in isolation);
-* the compiled-backend parity contract — fitted coefficients agree
-  with the interpreted backend within 1e-12 over every registered
-  scenario, serial and 2-rank — which runs whenever numba is
-  importable (the optional CI leg installs it; tier-1 never needs it).
+Each NumPy kernel is checked against a straight-line reference
+implementation (the golden driver suite already pins the end-to-end
+numerics; these pin the kernels in isolation), and
+:func:`~repro.core.kernels.resolve_kernels`, which names the
+implementation in a benchmark's environment record, accepts only
+``"auto"`` and ``"numpy"``.
 """
 
 import numpy as np
 import pytest
 
-from repro import scenarios
 from repro.core import kernels
 from repro.core.ar_model import ARModel, RunningStats
-from repro.engine import InSituEngine
 from repro.errors import ConfigurationError, ReproError
 
 PARITY_TOL = 1e-12
 
 
-class _TickApp:
-    """Minimal workload for engine-construction tests."""
-
-    def __init__(self, n):
-        self.n = n
-        self.t = 0
-        self.max_iterations = 10_000
-
-    def step(self):
-        self.t += 1
-
-    @property
-    def domain(self):
-        return self
-
-    @property
-    def done(self):
-        return self.t >= self.n
-
-
-@pytest.fixture
-def numpy_only(monkeypatch):
-    """Force the probe to report the numba toolchain as absent."""
-    monkeypatch.setattr(kernels, "_numba_probe", False)
-
-
-@pytest.fixture
-def numba_present(monkeypatch):
-    """Force the probe to report the toolchain as present (resolution
-    only — building the backend would still need the real import)."""
-    monkeypatch.setattr(kernels, "_numba_probe", True)
-
-
-# ----------------------------------------------------------------------
-# registry semantics
-# ----------------------------------------------------------------------
-
-
 class TestResolveKernels:
-    def test_numpy_aliases_resolve(self):
-        assert kernels.resolve_kernels("numpy") == kernels.KERNEL_NUMPY
-        assert kernels.resolve_kernels("np") == kernels.KERNEL_NUMPY
-        assert kernels.resolve_kernels("interpreted") == kernels.KERNEL_NUMPY
+    def test_auto_falls_back_without_numba(self):
+        assert kernels.resolve_kernels("auto") == "numpy"
+        assert kernels.resolve_kernels("numpy") == "numpy"
 
-    def test_numba_aliases_resolve(self, numba_present):
-        assert kernels.resolve_kernels("numba") == kernels.KERNEL_NUMBA
-        assert kernels.resolve_kernels("jit") == kernels.KERNEL_NUMBA
-        assert kernels.resolve_kernels("compiled") == kernels.KERNEL_NUMBA
-
-    def test_auto_prefers_numba_when_available(self, numba_present):
-        assert kernels.resolve_kernels("auto") == kernels.KERNEL_NUMBA
-
-    def test_auto_falls_back_without_numba(self, numpy_only):
-        assert kernels.resolve_kernels("auto") == kernels.KERNEL_NUMPY
-
-    def test_explicit_numba_without_toolchain_rejected(self, numpy_only):
-        with pytest.raises(ConfigurationError, match="not importable"):
+    def test_explicit_numba_without_toolchain_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
             kernels.resolve_kernels("numba")
-        with pytest.raises(ConfigurationError, match="not importable"):
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
             kernels.resolve_kernels("jit")
 
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
             kernels.resolve_kernels("fortran")
 
-    def test_errors_are_repro_errors(self, numpy_only):
+    def test_errors_are_repro_errors(self):
         with pytest.raises(ReproError):
             kernels.resolve_kernels("fortran")
         with pytest.raises(ReproError):
             kernels.resolve_kernels("numba")
-
-    def test_probe_survives_broken_import(self, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def no_numba(name, *args, **kwargs):
-            if name == "numba":
-                raise ImportError("numba disabled for this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(kernels, "_numba_probe", None)
-        monkeypatch.setattr(builtins, "__import__", no_numba)
-        assert kernels.numba_available() is False
-        assert kernels.resolve_kernels("auto") == kernels.KERNEL_NUMPY
-
-
-class TestDispatchState:
-    def test_default_backend_is_numpy(self):
-        assert kernels.active().name == kernels.KERNEL_NUMPY
-
-    def test_get_backend_caches(self, numpy_only):
-        assert kernels.get_backend("numpy") is kernels.get_backend("np")
-        assert kernels.get_backend("auto") is kernels.get_backend("numpy")
-
-    def test_use_installs_process_wide(self, numpy_only):
-        backend = kernels.use("numpy")
-        assert kernels.active() is backend
-
-    def test_activated_restores_previous(self, numpy_only):
-        before = kernels.active()
-        with kernels.activated("numpy") as backend:
-            assert kernels.active() is backend
-        assert kernels.active() is before
-
-    def test_activated_restores_on_exception(self, numpy_only):
-        before = kernels.active()
-        with pytest.raises(RuntimeError):
-            with kernels.activated("numpy"):
-                raise RuntimeError("boom")
-        assert kernels.active() is before
-
-    def test_numpy_backend_has_zero_warmup(self):
-        assert kernels.get_backend("numpy").warmup_seconds == 0.0
-
-
-class TestEngineKnob:
-    def test_unknown_backend_fails_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            InSituEngine(_TickApp(2), kernels="fortran")
-
-    def test_explicit_numba_fails_eagerly_without_toolchain(self, numpy_only):
-        with pytest.raises(ConfigurationError, match="not importable"):
-            InSituEngine(_TickApp(2), kernels="numba")
-
-    def test_auto_resolves_to_concrete_backend(self, numpy_only):
-        engine = InSituEngine(_TickApp(2), kernels="auto")
-        assert engine.kernels == kernels.KERNEL_NUMPY
-
-    def test_scenario_layer_validates_names(self):
-        with pytest.raises(ReproError, match="unknown kernel"):
-            scenarios.run_scenario(
-                "heat-diffusion",
-                config=scenarios.RunConfig(quick=True, kernels="fortran"),
-            )
-
-    def test_scenario_run_records_resolved_backend(self, numpy_only):
-        run = scenarios.run_scenario(
-            "heat-diffusion", config=scenarios.RunConfig(quick=True)
-        )
-        assert run.kernels == kernels.KERNEL_NUMPY
-        assert run.to_json()["kernels"] == kernels.KERNEL_NUMPY
-
-
-# ----------------------------------------------------------------------
-# numpy backend vs straight-line references
-# ----------------------------------------------------------------------
 
 
 @pytest.fixture
@@ -187,27 +49,24 @@ class TestNumpyKernels:
     def test_gather_matches_fancy_index(self, rng):
         values = rng.standard_normal(32)
         locations = np.array([5, 0, 31, 7], dtype=np.int64)
-        backend = kernels.get_backend("numpy")
         np.testing.assert_array_equal(
-            backend.gather(values, locations), values[locations]
+            kernels.gather(values, locations), values[locations]
         )
 
     def test_temporal_features_matches_reference(self, rng):
         matrix = rng.standard_normal((10, 4))
-        backend = kernels.get_backend("numpy")
         anchor, order = 6, 3
         expected = matrix[anchor - order + 1: anchor + 1][::-1].T
         np.testing.assert_array_equal(
-            backend.temporal_features(matrix, anchor, order), expected
+            kernels.temporal_features(matrix, anchor, order), expected
         )
 
     def test_chan_update_matches_welford(self, rng):
         rows = rng.standard_normal((64, 5)) * 3.0 + 1.5
-        backend = kernels.get_backend("numpy")
         mean = np.zeros(5)
         m2 = np.zeros(5)
-        mean, m2, count = backend.chan_update(mean, m2, 0, rows[:40])
-        mean, m2, count = backend.chan_update(mean, m2, count, rows[40:])
+        mean, m2, count = kernels.chan_update(mean, m2, 0, rows[:40])
+        mean, m2, count = kernels.chan_update(mean, m2, count, rows[40:])
         # per-row Welford reference
         ref_mean = np.zeros(5)
         ref_m2 = np.zeros(5)
@@ -220,10 +79,9 @@ class TestNumpyKernels:
         np.testing.assert_allclose(m2, ref_m2, atol=1e-10)
 
     def test_chan_update_empty_block_is_identity(self):
-        backend = kernels.get_backend("numpy")
         mean = np.ones(3)
         m2 = np.full(3, 2.0)
-        out_mean, out_m2, count = backend.chan_update(
+        out_mean, out_m2, count = kernels.chan_update(
             mean, m2, 7, np.empty((0, 3))
         )
         assert count == 7
@@ -234,8 +92,7 @@ class TestNumpyKernels:
         rows = rng.standard_normal((16, 3))
         stats = RunningStats(3)
         stats.update(rows)
-        backend = kernels.get_backend("numpy")
-        mean, m2, count = backend.chan_update(
+        mean, m2, count = kernels.chan_update(
             np.zeros(3), np.zeros(3), 0, rows
         )
         assert stats.count == count
@@ -299,90 +156,9 @@ class TestNumpyKernels:
         prior = np.zeros(order)
         prior[0] = 1.0
         l2 = 0.1
-        backend = kernels.get_backend("numpy")
-        coef = backend.normal_solve(xs, ys, prior, l2)
+        coef = kernels.normal_solve(xs, ys, prior, l2)
         design = np.hstack([np.ones((k, 1)), xs])
         gram = design.T @ design + l2 * np.diag([0.0] + [1.0] * order)
         rhs = design.T @ ys + l2 * np.concatenate([[0.0], prior])
         expected, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         np.testing.assert_allclose(coef, expected, atol=PARITY_TOL)
-
-
-# ----------------------------------------------------------------------
-# compiled-backend parity (runs only where numba is importable)
-# ----------------------------------------------------------------------
-
-needs_numba = pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason="numba toolchain not importable (optional CI leg installs it)",
-)
-
-
-@needs_numba
-class TestCompiledParity:
-    def _run_pair(self, name, **kwargs):
-        interpreted = scenarios.run_scenario(
-            name,
-            config=scenarios.RunConfig(quick=True, kernels="numpy", **kwargs),
-        )
-        compiled = scenarios.run_scenario(
-            name,
-            config=scenarios.RunConfig(quick=True, kernels="numba", **kwargs),
-        )
-        assert interpreted.kernels == kernels.KERNEL_NUMPY
-        assert compiled.kernels == kernels.KERNEL_NUMBA
-        report = scenarios.crosscheck_analyses(
-            interpreted.analyses, compiled.analyses
-        )
-        assert report["compared"] == report["analyses"]
-        assert report["max_coefficient_delta"] <= PARITY_TOL, (
-            f"{name}: interpreted/compiled coefficient delta "
-            f"{report['max_coefficient_delta']:.3e} exceeds {PARITY_TOL:g}"
-        )
-        assert interpreted.result.stopped_at == compiled.result.stopped_at
-
-    @pytest.mark.parametrize("name", scenarios.names())
-    def test_serial_parity(self, name):
-        self._run_pair(name)
-
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in scenarios.names() if "simcomm" in scenarios.get(n).backends],
-    )
-    def test_two_rank_parity(self, name):
-        self._run_pair(name, n_ranks=2, backend="simcomm", crosscheck=False)
-
-    def test_kernel_functions_agree_directly(self):
-        rng = np.random.default_rng(7)
-        np_backend = kernels.get_backend("numpy")
-        nb_backend = kernels.get_backend("numba")
-        assert nb_backend.warmup_seconds >= 0.0
-
-        values = rng.standard_normal(64)
-        locations = np.array([3, 17, 0, 63], dtype=np.int64)
-        np.testing.assert_array_equal(
-            np_backend.gather(values, locations),
-            nb_backend.gather(values, locations),
-        )
-
-        matrix = rng.standard_normal((12, 5))
-        np.testing.assert_array_equal(
-            np_backend.temporal_features(matrix, 8, 4),
-            nb_backend.temporal_features(matrix, 8, 4),
-        )
-
-        rows = rng.standard_normal((40, 5)) * 2.0
-        a = np_backend.chan_update(np.zeros(5), np.zeros(5), 0, rows)
-        b = nb_backend.chan_update(np.zeros(5), np.zeros(5), 0, rows)
-        assert a[2] == b[2]
-        np.testing.assert_allclose(a[0], b[0], atol=PARITY_TOL)
-        np.testing.assert_allclose(a[1], b[1], atol=1e-10)
-
-        xs = rng.standard_normal((30, 3))
-        ys = rng.standard_normal(30)
-        prior = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(
-            np_backend.normal_solve(xs, ys, prior, 0.05),
-            nb_backend.normal_solve(xs, ys, prior, 0.05),
-            atol=PARITY_TOL,
-        )

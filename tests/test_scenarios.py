@@ -355,15 +355,23 @@ class TestAdapterRegistry:
 
 class TestRunConfig:
     def test_normalizes_aliases_at_construction(self):
-        config = scenarios.RunConfig(n_ranks=2, backend="mp", kernels="np")
+        config = scenarios.RunConfig(n_ranks=2, backend="mp")
         assert config.backend == "multiprocessing"
-        assert config.kernels == "numpy"
 
     def test_validates_eagerly(self):
         with pytest.raises(ScenarioError, match="n_ranks"):
             scenarios.RunConfig(n_ranks=0)
         with pytest.raises(ScenarioError, match="distributed"):
             scenarios.RunConfig(faults="kill:rank=1,iter=4")
+        # Flags are never coerced: bool("false") would flip the knob.
+        for flag in ("quick", "adaptive", "rebalance", "crosscheck"):
+            with pytest.raises(ScenarioError, match=flag):
+                scenarios.RunConfig(**{flag: "false"})
+            with pytest.raises(ScenarioError, match=flag):
+                scenarios.RunConfig(**{flag: 1})
+        for limit in (2.5, True, "5", -1):
+            with pytest.raises(ScenarioError, match="max_iterations"):
+                scenarios.RunConfig(max_iterations=limit)
 
     def test_json_round_trip(self):
         config = scenarios.RunConfig(
@@ -430,7 +438,6 @@ class TestCrosscheckConfigPartition:
             faults="kill:rank=2,iter=40",
             rebalance=True,
             max_iterations=100,
-            kernels="numpy",
         )
         twin = config.crosscheck_config()
         changed = {
@@ -461,7 +468,7 @@ class TestSchema2AndReplay:
         config = scenarios.RunConfig(quick=True, crosscheck=False)
         run = scenarios.run_scenario("heat-diffusion", config=config)
         payload = run.to_json()
-        assert payload["schema"] == scenarios.SCHEMA_VERSION == 3
+        assert payload["schema"] == scenarios.SCHEMA_VERSION == 4
         assert payload["config"] == config.to_json()
         assert scenarios.RunConfig.from_json(payload["config"]) == config
 
@@ -484,13 +491,14 @@ class TestSchema2AndReplay:
         fresh = scenarios.replay_report(stored)
         assert fresh.result.iterations == 32
 
-    @pytest.mark.parametrize("knob", ["transport", "pipeline"])
+    @pytest.mark.parametrize("knob", ["transport", "pipeline", "kernels"])
     def test_schema_2_config_with_removed_knob_rejected(self, knob):
         run = scenarios.run_scenario(
             "heat-diffusion", config=scenarios.RunConfig(quick=True)
         )
         stored = run.to_json()
-        stored["schema"] = 2
+        # transport and pipeline left with schema 3, kernels with 4.
+        stored["schema"] = 3 if knob == "kernels" else 2
         stored["config"] = dict(stored["config"], **{knob: "auto"})
         with pytest.raises(ScenarioError, match=knob):
             scenarios.replay_report(stored)

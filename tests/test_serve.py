@@ -141,7 +141,6 @@ class TestCacheKey:
         ("rebalance",
          RunConfig(quick=True, n_ranks=2),
          RunConfig(quick=True, n_ranks=2, rebalance=True)),
-        ("kernels", RunConfig(quick=True), RunConfig(quick=True, kernels="numpy")),
     ]
 
     @pytest.mark.parametrize("field, base, variant",
@@ -229,13 +228,25 @@ class TestServerRoundTrip:
     def test_bad_requests_rejected(self, client):
         unknown = client.run("no-such-scenario", QUICK)
         assert unknown.status == 400 and "no-such-scenario" in unknown.error
-        for config in ({"warp": 9}, {"transport": "shm"}):
+        bad_configs = (
+            {"warp": 9}, {"transport": "shm"}, {"kernels": "numba"},
+            {"quick": "false"}, {"adaptive": "true"}, {"rebalance": 0},
+            {"crosscheck": "false"}, {"max_iterations": 2.5},
+            {"max_iterations": True}, {"max_iterations": "5"},
+        )
+        for config in bad_configs:
             bad_config = client._request(
                 "POST", "/run",
                 json.dumps({"scenario": "heat-diffusion",
                             "config": config}).encode(),
             )
-            assert bad_config[0] == 400
+            assert bad_config[0] == 400, config
+        bad_flag = client._request(
+            "POST", "/run",
+            json.dumps({"scenario": "heat-diffusion", "config": {"quick": True},
+                        "no_cache": "false"}).encode(),
+        )
+        assert bad_flag[0] == 400
         assert client._request("GET", "/nope")[0] == 404
         assert client._request("GET", "/run")[0] == 405
 
