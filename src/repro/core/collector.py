@@ -22,6 +22,8 @@ Two pairing modes cover the paper's two case studies:
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -214,6 +216,25 @@ class SeriesStore:
         return row
 
 
+@dataclass
+class Feed:
+    """One collector push into a trainer, kept as its ``last_feed``.
+
+    Collectors sharing a trainer (see
+    :class:`repro.engine.collection.SharedCollector`) push each
+    iteration once; every later subscriber replays the record instead
+    of repeating the update.  ``seconds`` is what the push took, and
+    ``flush`` holds ``(final loss, seconds)`` once
+    :meth:`DataCollector.finalize` has flushed the trainer after it.
+    """
+
+    iteration: Optional[int]
+    losses: List[float]
+    samples: int
+    seconds: float
+    flush: Optional[Tuple[Optional[float], float]] = None
+
+
 class DataCollector:
     """Streams matching samples from the simulation into the trainer.
 
@@ -249,7 +270,9 @@ class DataCollector:
         simulation and every later one reuses the stored row, so the
         provider runs at most once per (location, iteration).  Omitted,
         the collector owns a private store — the original per-analysis
-        behaviour.
+        behaviour.  Collectors with identical training may share one
+        trainer too (:meth:`rebind_trainer`): the first one to observe
+        an iteration trains it, and the rest replay that update.
     """
 
     def __init__(
@@ -298,6 +321,9 @@ class DataCollector:
         self.store = store
         self._samples_emitted = 0
         self._rows_ingested = 0
+        #: Seconds of trainer updates this collector replayed from a
+        #: shared trainer instead of running them itself.
+        self.replayed_seconds = 0.0
         # Adaptive-cadence hooks (installed by the engine's cadence
         # layer; both default to "off" so standalone collectors behave
         # exactly as before).
@@ -323,6 +349,28 @@ class DataCollector:
                 f"but this collector samples {self.store.locations.tolist()}"
             )
         self.store = store
+
+    def rebind_trainer(self, trainer: MiniBatchTrainer) -> None:
+        """Train through an existing (shared) trainer.
+
+        Only legal before either trainer has taken a sample, so the
+        shared updates are exactly the ones this collector would have
+        run; the shared trainer's feature width must match this
+        collector's order.
+        """
+        if trainer is self.trainer:
+            return
+        if self.trainer.samples_seen or trainer.samples_seen:
+            raise ConfigurationError(
+                "cannot rebind a collector onto a trainer once either "
+                "trainer has taken samples"
+            )
+        if trainer.batch.n_features != self.order:
+            raise ConfigurationError(
+                f"shared trainer takes {trainer.batch.n_features} features "
+                f"but this collector emits {self.order}"
+            )
+        self.trainer = trainer
 
     @property
     def samples_emitted(self) -> int:
@@ -397,35 +445,61 @@ class DataCollector:
                 )
             self.store.add_row(iteration, row)
         self._rows_ingested += 1
-        if self.axis == "space":
-            return self._emit_spatial(iteration, row)
-        return self._emit_temporal(iteration)
+        feed = self.trainer.last_feed
+        if feed is not None and feed.iteration == iteration:
+            # A collector sharing this trainer already pushed this
+            # iteration's samples (they are identical here); replay the
+            # update's outcome instead of training twice.
+            self.replayed_seconds += feed.seconds
+        else:
+            tick = time.perf_counter()
+            if self.axis == "space":
+                losses, samples = self._emit_spatial(iteration, row)
+            else:
+                losses, samples = self._emit_temporal(iteration)
+            feed = Feed(iteration, losses, samples, time.perf_counter() - tick)
+            self.trainer.last_feed = feed
+        self._samples_emitted += feed.samples
+        return list(feed.losses)
 
     def finalize(self) -> Optional[float]:
-        """Flush a trailing partial mini-batch after collection ends."""
-        return self.trainer.finalize()
+        """Flush a trailing partial mini-batch after collection ends.
+
+        A shared trainer is flushed once: every later subscriber gets
+        the same final loss.
+        """
+        feed = self.trainer.last_feed
+        if feed is None:
+            feed = self.trainer.last_feed = Feed(None, [], 0, 0.0)
+        if feed.flush is None:
+            tick = time.perf_counter()
+            loss = self.trainer.finalize()
+            feed.flush = (loss, time.perf_counter() - tick)
+        else:
+            self.replayed_seconds += feed.flush[1]
+        return feed.flush[0]
 
     # ------------------------------------------------------------------
 
-    def _emit_spatial(self, iteration: int, row: np.ndarray) -> List[float]:
+    def _emit_spatial(
+        self, iteration: int, row: np.ndarray
+    ) -> Tuple[List[float], int]:
         lagged = self.store.row_at(iteration - self.lag)
         if lagged is None:
-            return []
+            return [], 0
         # Features ordered nearest-first.  With include_self the window
         # is V(l), V(l-1), ..., V(l-n+1) at the lagged time; without it,
         # the strict predecessors V(l-1), ..., V(l-n).
         first = self.first_target_offset
         n_targets = row.shape[0] - first
         if n_targets <= 0:
-            return []
+            return [], 0
         shift = 1 if self.include_self else 0
         windows = np.lib.stride_tricks.sliding_window_view(lagged, self.order)
         features = windows[first - self.order + shift: first - self.order
                            + shift + n_targets, ::-1]
         targets = row[first:]
-        losses = self.trainer.push_block(features, targets)
-        self._samples_emitted += n_targets
-        return losses
+        return self.trainer.push_block(features, targets), n_targets
 
     @property
     def first_target_offset(self) -> int:
@@ -434,13 +508,13 @@ class DataCollector:
             return 0
         return self.order - 1 if self.include_self else self.order
 
-    def _emit_temporal(self, iteration: int) -> List[float]:
+    def _emit_temporal(self, iteration: int) -> Tuple[List[float], int]:
         # Index of the row exactly `lag` iterations before the target.
         lag_rows = self.lag // self.temporal.step
         n = len(self.store)
         anchor = n - 1 - lag_rows
         if anchor - (self.order - 1) < 0:
-            return []
+            return [], 0
         # A sample built across an adaptive-cadence gap would pair
         # features at the wrong lag (see SeriesStore.lag_exact).
         if not self.store.lag_exact(
@@ -449,7 +523,7 @@ class DataCollector:
             order=self.order,
             step=self.temporal.step,
         ):
-            return []
+            return [], 0
         # Every location emits one sample: its `order` most recent
         # predecessors ending at the anchor row (most recent first)
         # predicting its value in the newest row.  One push_block over
@@ -460,6 +534,4 @@ class DataCollector:
             self.store.matrix(), anchor, self.order
         )
         targets = self.store.row(n - 1)
-        losses = self.trainer.push_block(features, targets)
-        self._samples_emitted += targets.shape[0]
-        return losses
+        return self.trainer.push_block(features, targets), targets.shape[0]

@@ -140,7 +140,7 @@ class CurveFitting(Analysis):
                 "threshold-based extraction needs reference_value"
             )
         effective_lag = temporal.step if lag is None else lag
-        self.model = ARModel(
+        model = ARModel(
             order,
             lag=effective_lag,
             learning_rate=learning_rate,
@@ -148,12 +148,11 @@ class CurveFitting(Analysis):
             l2=l2,
             seed=seed,
         )
-        self.trainer = MiniBatchTrainer(self.model, batch_size, order)
         self.collector = DataCollector(
             provider,
             spatial,
             temporal,
-            self.trainer,
+            MiniBatchTrainer(model, batch_size, order),
             lag=effective_lag,
             axis=axis,
             include_self=include_self,
@@ -172,6 +171,21 @@ class CurveFitting(Analysis):
         self._threshold_events: List[ThresholdEvent] = []
         self._finalized = False
         self._converged_at: Optional[int] = None
+
+    @property
+    def trainer(self) -> MiniBatchTrainer:
+        """The collector's trainer.
+
+        Shared with every identically-trained subscriber of the same
+        collection group until this analysis completes (see
+        :class:`repro.engine.collection.SharedCollector`).
+        """
+        return self.collector.trainer
+
+    @property
+    def model(self) -> ARModel:
+        """The AR model :attr:`trainer` updates."""
+        return self.collector.trainer.model
 
     @property
     def converged(self) -> bool:
@@ -231,8 +245,10 @@ class CurveFitting(Analysis):
             return None
         loc_index = int(np.where(above)[0].max())
         location = int(store.locations[loc_index])
-        already = any(e.iteration == iteration for e in self._threshold_events)
-        if already:
+        # Events are appended at most once per iteration, in increasing
+        # order, so only the newest one can already cover this one.
+        events = self._threshold_events
+        if events and events[-1].iteration == iteration:
             return None
         event = ThresholdEvent(
             iteration=iteration,

@@ -1,4 +1,4 @@
-"""Collection layer: sample each declared data window exactly once.
+"""Collection layer: sample each data window and train each model once.
 
 Historically every analysis owned a private
 :class:`~repro.core.collector.DataCollector`, so N analyses declared
@@ -8,9 +8,17 @@ times.  :class:`SharedCollector` removes that multiplier: analyses
 whose collectors agree on ``(provider, spatial, temporal)`` are grouped
 onto one :class:`~repro.core.collector.SeriesStore`, the first
 collector dispatched in an iteration samples the simulation, and every
-later one reuses the stored row.  Training state (trainer, model,
-monitor) stays per-analysis, so fit results are bit-identical to
-independent runs.
+later one reuses the stored row.
+
+Within a group, subscribers whose training is also identical (same
+pairing, batch and model hyperparameters, same initial weights) share
+one :class:`~repro.core.minibatch.MiniBatchTrainer` and its
+:class:`~repro.core.ar_model.ARModel`: the first one to observe an
+iteration runs the update and the rest replay it.  When one of them
+completes while others still train, :meth:`SharedCollector.fork` gives
+it a private copy frozen at its stop iteration.  Identical inputs give
+identical updates, so fit results are bit-identical to independent
+runs.  Early-stop monitors stay per analysis.
 
 Grouping is by provider *identity*: two textually identical lambdas are
 distinct providers and will not share.  Pass the same callable object
@@ -23,16 +31,60 @@ a bare view of one provider still share a sweep.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.ar_model import ARModel
 from repro.core.collector import DataCollector, SeriesStore
+from repro.core.minibatch import MiniBatchTrainer
 from repro.core.params import IterParam
 from repro.core.providers import provider_key
 
 
 def _window_key(param: IterParam) -> Tuple[int, int, int]:
     return (param.begin, param.end, param.step)
+
+
+def _group_key(collector: DataCollector) -> tuple:
+    return (
+        provider_key(collector.provider),
+        _window_key(collector.spatial),
+        _window_key(collector.temporal),
+    )
+
+
+def _training_key(collector: DataCollector) -> Optional[tuple]:
+    """Everything one update reads, or None when training can't be shared.
+
+    Only a fresh, exactly-typed ``MiniBatchTrainer`` over an
+    ``ARModel`` qualifies: a subclass may train differently, and a
+    trainer that has taken samples is no longer where a new subscriber
+    would start.
+    """
+    trainer = collector.trainer
+    model = trainer.model
+    if type(trainer) is not MiniBatchTrainer or type(model) is not ARModel:
+        return None
+    if trainer.samples_seen or model.updates:
+        return None
+    return (
+        collector.axis,
+        collector.lag,
+        collector.include_self,
+        collector.order,
+        trainer.batch.capacity,
+        trainer.drain_partial,
+        model.order,
+        model.lag,
+        model.learning_rate,
+        model.epochs_per_batch,
+        model.l2,
+        model.clip,
+        model.max_coefficient_sum,
+        model._w.tobytes(),
+        model._b,
+    )
 
 
 @dataclass
@@ -73,11 +125,12 @@ class CollectionGroup:
 
 
 class SharedCollector:
-    """Registry deduplicating data collection across analyses.
+    """Registry deduplicating data collection and training across analyses.
 
     ``subscribe`` inspects an analysis's collector and either starts a
     new group around its store or rebinds it onto an existing group's
-    store.  Analyses without a collector attribute (custom
+    store, and onto a subscriber's trainer when their training is
+    identical.  Analyses without a collector attribute (custom
     :class:`~repro.core.curve_fitting.Analysis` subclasses that manage
     their own data) are left untouched.
     """
@@ -94,19 +147,41 @@ class SharedCollector:
         collector = getattr(analysis, "collector", None)
         if not isinstance(collector, DataCollector):
             return False
-        key = (
-            provider_key(collector.provider),
-            _window_key(collector.spatial),
-            _window_key(collector.temporal),
-        )
+        key = _group_key(collector)
         group = self._groups.get(key)
         if group is None:
             self._groups[key] = CollectionGroup(
                 store=collector.store, collectors=[collector]
             )
-        else:
-            collector.rebind_store(group.store)
-            group.collectors.append(collector)
+            return True
+        collector.rebind_store(group.store)
+        training = _training_key(collector)
+        if training is not None:
+            for other in group.collectors:
+                if _training_key(other) == training:
+                    collector.rebind_trainer(other.trainer)
+                    break
+        group.collectors.append(collector)
+        return True
+
+    def fork(self, analysis) -> bool:
+        """Give a completed analysis a private copy of a shared trainer.
+
+        The scheduler calls this when ``analysis`` stops: if another
+        subscriber still trains through its trainer, the analysis gets
+        a deep copy of trainer and model, frozen at this iteration.
+        Returns True when a copy was made.
+        """
+        collector = getattr(analysis, "collector", None)
+        if not isinstance(collector, DataCollector):
+            return False
+        group = self._groups.get(_group_key(collector))
+        if group is None or not any(
+            other is not collector and other.trainer is collector.trainer
+            for other in group.collectors
+        ):
+            return False
+        collector.trainer = copy.deepcopy(collector.trainer)
         return True
 
     @property

@@ -18,8 +18,10 @@ early-stop state, and decides — under a configurable termination policy
     analyses have requested termination.
 
 An analysis that requests termination is *completed*: it is never
-dispatched again, so its model/trainer state is bit-identical to an
-independent run that terminated the simulation at that iteration.
+dispatched again, and if it shared its trainer with analyses that still
+train it gets a private copy (:meth:`SharedCollector.fork`), so its
+model/trainer state is bit-identical to an independent run that
+terminated the simulation at that iteration.
 
 :class:`InSituEngine` couples a scheduler with a
 :class:`~repro.engine.workload.SimulationApp`.  It is a thin façade
@@ -37,6 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.collector import DataCollector
 from repro.core.curve_fitting import Analysis
 from repro.core.events import ACTION_TERMINATE, StatusBroadcaster
 from repro.core.features import ExtractionSummary
@@ -97,11 +100,15 @@ class AnalysisScheduler:
         analysis's ``on_iteration`` hooks cost this run).  An analysis
         stops accumulating once it completes, so its total approximates
         the analysis-side cost an independent run terminating at the
-        same iteration would have paid — with one caveat: under shared
-        collection the provider sweep runs inside whichever subscriber
-        is dispatched first each iteration, so that subscriber carries
-        the (small — one provider call per window location) sampling
-        cost for the whole group.
+        same iteration would have paid.  Subscribers sharing a trainer
+        run each update once, inside whichever of them is dispatched
+        first; every other one is charged the seconds that update took
+        (``DataCollector.replayed_seconds``), so each still carries
+        its full training cost.  The provider sweep is not shared out
+        that way: under the engines' driver it runs in the executor's
+        collection phase, and a scheduler dispatched directly samples
+        inside the first subscriber (one provider call per window
+        location).
     stop_reducer:
         Optional collective agreement hook for the termination
         decision.  When set, every dispatch passes its local
@@ -209,8 +216,19 @@ class AnalysisScheduler:
         }
 
     def analysis_seconds(self) -> Dict[str, float]:
-        """Accumulated dispatch seconds per analysis, keyed by name."""
-        return {s.analysis.name: s.seconds for s in self._states}
+        """Accumulated dispatch seconds per analysis, keyed by name.
+
+        With ``record_timings``, each includes the seconds of the
+        shared-trainer updates the analysis replayed.
+        """
+        seconds = {}
+        for state in self._states:
+            total = state.seconds
+            collector = getattr(state.analysis, "collector", None)
+            if self.record_timings and isinstance(collector, DataCollector):
+                total += collector.replayed_seconds
+            seconds[state.analysis.name] = total
+        return seconds
 
     def summaries(self) -> Dict[str, ExtractionSummary]:
         """Per-analysis extraction summaries, keyed by analysis name."""
@@ -241,6 +259,10 @@ class AnalysisScheduler:
                     state.stopped_at = iteration
             if state.analysis.wants_stop and state.active:
                 state.stopped_at = iteration
+            if not state.active:
+                # Completed: freeze its training here while any twin
+                # sharing the trainer trains on.
+                self.shared.fork(state.analysis)
         satisfied = self._policy_satisfied()
         if self.stop_reducer is not None and not self._stop_requested:
             satisfied = bool(self.stop_reducer(satisfied))

@@ -158,9 +158,10 @@ def train_many_from_history(
     All analyses share the same declared data window, so the engine's
     shared-collection layer samples each history row exactly once and
     fans it out — an N-configuration sweep (thresholds, batch sizes,
-    model orders, ...) costs a single pass.  Each analysis keeps its
-    own trainer/model/monitor, so results are bit-identical to N
-    independent replays.
+    model orders, ...) costs a single pass.  Configurations with
+    identical training share one trainer/model (forked when one
+    stops); monitors stay per analysis, so results are bit-identical
+    to N independent replays.
     """
     arr = np.asarray(history, dtype=np.float64)
     app = ReplayApp(arr)

@@ -128,6 +128,8 @@ class TestThresholdEvents:
         events = analysis.threshold_events
         assert events
         assert all(abs(e.value) >= e.threshold_value for e in events)
+        iterations = [e.iteration for e in events]
+        assert all(a < b for a, b in zip(iterations, iterations[1:]))
 
     def test_no_events_above_unreachable_threshold(self):
         analysis, _ = _run_wave_analysis(

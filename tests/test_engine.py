@@ -4,12 +4,15 @@ The heart of this module is the equivalence regression: an N-threshold
 sweep through one shared-collection engine run must produce bit-identical
 fit coefficients and break points to N independent single-analysis runs,
 while invoking the variable provider at most once per
-(location, iteration).
+(location, iteration) and training each distinct model once.
 """
+
+import time
 
 import numpy as np
 import pytest
 
+from repro.core.ar_model import ARModel
 from repro.core.curve_fitting import Analysis, CurveFitting
 from repro.core.features import ExtractionSummary
 from repro.core.params import IterParam
@@ -104,6 +107,42 @@ class _StubAnalysis(Analysis):
         return ExtractionSummary(samples_collected=len(self.seen))
 
 
+class _StopAtCurveFitting(CurveFitting):
+    """Curve fitting that requests termination at a scripted iteration."""
+
+    def __init__(self, *args, stop_at, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stop_at = stop_at
+
+    def on_iteration(self, domain, iteration):
+        event = super().on_iteration(domain, iteration)
+        if iteration >= self.stop_at:
+            self.wants_stop = True
+        return event
+
+
+def _wave_history(n_iterations=200, n_locations=10):
+    """A travelling wave recording: smooth, so every update differs."""
+    t = np.arange(n_iterations, dtype=np.float64)[:, None]
+    loc = np.arange(n_locations, dtype=np.float64)[None, :]
+    return np.sin(0.05 * t - 0.3 * loc) + 0.01 * loc
+
+
+def _counting_partial_fit(monkeypatch, sleep=0.0):
+    """Count (and optionally slow) every ARModel.partial_fit call."""
+    calls = []
+    original = ARModel.partial_fit
+
+    def counted(self, x, y):
+        calls.append(self)
+        if sleep:
+            time.sleep(sleep)
+        return original(self, x, y)
+
+    monkeypatch.setattr(ARModel, "partial_fit", counted)
+    return calls
+
+
 class TestWorkloads:
     def test_adapters_satisfy_protocol(self):
         lulesh = as_simulation_app(LuleshSimulation(8, maintain_field=False))
@@ -164,6 +203,62 @@ class TestSharedCollector:
         assert a.collector.store is b.collector.store
         assert shared.n_groups == 1
         assert shared.shared_sweeps_saved == 1
+        # Different batch sizes train differently: no shared trainer.
+        assert a.trainer is not b.trainer
+
+    def test_identical_training_shares_one_trainer(self):
+        shared = SharedCollector()
+        a = self._analysis(ReplayApp.provider, threshold=0.1, reference_value=1.0)
+        b = self._analysis(ReplayApp.provider, accuracy_threshold=0.5)
+        shared.subscribe(a)
+        shared.subscribe(b)
+        assert a.trainer is b.trainer
+        assert a.model is b.model
+        # Early-stop monitors stay per analysis.
+        assert a.monitor is not b.monitor
+
+    # (field, override) — each differs from the base analysis in
+    # exactly the named training field, both sides valid.
+    TRAINING_VARIANTS = [
+        ("batch_size", {"batch_size": 8}),
+        ("learning_rate", {"learning_rate": 0.05}),
+        ("epochs_per_batch", {"epochs_per_batch": 4}),
+        ("l2", {"l2": 0.1}),
+        ("seed", {"seed": 1}),
+        ("lag", {"lag": 2}),
+        ("order", {"order": 3}),
+        ("include_self", {"include_self": False}),
+        ("axis", {"axis": "time"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, override",
+        TRAINING_VARIANTS,
+        ids=[v[0] for v in TRAINING_VARIANTS],
+    )
+    def test_each_training_field_prevents_sharing(self, field, override):
+        shared = SharedCollector()
+        a = self._analysis(ReplayApp.provider)
+        b = self._analysis(ReplayApp.provider, **override)
+        shared.subscribe(a)
+        shared.subscribe(b)
+        assert a.collector.store is b.collector.store
+        assert a.trainer is not b.trainer
+
+    def test_late_subscriber_after_training_gets_own_trainer(self):
+        shared = SharedCollector()
+        a = self._analysis(ReplayApp.provider)
+        shared.subscribe(a)
+        app = ReplayApp(np.arange(18.0).reshape(3, 6))
+        for iteration in (1, 2):
+            app.step()
+            a.on_iteration(app.domain, iteration)
+        assert a.trainer.samples_seen > 0
+        late = self._analysis(ReplayApp.provider)
+        shared.subscribe(late)
+        assert late.collector.store is a.collector.store
+        assert late.trainer is not a.trainer
+        assert late.trainer.samples_seen == 0
 
     def test_distinct_windows_do_not_share(self):
         shared = SharedCollector()
@@ -324,14 +419,17 @@ class TestSharedSweepSampling:
             return domain.xd(loc)
 
         engine = InSituEngine(sim, policy="all")
-        for i, threshold in enumerate(THRESHOLDS):
+        analyses = [
             engine.add_analysis(
                 _break_point_analysis(
                     total, threshold, counting_provider, f"t{i}"
                 )
             )
+            for i, threshold in enumerate(THRESHOLDS)
+        ]
         assert engine.scheduler.shared.n_groups == 1
         assert engine.scheduler.shared.shared_sweeps_saved == len(THRESHOLDS) - 1
+        assert all(a.trainer is analyses[0].trainer for a in analyses)
         result = engine.run()
         assert result.iterations > 0
         assert calls, "provider was never invoked"
@@ -343,6 +441,26 @@ class TestSharedSweepSampling:
             sum(1 for k in calls if k[0] == it) == 8
             for it in iterations_sampled
         )
+
+    def test_nine_threshold_sweep_trains_once(
+        self, lulesh_total_iterations, monkeypatch
+    ):
+        total = lulesh_total_iterations
+        fits = _counting_partial_fit(monkeypatch)
+        engine = InSituEngine(
+            LuleshSimulation(SIZE, maintain_field=False), policy="all"
+        )
+        analyses = [
+            engine.add_analysis(
+                _break_point_analysis(total, threshold, _provider, f"t{i}")
+            )
+            for i, threshold in enumerate(THRESHOLDS)
+        ]
+        engine.run()
+        updates = analyses[0].trainer.updates
+        assert updates > 0
+        assert len(fits) == updates
+        assert all(a.trainer.updates == updates for a in analyses)
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +588,119 @@ class TestTimings:
         assert result.seconds_at(25) == pytest.approx(
             float(result.step_seconds.sum())
         )
+
+
+# ----------------------------------------------------------------------
+# shared training: one trainer per distinct model, forked on completion
+# ----------------------------------------------------------------------
+
+
+class TestSharedTraining:
+    STOPS = (40, 90, 130)
+
+    @staticmethod
+    def _analysis(stop_at, name):
+        return _StopAtCurveFitting(
+            ReplayApp.provider,
+            (0, 9, 1),
+            (1, 180, 1),
+            order=3,
+            lag=1,
+            batch_size=8,
+            stop_at=stop_at,
+            name=name,
+        )
+
+    @pytest.fixture(scope="class")
+    def shared_and_solo(self):
+        history = _wave_history()
+        solo = {}
+        for stop in self.STOPS:
+            engine = InSituEngine(ReplayApp(history))
+            solo[stop] = engine.add_analysis(self._analysis(stop, "solo"))
+            assert engine.run().stopped_at == {"solo": stop}
+        engine = InSituEngine(ReplayApp(history), policy="all")
+        shared = {
+            stop: engine.add_analysis(self._analysis(stop, f"stop_{stop}"))
+            for stop in self.STOPS
+        }
+        assert len({id(a.trainer) for a in shared.values()}) == 1
+        result = engine.run()
+        return solo, shared, result
+
+    def test_each_fork_matches_its_solo_run(self, shared_and_solo):
+        solo, shared, result = shared_and_solo
+        for stop in self.STOPS:
+            alone, twin = solo[stop], shared[stop]
+            assert result.stopped_at[twin.name] == stop
+            np.testing.assert_array_equal(
+                alone.model.coefficients, twin.model.coefficients
+            )
+            assert alone.model.intercept == twin.model.intercept
+            assert alone.trainer.updates == twin.trainer.updates
+            assert alone.trainer.losses == twin.trainer.losses
+            assert (
+                alone.collector.samples_emitted
+                == twin.collector.samples_emitted
+            )
+            assert alone.summary() == twin.summary()
+        updates = [shared[stop].trainer.updates for stop in self.STOPS]
+        assert updates == sorted(updates) and len(set(updates)) == 3
+
+    def test_finalize_flushes_once_and_shares_the_loss(self):
+        shared = SharedCollector()
+        a, b = (
+            CurveFitting(
+                ReplayApp.provider, (0, 5, 1), (1, 40, 1),
+                order=2, lag=1, batch_size=4, name=name,
+            )
+            for name in "ab"
+        )
+        shared.subscribe(a)
+        shared.subscribe(b)
+        app = ReplayApp(_wave_history(n_iterations=2, n_locations=6))
+        for iteration in (1, 2):
+            app.step()
+            assert a.collector.observe(app.domain, iteration) == (
+                b.collector.observe(app.domain, iteration)
+            )
+        # Five samples in a batch of four: one update, one pending.
+        assert a.trainer.updates == 1 and len(a.trainer.batch) == 1
+        loss = a.collector.finalize()
+        assert loss is not None
+        assert b.collector.finalize() == loss
+        assert a.trainer.updates == 2
+        assert a.collector.samples_emitted == b.collector.samples_emitted == 5
+
+    def test_completed_analyses_end_on_distinct_trainers(self, shared_and_solo):
+        _, shared, _ = shared_and_solo
+        trainers = {id(a.trainer) for a in shared.values()}
+        models = {id(a.model) for a in shared.values()}
+        assert len(trainers) == len(models) == len(self.STOPS)
+
+    def test_replayed_updates_are_charged_to_every_subscriber(
+        self, lulesh_total_iterations, monkeypatch
+    ):
+        total = lulesh_total_iterations
+        _counting_partial_fit(monkeypatch, sleep=0.002)
+        engine = InSituEngine(
+            LuleshSimulation(SIZE, maintain_field=False),
+            policy="all",
+            record_timings=True,
+        )
+        analyses = [
+            engine.add_analysis(
+                _break_point_analysis(total, threshold, _provider, f"t{i}")
+            )
+            for i, threshold in enumerate((0.002, 0.02, 0.2))
+        ]
+        result = engine.run()
+        for analysis in analyses:
+            assert analysis.trainer.updates > 0
+            assert (
+                result.analysis_seconds[analysis.name]
+                >= 0.002 * analysis.trainer.updates
+            )
 
 
 class TestDoubleObserve:
