@@ -300,6 +300,8 @@ class ARModel:
             raise ConfigurationError(
                 f"feature/target count mismatch: {x.shape[0]} vs {y.shape[0]}"
             )
+        if x.shape[0] == 0:
+            raise ConfigurationError("cannot update on an empty batch")
         # The whole update — stats fold, standardisation, GD epochs with
         # clipping and the stationarity projection — is one fused call
         # to kernels.ar_batch_update; the stats aggregates are written

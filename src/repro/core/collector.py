@@ -54,6 +54,11 @@ class SeriesStore:
     the hot-path accessors are zero-copy: :meth:`matrix`,
     :meth:`row_at`, :meth:`row` and :meth:`series` all return O(1)
     read-only views into the buffer instead of re-stacking history.
+
+    Threshold checks ask one question of the newest row, once per
+    threshold: :meth:`reach`.  The store scans the row once and answers
+    every threshold from that scan, so analyses sharing the store share
+    the scan too.
     """
 
     def __init__(self, locations: np.ndarray, *, capacity: int = 64) -> None:
@@ -68,6 +73,8 @@ class SeriesStore:
         )
         self._iterations = np.empty(capacity, dtype=np.int64)
         self._index: Dict[int, int] = {}
+        # (row count, running max of |newest row| from its far end)
+        self._reach: Tuple[int, Optional[np.ndarray]] = (0, None)
 
     def __len__(self) -> int:
         return self._n
@@ -197,6 +204,26 @@ class SeriesStore:
     def last_row(self) -> Optional[np.ndarray]:
         """Most recently collected row, or None when empty."""
         return _view(self._data[self._n - 1]) if self._n else None
+
+    def reach(self, cut: float) -> Optional[int]:
+        """Index of the farthest location in the newest row with |v| >= cut.
+
+        None when no location of the newest row (or no row at all)
+        reaches ``cut``.  The first query after a row arrives takes the
+        running maximum of |row| from the far end, which never
+        decreases; every query then is one binary search over it, so
+        any number of thresholds cost one scan of the row.
+        """
+        if not self._n:
+            return None
+        count, far_max = self._reach
+        if count != self._n:
+            far_max = np.maximum.accumulate(np.abs(self._data[self._n - 1, ::-1]))
+            self._reach = (self._n, far_max)
+        below = int(far_max.searchsorted(cut))
+        if below == far_max.shape[0]:
+            return None
+        return far_max.shape[0] - 1 - below
 
     def series(self, location: int) -> Tuple[np.ndarray, np.ndarray]:
         """(iterations, values) time series of one location (views)."""

@@ -236,30 +236,30 @@ class CurveFitting(Analysis):
     def _check_threshold(self, iteration: int) -> Optional[StatusBroadcast]:
         """Emit an event when the newest collected row crosses threshold."""
         store = self.collector.store
-        if len(store) == 0 or store.iterations[-1] != iteration:
+        if store.last_iteration != iteration:
             return None
-        cut = self.threshold * self.reference_value
-        row = store.last_row()
-        above = np.abs(row) >= cut
-        if not above.any():
-            return None
-        loc_index = int(np.where(above)[0].max())
-        location = int(store.locations[loc_index])
         # Events are appended at most once per iteration, in increasing
         # order, so only the newest one can already cover this one.
         events = self._threshold_events
         if events and events[-1].iteration == iteration:
             return None
-        event = ThresholdEvent(
-            iteration=iteration,
-            location=location,
-            value=float(row[loc_index]),
-            threshold_value=cut,
+        cut = self.threshold * self.reference_value
+        loc_index = store.reach(cut)
+        if loc_index is None:
+            return None
+        location = int(store.locations[loc_index])
+        value = float(store.last_row()[loc_index])
+        events.append(
+            ThresholdEvent(
+                iteration=iteration,
+                location=location,
+                value=value,
+                threshold_value=cut,
+            )
         )
-        self._threshold_events.append(event)
         return StatusBroadcast(
             iteration=iteration,
-            predicted_value=float(row[loc_index]),
+            predicted_value=value,
             wavefront_rank=self.wavefront_rank(location),
             action=ACTION_CONTINUE,
         )

@@ -2,9 +2,10 @@
 
 Provides the plain-text table container every driver returns (so
 benchmarks can both assert on rows and print paper-style output), the
-cached reference runs (full LULESH / wdmerger simulations reused across
-tables), and the replay helpers that train analyses from a recorded
-history without re-running the simulation.  Replay runs through the
+timing protocol of the overhead tables (:func:`interleaved_medians`),
+the cached reference runs (full LULESH / wdmerger simulations reused
+across tables), and the replay helpers that train analyses from a
+recorded history without re-running the simulation.  Replay runs through the
 in-situ engine: N analyses over the same window cost one pass over the
 history with one provider sweep per collected row
 (:func:`train_many_from_history`).
@@ -12,17 +13,99 @@ history with one provider sweep per collected row
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import multiprocessing
+import statistics
+import traceback
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam, as_iter_param
 from repro.engine import InSituEngine, ReplayApp
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.scenarios import build_sim
+
+
+Run = TypeVar("Run")
+
+
+def _send_result(leg: Callable[[], Run], send) -> None:
+    try:
+        send.send((True, leg()))
+    except BaseException:  # reported to the parent, which raises
+        send.send((False, traceback.format_exc()))
+
+
+def run_forked(leg: Callable[[], Run]) -> Run:
+    """Call ``leg`` in a child forked from this process; return its result.
+
+    Every child starts from the same heap.  Run back to back in one
+    process, a run inherits the allocator state the run before left, and
+    whether its large arrays page-fault (which can double a run's time
+    on a VM) depends on that history rather than on the run itself.
+    Where fork is unavailable the leg runs in this process.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return leg()
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(leg, send))
+    child.start()
+    send.close()
+    try:
+        ok, value = receive.recv()
+    except EOFError:  # the child died before it could report
+        ok, value = False, None
+    finally:
+        receive.close()
+        child.join()
+    if not ok:
+        raise ReproError(
+            "timed run failed in its child process:\n"
+            + (value or f"exit code {child.exitcode}")
+        )
+    return value
+
+
+def interleaved_medians(
+    legs: Sequence[Callable[[], Run]], groups: int
+) -> List[Run]:
+    """Time ``legs`` in interleaved groups; return one median run per leg.
+
+    A group runs every leg once, each in its own forked child
+    (:func:`run_forked`).  The first group runs the legs in the given
+    order and each later group reverses the order of the one before, so
+    host drift over the minutes a table takes lands on every leg alike.
+    The first leg is the baseline (the uninstrumented run).  Its
+    reported ``seconds`` is its median over the groups; every other
+    leg reports the baseline median times the median over the groups of
+    its ratio to the baseline run of the same group.  Runs seconds
+    apart share the host's speed, so the ratio cancels what the host
+    did between groups, and the percentages a table derives from these
+    seconds are the median paired ones.  The other fields of each
+    returned run come from that leg's first run: they are
+    deterministic.
+    """
+    if groups <= 0:
+        raise ConfigurationError(f"groups must be positive, got {groups}")
+    runs: List[List[Run]] = [[] for _ in legs]
+    order = list(range(len(legs)))
+    for _ in range(groups):
+        for leg in order:
+            runs[leg].append(run_forked(legs[leg]))
+        order.reverse()
+    base = [run.seconds for run in runs[0]]
+    base_median = statistics.median(base)
+    out = [replace(runs[0][0], seconds=base_median)]
+    for leg in runs[1:]:
+        ratio = statistics.median(
+            run.seconds / seconds for run, seconds in zip(leg, base)
+        )
+        out.append(replace(leg[0], seconds=base_median * ratio))
+    return out
 
 
 @dataclass

@@ -15,13 +15,18 @@ serial times (see README.md).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.core.params import IterParam
 from repro.engine import InSituEngine, LuleshApp
-from repro.experiments.common import Table
+from repro.experiments.common import (
+    Table,
+    interleaved_medians,
+    lulesh_reference,
+)
 from repro.experiments.scaling import ScalingModel
 from repro.instrument.overhead import overhead_percent, share_percent
 from repro.lulesh import LuleshSimulation
@@ -188,13 +193,34 @@ def measure_sweep(
     return out
 
 
+def _pairs(size: int) -> int:
+    """Interleaved (origin, non-stop) pairs timed per Table III size.
+
+    Five while a pair takes about a second; three once one 60^3 run
+    alone takes several.
+    """
+    return 5 if size <= 30 else 3
+
+
+def _warmup() -> None:
+    """One tiny origin and instrumented run before the timed runs fork
+    from this process, so numpy's and the engine's first-call costs do
+    not land inside a measurement."""
+    origin = measure_original(12)
+    measure_instrumented(12, origin.iterations, early_stop=False)
+
+
 def table3(
     sizes: Sequence[int] = (30, 60, 90),
     ranks: Sequence[int] = (1, 8, 27),
 ) -> Table:
     """Table III: original vs with-FE execution time and overhead (%).
 
-    One serial pair (origin, non-stop) is measured per size; each MPI
+    After one warm-up, each size times serial origin and non-stop runs
+    as interleaved pairs (:func:`_pairs` of them, alternating which runs
+    first): the origin column is the median origin run, and the
+    non-stop column is that times the median paired ratio
+    (:func:`~repro.experiments.common.interleaved_medians`).  Each MPI
     configuration's row applies the scaling model to both, with the
     broadcast charges added to the instrumented side only.
     """
@@ -206,13 +232,23 @@ def table3(
             "all rank counts and sizes."
         ),
     )
+    _warmup()
     measured = {}
     for size in sizes:
-        origin = measure_original(size)
-        instrumented = measure_instrumented(
-            size, origin.iterations, ranks=max(ranks), early_stop=False
+        iterations = lulesh_reference(size).total_iterations
+        measured[size] = interleaved_medians(
+            [
+                functools.partial(measure_original, size),
+                functools.partial(
+                    measure_instrumented,
+                    size,
+                    iterations,
+                    ranks=max(ranks),
+                    early_stop=False,
+                ),
+            ],
+            _pairs(size),
         )
-        measured[size] = (origin, instrumented)
     for n_ranks in ranks:
         for size in sizes:
             origin, instrumented = measured[size]

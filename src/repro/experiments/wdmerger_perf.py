@@ -7,13 +7,14 @@ onto the paper's MPI x OpenMP configurations with the scaling model.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.params import IterParam
 from repro.engine import InSituEngine, WdMergerApp
-from repro.experiments.common import Table
+from repro.experiments.common import Table, interleaved_medians
 from repro.experiments.scaling import ScalingModel
 from repro.instrument.overhead import acceleration_percent, overhead_percent
 from repro.parallel.comm import SimComm
@@ -69,15 +70,10 @@ def _attach_analyses(
     return analyses
 
 
-_warmed_up = False
-
-
 def _warmup() -> None:
-    """Trigger numpy's lazy imports (median, fft, random) once so they
-    do not land inside a timed measurement."""
-    global _warmed_up
-    if _warmed_up:
-        return
+    """Trigger numpy's lazy imports (median, fft, random) and the
+    engine's first-call costs once, before the timed runs fork from
+    this process, so they do not land inside a measurement."""
     import numpy as np
 
     np.median(np.arange(8.0))
@@ -86,67 +82,65 @@ def _warmup() -> None:
     engine = InSituEngine(WdMergerApp(sim), name="warmup")
     _attach_analyses(sim, engine, early_stop=False)
     engine.run()
-    _warmed_up = True
 
 
-def _repeats(resolution: int) -> int:
-    """Cheap runs are measured best-of-2 to damp scheduler noise."""
-    return 2 if resolution <= 32 else 1
+def _groups(resolution: int) -> int:
+    """Interleaved (origin, non-stop, stop) groups timed per resolution.
+
+    Five while a group takes a second or two; three for the
+    multi-second 48^3 runs.
+    """
+    return 5 if resolution <= 32 else 3
 
 
 def measure_original(resolution: int) -> WdMeasuredRun:
-    _warmup()
-    best = None
-    for _ in range(_repeats(resolution)):
-        sim = WdMergerSimulation(resolution)
-        start = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best.seconds:
-            best = WdMeasuredRun(
-                resolution=resolution,
-                iterations=sim.iteration,
-                seconds=elapsed,
-            )
-    return best
+    sim = WdMergerSimulation(resolution)
+    start = time.perf_counter()
+    sim.run()
+    elapsed = time.perf_counter() - start
+    return WdMeasuredRun(
+        resolution=resolution, iterations=sim.iteration, seconds=elapsed
+    )
 
 
 def measure_instrumented(
     resolution: int, *, early_stop: bool, ranks: int = 8
 ) -> WdMeasuredRun:
-    _warmup()
-    best = None
-    for _ in range(_repeats(resolution)):
-        sim = WdMergerSimulation(resolution)
-        comm = SimComm(ranks)
-        engine = InSituEngine(WdMergerApp(sim), comm=comm, name="wdmerger")
-        analyses = _attach_analyses(sim, engine, early_stop=early_stop)
-        start = time.perf_counter()
-        engine.run()
-        elapsed = time.perf_counter() - start
-        delay = None
-        for analysis in analyses:
-            if analysis.delay_feature is not None:
-                delay = analysis.delay_feature.delay_time
-                break
-        run = WdMeasuredRun(
-            resolution=resolution,
-            iterations=sim.iteration,
-            seconds=elapsed,
-            broadcasts=comm.broadcast_count,
-            stopped_at_time=sim.time,
-            delay_time=delay,
-        )
-        if best is None or run.seconds < best.seconds:
-            best = run
-    return best
+    sim = WdMergerSimulation(resolution)
+    comm = SimComm(ranks)
+    engine = InSituEngine(WdMergerApp(sim), comm=comm, name="wdmerger")
+    analyses = _attach_analyses(sim, engine, early_stop=early_stop)
+    start = time.perf_counter()
+    engine.run()
+    elapsed = time.perf_counter() - start
+    delay = None
+    for analysis in analyses:
+        if analysis.delay_feature is not None:
+            delay = analysis.delay_feature.delay_time
+            break
+    return WdMeasuredRun(
+        resolution=resolution,
+        iterations=sim.iteration,
+        seconds=elapsed,
+        broadcasts=comm.broadcast_count,
+        stopped_at_time=sim.time,
+        delay_time=delay,
+    )
 
 
 def table7(
     resolutions: Sequence[int] = (16, 32, 48),
     configs: Sequence[Tuple[int, int]] = TABLE7_CONFIGS,
 ) -> Table:
-    """Table VII: Orig / No-stop / Ovh / Stop / Acc per configuration."""
+    """Table VII: Orig / No-stop / Ovh / Stop / Acc per configuration.
+
+    After one warm-up, each resolution times the origin, non-stop and
+    stop runs as interleaved groups (:func:`_groups` of them,
+    alternating which runs first): the origin column is the median
+    origin run, and the other two are that times their median ratio to
+    the origin run of the same group
+    (:func:`~repro.experiments.common.interleaved_medians`).
+    """
     table = Table(
         title="Table VII — wdmerger execution time, overhead and acceleration",
         headers=[
@@ -159,12 +153,21 @@ def table7(
             "(~48% at 16^3 up to ~67% at 48^3)."
         ),
     )
+    _warmup()
     measured = {}
     for resolution in resolutions:
-        origin = measure_original(resolution)
-        nonstop = measure_instrumented(resolution, early_stop=False)
-        stop = measure_instrumented(resolution, early_stop=True)
-        measured[resolution] = (origin, nonstop, stop)
+        measured[resolution] = interleaved_medians(
+            [
+                functools.partial(measure_original, resolution),
+                functools.partial(
+                    measure_instrumented, resolution, early_stop=False
+                ),
+                functools.partial(
+                    measure_instrumented, resolution, early_stop=True
+                ),
+            ],
+            _groups(resolution),
+        )
     for ranks, threads in configs:
         for resolution in resolutions:
             origin, nonstop, stop = measured[resolution]

@@ -55,6 +55,10 @@ class LuleshDomain:
         self._radii = np.sqrt(xx**2 + yy**2 + zz**2).ravel()
         self.velocity = np.zeros(size**3)
         self._field_cycle = -1
+        #: Peak |u| over the radial mesh after the latest step.  The
+        #: simulation step publishes it, so every analysis reads one
+        #: reduction per step instead of taking its own.
+        self.peak_speed = float(np.max(np.abs(mesh.u)))
 
     def xd(self, loc: int) -> float:
         """Velocity magnitude at radial node ``loc`` (paper's provider).
@@ -112,12 +116,3 @@ class LuleshDomain:
         broadcasts carry.
         """
         return int(np.argmax(self.mesh.pressure + self.mesh.q))
-
-    def initial_velocity(self) -> float:
-        """The "velocity initiated by the blast": peak radial speed so far.
-
-        Thresholds in the break-point study are expressed as fractions
-        of this value; callers should read it after the blast has
-        launched (a few iterations in).
-        """
-        return float(np.max(np.abs(self.mesh.u)))

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.core.curve_fitting import CurveFitting
 from repro.core.events import ACTION_TERMINATE, StatusBroadcast
 from repro.core.features import BreakPointFeature
@@ -67,10 +65,10 @@ class BreakPointAnalysis(CurveFitting):
         before = self.collector.rows_ingested
         event = super().on_iteration(domain, iteration)
         # Track the blast reference velocity as the run's peak so far
-        # when the caller did not pin one.
+        # when the caller did not pin one; the simulation step published
+        # this step's peak on the domain.
         if self._reference_dynamic:
-            peak = float(np.max(np.abs(domain.mesh.u)))
-            self.reference_value = max(self.reference_value, peak)
+            self.reference_value = max(self.reference_value, domain.peak_speed)
         n = self.collector.rows_ingested
         # Confirmation is due only on iterations that actually collected
         # a sample — the stale count would otherwise retrigger the

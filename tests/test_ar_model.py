@@ -185,6 +185,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             model.partial_fit(np.ones((4, 2)), np.ones(3))
 
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_empty_batch_rejected_without_state_change(self, trained):
+        model = _trained_identity(order=3) if trained else ARModel(3)
+        before = (
+            model._w.tobytes(), model._b, model.updates,
+            model.x_stats.count, model.x_stats._mean.tobytes(),
+            model.y_stats.count, model.y_stats._mean.tobytes(),
+        )
+        with pytest.raises(ConfigurationError, match="empty batch"):
+            model.partial_fit(np.empty((0, 3)), np.empty(0))
+        after = (
+            model._w.tobytes(), model._b, model.updates,
+            model.x_stats.count, model.x_stats._mean.tobytes(),
+            model.y_stats.count, model.y_stats._mean.tobytes(),
+        )
+        assert after == before
+        assert model.is_trained == trained
+
 
 def _trained_identity(order=2, n=400, seed=1):
     """Model trained on y = x0 (persistence)."""

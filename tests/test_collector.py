@@ -107,6 +107,20 @@ class TestSeriesStore:
         assert store.last_row() is None
         store.add_row(1, np.array([]))
         assert store.matrix().shape == (1, 0)
+        assert store.reach(0.0) is None
+
+    def test_reach_matches_brute_force(self):
+        rng = np.random.default_rng(3)
+        store = SeriesStore(np.arange(7), capacity=1)
+        assert store.reach(0.5) is None
+        for iteration in range(1, 20):
+            row = rng.normal(0.0, 1.0, 7)
+            store.add_row(iteration, row)
+            peak = float(np.abs(row).max())
+            for cut in (-1.0, 0.0, 0.3, 1.0, peak, abs(row[2]), peak + 1.0):
+                above = np.where(np.abs(row) >= cut)[0]
+                expected = int(above.max()) if above.size else None
+                assert store.reach(cut) == expected
 
 
 class TestMergeShards:

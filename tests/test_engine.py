@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.ar_model import ARModel
+from repro.core.collector import SeriesStore
 from repro.core.curve_fitting import Analysis, CurveFitting
-from repro.core.features import ExtractionSummary
+from repro.core.features import ExtractionSummary, ThresholdEvent
 from repro.core.params import IterParam
 from repro.core.region import Region
 from repro.engine import (
@@ -534,6 +535,102 @@ class TestSweepEquivalence:
             _, solo_run = solo[threshold]
             name = shared[threshold].name
             assert result.stopped_at[name] == solo_run.iterations
+
+
+class _RowApp:
+    """Workload replaying scripted rows; the domain is the app itself."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.t = 0
+        self.row = None
+
+    def step(self):
+        self.row = self.rows[self.t]
+        self.t += 1
+
+    @property
+    def domain(self):
+        return self
+
+    @property
+    def done(self):
+        return self.t >= len(self.rows)
+
+    @property
+    def max_iterations(self):
+        return len(self.rows)
+
+
+def _row_provider(domain, loc):
+    return float(domain.row[loc])
+
+
+class TestSharedThresholdEvents:
+    """Every threshold of a shared sweep reports what a brute-force scan
+    of each collected row finds: the farthest location with |v| >= cut."""
+
+    SWEEP = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.25, 0.3)
+    REFERENCE = 2.0
+    WINDOW_END = 40
+
+    def _rows(self):
+        rng = np.random.default_rng(11)
+        rows = rng.normal(0.0, 0.35, (self.WINDOW_END + 5, 12))
+        cut = self.SWEEP[4] * self.REFERENCE
+        rows[9] = rng.uniform(-0.5, 0.5, 12) * cut
+        rows[9, 8] = -cut  # exactly on the cut, and the farthest to reach it
+        rows[14] = rng.uniform(-0.9, 0.9, 12) * self.SWEEP[0] * self.REFERENCE
+        return rows
+
+    def test_events_equal_brute_force(self):
+        rows = self._rows()
+        engine = InSituEngine(_RowApp(rows), policy="all")
+        analyses = []
+        for threshold in self.SWEEP:
+            analysis = CurveFitting(
+                _row_provider,
+                IterParam(0, 11, 1),
+                IterParam(1, self.WINDOW_END, 1),
+                order=3,
+                lag=1,
+                batch_size=8,
+                threshold=threshold,
+                reference_value=self.REFERENCE,
+                name=f"threshold_{threshold:g}",
+            )
+            if not analyses:
+                # A one-row store grows while the sweep runs.
+                analysis.collector.rebind_store(
+                    SeriesStore(np.arange(12), capacity=1)
+                )
+            analyses.append(engine.add_analysis(analysis))
+        engine.run()
+        store = analyses[0].collector.store
+        assert all(a.collector.store is store for a in analyses)
+        assert store.matrix().shape[0] == self.WINDOW_END
+        assert store._data.shape[0] > 1
+
+        for analysis in analyses:
+            cut = analysis.threshold * self.REFERENCE
+            expected = []
+            # The row that completes the window concludes the analysis
+            # instead of being checked against the threshold.
+            for iteration in range(1, self.WINDOW_END):
+                row = rows[iteration - 1]
+                above = np.where(np.abs(row) >= cut)[0]
+                if above.size:
+                    loc = int(above.max())
+                    expected.append(
+                        ThresholdEvent(iteration, loc, float(row[loc]), cut)
+                    )
+            assert analysis.threshold_events == expected, analysis.name
+        exact = analyses[4].threshold_events
+        assert any(
+            e.iteration == 10 and e.location == 8 and e.value == -e.threshold_value
+            for e in exact
+        )
+        assert all(e.iteration != 15 for a in analyses for e in a.threshold_events)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Tests for the experiment harness (tables, replay training, scaling)."""
 
+import multiprocessing
+import os
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.core.params import IterParam
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import (
     Table,
+    interleaved_medians,
     lulesh_reference,
+    run_forked,
     train_from_history,
     train_series_from_history,
 )
@@ -37,6 +43,78 @@ class TestTable:
         assert "col1" in text
         assert "1.235" in text
         assert "a note" in text
+
+
+@dataclass(frozen=True)
+class _Run:
+    seconds: float
+    leg: int
+
+
+class _ScriptedLeg:
+    """A leg returning scripted seconds, one per call, in call order.
+
+    Legs run in forked children, so the call log and counters live in
+    shared memory the children write through.
+    """
+
+    def __init__(self, leg, seconds, log):
+        self.leg = leg
+        self.seconds = seconds
+        self.calls = multiprocessing.Value("i", 0)
+        self.log = log
+
+    def __call__(self):
+        with self.log.get_lock():
+            self.log[self.log[0] + 1] = self.leg
+            self.log[0] += 1
+        call = self.calls.value
+        self.calls.value += 1
+        return _Run(self.seconds[call], self.leg)
+
+
+class TestInterleavedMedians:
+    def _legs(self, *seconds):
+        log = multiprocessing.Array("i", 1 + sum(len(s) for s in seconds))
+        return [_ScriptedLeg(i, s, log) for i, s in enumerate(seconds)], log
+
+    def test_groups_alternate_leg_order(self):
+        legs, log = self._legs([1.0] * 3, [1.0] * 3, [1.0] * 3)
+        interleaved_medians(legs, 3)
+        assert list(log[1:]) == [0, 1, 2, 2, 1, 0, 0, 1, 2]
+
+    def test_reports_baseline_median_times_median_paired_ratio(self):
+        base = [1.0, 3.0, 2.0]
+        legs, _ = self._legs(base, [1.5, 3.3, 2.2], [0.5, 1.2, 1.0])
+        origin, instrumented, stopped = interleaved_medians(legs, 3)
+        assert origin == _Run(2.0, 0)
+        # paired ratios 1.5, 1.1, 1.1 and 0.5, 0.4, 0.5
+        assert instrumented.seconds == pytest.approx(2.0 * 1.1)
+        assert stopped.seconds == pytest.approx(2.0 * 0.5)
+        assert (instrumented.leg, stopped.leg) == (1, 2)
+
+    def test_groups_must_be_positive(self):
+        legs, _ = self._legs([1.0])
+        with pytest.raises(ConfigurationError):
+            interleaved_medians(legs, 0)
+
+    def test_failing_run_raises_with_its_traceback(self):
+        def boom():
+            raise ValueError("leg exploded")
+
+        with pytest.raises(ReproError, match="leg exploded"):
+            run_forked(boom)
+
+    def test_forked_run_returns_result(self):
+        assert run_forked(lambda: _Run(0.5, 7)) == _Run(0.5, 7)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="runs in-process without fork",
+    )
+    def test_child_dying_before_it_reports_raises(self):
+        with pytest.raises(ReproError, match="exit code 3"):
+            run_forked(lambda: os._exit(3))
 
 
 class TestReplayTraining:

@@ -45,6 +45,50 @@ def rng():
     return np.random.default_rng(42)
 
 
+def _legacy_update(model, x, y, w, b, x_stats, y_stats, hits):
+    """Straight-line reference for one ``ARModel.partial_fit``.
+
+    Stats fold, standardise, then clipped GD epochs with the
+    stationarity projection after each step, every term recomputed in
+    place.  ``hits`` collects the branches taken.  Returns ``(pre_mse,
+    w, b)``; the stats aggregates are updated in place.
+    """
+    x_stats.update(x)
+    y_stats.update(y.reshape(-1, 1))
+    xs = (x - x_stats.mean) / x_stats.std
+    ys = (y - y_stats.mean[0]) / y_stats.std[0]
+    k = xs.shape[0]
+    bound = model.max_coefficient_sum
+    prior = model._prior
+    w = w.copy()
+    pre_mse = float(np.mean((xs @ w + b - ys) ** 2))
+    for _ in range(model.epochs_per_batch):
+        residual = xs @ w + b - ys
+        grad_w = 2.0 * (xs.T @ residual) / k + 2.0 * model.l2 * (w - prior)
+        grad_b = 2.0 * float(np.mean(residual))
+        norm = float(np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b))
+        if norm > model.clip:
+            hits.add("clip")
+            grad_w = grad_w * (model.clip / norm)
+            grad_b = grad_b * (model.clip / norm)
+        w = w - model.learning_rate * grad_w
+        b -= model.learning_rate * grad_b
+        if bound is None:
+            continue
+        scale = float(y_stats.std[0]) / x_stats.std
+        total = float(np.sum(w * scale))
+        if total > bound:
+            prior_total = float(np.sum(prior * scale))
+            deviation = total - prior_total
+            if deviation <= 0 or prior_total >= bound:
+                hits.add("scale_down")
+                w *= bound / total
+            else:
+                hits.add("shrink")
+                w = prior + (bound - prior_total) / deviation * (w - prior)
+    return pre_mse, w, b
+
+
 class TestNumpyKernels:
     def test_gather_matches_fancy_index(self, rng):
         values = rng.standard_normal(32)
@@ -98,56 +142,65 @@ class TestNumpyKernels:
         assert stats.count == count
         np.testing.assert_array_equal(stats.mean, mean)
 
-    def test_ar_batch_update_matches_legacy_sequence(self, rng):
-        order, k = 3, 32
-        x = rng.standard_normal((k, order)) * 2.0 + 0.3
-        y = rng.standard_normal(k) + 0.1
-        model = ARModel(order, seed=9, l2=0.01, epochs_per_batch=4)
-        w0, b0 = model._w.copy(), model._b
-
-        # legacy reference: stats fold, standardise, clipped GD epochs
-        # with the stationarity projection after each step
+    @pytest.mark.parametrize(
+        "kwargs, coef, batches, hit, missed",
+        [
+            pytest.param(
+                {"clip": 0.05}, (0.2, 0.5, -0.4), 1, {"clip"}, set(),
+                id="clip",
+            ),
+            pytest.param(
+                {}, (3.0, 0.0, 0.0), 1, {"scale_down"}, {"shrink"},
+                id="scale_down",
+            ),
+            pytest.param(
+                {}, (0.8, 0.6, 0.0), 1, {"shrink"}, {"scale_down"},
+                id="shrink",
+            ),
+            pytest.param(
+                {"max_coefficient_sum": None}, (3.0, 0.0, 0.0), 1, set(),
+                {"scale_down", "shrink"}, id="no_projection",
+            ),
+            pytest.param(
+                {"l2": 0.5}, (0.5, 0.3, 0.1), 1, set(), set(), id="l2"
+            ),
+            pytest.param(
+                {"l2": 0.01}, (0.8, 0.6, 0.0), 4, {"shrink"}, set(),
+                id="batches",
+            ),
+        ],
+    )
+    def test_ar_batch_update_bit_identical_to_reference(
+        self, rng, kwargs, coef, batches, hit, missed
+    ):
+        """The fused update equals the straight-line reference bit for bit,
+        on every branch it rearranges (clip, both projections, none)."""
+        order, k = 3, 64
+        model = ARModel(
+            order, seed=9, learning_rate=0.1, epochs_per_batch=8, **kwargs
+        )
         x_stats = RunningStats(order)
         y_stats = RunningStats(1)
-        x_stats.update(x)
-        y_stats.update(y.reshape(-1, 1))
-        xs = (x - x_stats.mean) / x_stats.std
-        ys = (y - y_stats.mean[0]) / y_stats.std[0]
-        w, b = w0.copy(), b0
-        ref_pre_mse = float(np.mean((xs @ w + b - ys) ** 2))
-        for _ in range(model.epochs_per_batch):
-            residual = xs @ w + b - ys
-            grad_w = 2.0 * (xs.T @ residual) / k + 2.0 * model.l2 * (
-                w - model._prior
+        w, b = model._w.copy(), model._b
+        hits = set()
+        for _ in range(batches):
+            x = rng.standard_normal((k, order)) * 2.0 + 0.3
+            y = x @ np.asarray(coef) + 0.1 * rng.standard_normal(k) + 0.1
+            ref_pre_mse, w, b = _legacy_update(
+                model, x, y, w, b, x_stats, y_stats, hits
             )
-            grad_b = 2.0 * float(np.mean(residual))
-            norm = float(np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b))
-            if norm > model.clip:
-                grad_w = grad_w * (model.clip / norm)
-                grad_b = grad_b * (model.clip / norm)
-            w = w - model.learning_rate * grad_w
-            b -= model.learning_rate * grad_b
-            scale = float(y_stats.std[0]) / x_stats.std
-            total = float(np.sum(w * scale))
-            if total > model.max_coefficient_sum:
-                prior_total = float(np.sum(model._prior * scale))
-                deviation = total - prior_total
-                if deviation <= 0 or prior_total >= model.max_coefficient_sum:
-                    w *= model.max_coefficient_sum / total
-                else:
-                    shrink = (
-                        model.max_coefficient_sum - prior_total
-                    ) / deviation
-                    w = model._prior + shrink * (w - model._prior)
-
-        pre_mse = model.partial_fit(x, y)
-        assert pre_mse == pytest.approx(ref_pre_mse, abs=PARITY_TOL)
-        np.testing.assert_allclose(model._w, w, atol=PARITY_TOL)
-        assert model._b == pytest.approx(b, abs=PARITY_TOL)
-        assert model._x_stats.count == k
-        np.testing.assert_allclose(
-            model._x_stats.mean, x_stats.mean, atol=PARITY_TOL
-        )
+            pre_mse = model.partial_fit(x, y)
+            assert pre_mse == ref_pre_mse
+            assert model._w.tobytes() == w.tobytes()
+            assert model._b == b
+            for ours, ref in ((model.x_stats, x_stats), (model.y_stats, y_stats)):
+                assert ours.count == ref.count
+                assert ours._mean.tobytes() == ref._mean.tobytes()
+                assert ours._m2.tobytes() == ref._m2.tobytes()
+        assert hit <= hits and not missed & hits, hits
+        if kwargs.get("max_coefficient_sum", 0.0) is None:
+            # The bound would have held the fit: it is really off.
+            assert model.coefficients.sum() > 1.05
 
     def test_normal_solve_matches_reference(self, rng):
         order, k = 3, 50
