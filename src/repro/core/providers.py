@@ -116,11 +116,6 @@ class ShardView:
         return batch_sample(self.provider, domain, self.locations)
 
 
-def shard_view(provider: ProviderFn, locations) -> ShardView:
-    """Restrict ``provider`` to a block of locations (see :class:`ShardView`)."""
-    return ShardView(provider, locations)
-
-
 def provider_key(provider: ProviderFn) -> object:
     """Identity used to group analyses reading through one provider.
 

@@ -45,6 +45,13 @@ Two execution backends ship behind the
     engine because row assembly is a pure concatenation of shard
     gathers.  Bytes moved and serialization/transfer seconds land in
     ``DistributedResult.transport_stats``.
+
+Both backends are elastic through one policy,
+:class:`~repro.engine.elastic.ElasticLayout`: it records dead ranks,
+decides when the shard layout may change (a death, or a due skew check
+with ``rebalance=True``) and rewrites the plans' shards.  Each executor
+only detects deaths, settles the layout where a change is safe, and
+re-points its ranks at the new shards.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ from repro.engine.driver import (
     GroupPlan,
     plan_groups,
 )
+from repro.engine.elastic import ElasticLayout
 from repro.engine.faults import (
     KILL_EXIT_CODE,
     FaultPlan,
@@ -96,10 +104,6 @@ BACKEND_SIMCOMM = "simcomm"
 BACKEND_MULTIPROCESSING = "multiprocessing"
 BACKENDS = (BACKEND_SIMCOMM, BACKEND_MULTIPROCESSING)
 
-#: Sample-time skew (max over mean) beyond which a rebalance migrates
-#: window slices; enough hysteresis that balanced runs never churn.
-REBALANCE_THRESHOLD = 1.75
-
 __all__ = [
     "BACKENDS",
     "BACKEND_MULTIPROCESSING",
@@ -115,70 +119,6 @@ __all__ = [
 
 
 _EMPTY_SHARD = np.empty(0, dtype=np.float64)
-
-
-def _plan_shard_counts(
-    plans: Sequence[GroupPlan], n_ranks: int
-) -> List[int]:
-    """Total shard columns each rank owns, summed over all groups."""
-    return [
-        int(sum(plan.shards[rank].shape[0] for plan in plans))
-        for rank in range(n_ranks)
-    ]
-
-
-def _rebalance_weights(
-    counts: Sequence[int],
-    samples: Sequence[float],
-    seconds: Sequence[float],
-    dead: Sequence[bool],
-    threshold: float,
-    min_window_seconds: float = 5e-3,
-) -> Tuple[Optional[List[float]], float]:
-    """Per-rank weights for a skew-triggered rebalance, or ``None`` to hold.
-
-    ``samples``/``seconds`` are the per-rank work measured since the
-    last layout change.  Speeds (samples per second) are estimated for
-    every live rank that did measurable work; the projected time to
-    sample each rank's current share (``counts``) at its measured speed
-    gives the skew ``max / mean``, and only a skew beyond ``threshold``
-    — with at least ``min_window_seconds`` of evidence on some rank —
-    triggers a migration.  That hysteresis is what keeps balanced runs
-    from churning on timer noise.  Ranks without a speed estimate are
-    assigned the median measured speed (a neutral guess).
-    """
-    n_ranks = len(counts)
-    speeds: Dict[int, float] = {}
-    for rank in range(n_ranks):
-        if dead[rank]:
-            continue
-        if (
-            samples[rank] > 0
-            and np.isfinite(seconds[rank])
-            and seconds[rank] > 0.0
-        ):
-            speeds[rank] = float(samples[rank]) / float(seconds[rank])
-    if len(speeds) < 2:
-        return None, 0.0
-    if max(seconds[rank] for rank in speeds) < min_window_seconds:
-        return None, 0.0
-    projected = {
-        rank: counts[rank] / speeds[rank]
-        for rank in speeds
-        if counts[rank] > 0
-    }
-    if len(projected) < 2:
-        return None, 0.0
-    times = np.array(list(projected.values()), dtype=np.float64)
-    skew = float(times.max() / times.mean())
-    if skew <= threshold:
-        return None, skew
-    median = float(np.median(list(speeds.values())))
-    weights = [0.0] * n_ranks
-    for rank in range(n_ranks):
-        if not dead[rank]:
-            weights[rank] = speeds.get(rank, median)
-    return weights, skew
 
 
 class RankCollector:
@@ -249,14 +189,18 @@ class SimCommExecutor:
     is an ``allreduce_array`` of zero-padded shard contributions,
     charged byte-accurately to the communicator ledger.
 
-    Elasticity on this backend is fully deterministic: an injected kill
-    reshards the dead rank's window over the survivors *before* the
-    kill iteration is sampled (all ranks share the one live app, so no
-    row is ever lost and results stay bit-identical to serial), an
-    injected delay charges simulated seconds to the rank's sampling
-    ledger without sleeping, and skew-triggered rebalancing migrates
-    shard columns between epochs once the measured per-rank sample
-    times diverge past the hysteresis threshold.
+    Elasticity on this backend is fully deterministic.  The layout
+    policy is the shared :class:`~repro.engine.elastic.ElasticLayout`,
+    settled before every iteration is sampled, so each row is assembled
+    under exactly one layout: an injected kill re-shards the dead
+    rank's window over the survivors *before* the kill iteration is
+    sampled (all ranks share the one live app, so no row is ever lost
+    and results stay bit-identical to serial; kills on one iteration
+    share one reshard), an injected delay charges simulated seconds to
+    the rank's sampling ledger without sleeping, and skew-triggered
+    rebalancing migrates shard columns between epochs once the
+    measured per-rank sample times diverge past the hysteresis
+    threshold.
     """
 
     #: Sampled iterations between skew checks when rebalancing.
@@ -278,22 +222,17 @@ class SimCommExecutor:
         self.ranks = [RankCollector(r, self.plans) for r in range(comm.size)]
         self.last_step_seconds = 0.0
         self.faults = faults
-        self.rebalance_enabled = rebalance
-        self.recovery_events: List[RecoveryEvent] = []
-        self._dead = [False] * self.n_ranks
-        self._kills = (
-            sorted(faults.kills, key=lambda k: k.iteration) if faults else []
+        self.layout = ElasticLayout(
+            self.plans,
+            self.n_ranks,
+            rebalance=rebalance,
+            every=self.REBALANCE_EVERY,
         )
+        self.recovery_events = self.layout.recovery_events
+        self._kills = faults.kills if faults else ()
         self._delays = (
             {d.rank: d for d in faults.delays} if faults else {}
         )
-        # Rebalance bookkeeping: cumulative samples per rank, plus the
-        # snapshot taken at the last layout change (speeds are measured
-        # over the window since then).
-        self._rank_samples = [0] * self.n_ranks
-        self._rb_samples = [0] * self.n_ranks
-        self._rb_seconds = [0.0] * self.n_ranks
-        self._sampled_since_check = 0
         self._refresh_offsets()
 
     def _refresh_offsets(self) -> None:
@@ -309,105 +248,20 @@ class SimCommExecutor:
     def start(self) -> None:
         pass
 
-    # -- elasticity ------------------------------------------------------
-
-    def _apply_layout(
-        self,
-        weights: Optional[Sequence[float]],
-        kind: str,
-        iteration: int,
-        detail: str = "",
-    ) -> bool:
-        """Reshard every plan; archive epochs; record the event."""
-        exclude = [r for r in range(self.n_ranks) if self._dead[r]]
-        counts_before = _plan_shard_counts(self.plans, self.n_ranks)
-        changed = False
-        for plan in self.plans:
-            new = plan.decomposition.rebalance(weights, exclude)
-            if new.counts() != plan.decomposition.counts():
-                changed = True
-            plan.decomposition = new
-            plan.shards = [
-                plan.locations[new.slice_for(r)]
-                for r in range(self.n_ranks)
-            ]
-        if kind == "rebalance" and not changed:
-            return False
-        for rank in self.ranks:
-            rank.reshard(self.plans)
-        self._refresh_offsets()
-        self._rb_samples = list(self._rank_samples)
-        self._rb_seconds = [rank.sample_seconds for rank in self.ranks]
-        self.recovery_events.append(
-            RecoveryEvent(
-                kind=kind,
-                iteration=iteration,
-                detail=detail,
-                counts_before=counts_before,
-                counts_after=_plan_shard_counts(self.plans, self.n_ranks),
-            )
-        )
-        return True
-
-    def _inject_faults(self, iteration: int) -> None:
-        for kill in self._kills:
-            if kill.iteration > iteration or self._dead[kill.rank]:
-                continue
-            self._dead[kill.rank] = True
-            self.recovery_events.append(
-                RecoveryEvent(
-                    kind="rank_death",
-                    iteration=iteration,
-                    rank=kill.rank,
-                    detail="injected kill fault",
-                )
-            )
-            self._apply_layout(
-                None,
-                "reshard",
-                iteration,
-                detail=(
-                    f"rank {kill.rank} dead; window re-sharded over "
-                    "survivors"
-                ),
-            )
-
-    def _maybe_rebalance(self, iteration: int) -> None:
-        counts = _plan_shard_counts(self.plans, self.n_ranks)
-        seconds = [rank.sample_seconds for rank in self.ranks]
-        weights, skew = _rebalance_weights(
-            counts,
-            [
-                self._rank_samples[r] - self._rb_samples[r]
-                for r in range(self.n_ranks)
-            ],
-            [seconds[r] - self._rb_seconds[r] for r in range(self.n_ranks)],
-            self._dead,
-            REBALANCE_THRESHOLD,
-        )
-        if weights is None:
-            return
-        self._apply_layout(
-            weights,
-            "rebalance",
-            iteration,
-            detail=f"sample-time skew {skew:.2f} > {REBALANCE_THRESHOLD:g}",
-        )
-
-    # -- the executor protocol -------------------------------------------
-
     def advance(
         self, iteration: int, active: Sequence[int]
     ) -> Dict[int, np.ndarray]:
-        # Injected deaths and due rebalances apply BEFORE sampling, so
-        # every collected row is assembled under exactly one layout.
-        self._inject_faults(iteration)
-        if (
-            self.rebalance_enabled
-            and self._sampled_since_check >= self.REBALANCE_EVERY
-        ):
-            self._sampled_since_check = 0
-            self._maybe_rebalance(iteration)
+        # Deaths and due rebalances settle BEFORE sampling, so every
+        # row is assembled under exactly one layout.
+        for kill in self._kills:
+            if kill.iteration <= iteration:
+                self.layout.mark_dead(
+                    kill.rank, iteration, "injected kill fault"
+                )
+        if self.layout.settle(iteration, self.rank_sample_seconds()):
+            for rank in self.ranks:
+                rank.reshard(self.plans)
+            self._refresh_offsets()
         tick = time.perf_counter()
         self.app.step()
         self.last_step_seconds = time.perf_counter() - tick
@@ -424,20 +278,20 @@ class SimCommExecutor:
             for rank in self.ranks:
                 part = rank.collect(domain, iteration, g)
                 sampled_counts[rank.rank] += int(part.shape[0])
-                self._rank_samples[rank.rank] += int(part.shape[0])
+                self.layout.samples[rank.rank] += int(part.shape[0])
                 padded = np.zeros(width, dtype=np.float64)
                 padded[offsets[rank.rank]: offsets[rank.rank + 1]] = part
                 contributions.append(padded)
             rows[g] = self.comm.allreduce_array(contributions, op="sum")
         if rows:
             for rank_id, delay in self._delays.items():
-                if not self._dead[rank_id]:
+                if not self.layout.dead[rank_id]:
                     # Simulated slowness: charged to the ledger, never
                     # slept, so decisions stay deterministic.
                     self.ranks[rank_id].sample_seconds += delay.seconds_for(
                         sampled_counts[rank_id]
                     )
-            self._sampled_since_check += 1
+            self.layout.tick()
         return rows
 
     def shard_stores(self, group: int) -> List[SeriesStore]:
@@ -714,29 +568,22 @@ class MultiprocessExecutor:
     resamples that boundary chunk's rows from its live app (the worker
     replicas are already past those iterations and cannot rewind),
     which is bit-identical because the replicas are deterministic.
-    Elastic events fence the pipeline: a death or pending rebalance
-    stops new speculation, the in-flight chunk is consumed under the
-    old layout, the reshard applies at a quiet boundary, and
-    speculation resumes.
+    Rank 0 samples every shard it does not get from a worker — its
+    own, a dead rank's, a discarded speculation's, a group backfilled
+    mid-chunk — through one helper, :meth:`_sample`.
 
-    **Elastic recovery**: a worker death detected by the poll/liveness
-    path never aborts the run.  The chunk in flight is completed by
-    rank 0 re-sampling the dead rank's shard columns from its own live
-    app (bit-identical — the replicas are deterministic), and once the
-    buffered chunk drains the dead rank's window is re-sharded over the
-    survivors via :meth:`BlockDecomposition.rebalance` and pushed to
-    the workers as a ``reshard`` message.  Every already-streamed
-    complete-iteration row stays merged; only the dead rank's unacked
-    iterations are re-sampled, and that count is the recovery overhead
-    reported in ``recovery_events``.  A worker that raised ships its
-    traceback first; it lands in a ``worker_error`` event.
-
-    **Rebalancing** (``rebalance=True``): worker chunk acks carry each
-    rank's cumulative sample-seconds ledger; every
-    :attr:`REBALANCE_EVERY` chunks the parent compares measured
-    per-rank speeds against current shard widths and — only past the
-    :data:`REBALANCE_THRESHOLD` hysteresis — migrates columns toward
-    fast ranks with the same reshard machinery.
+    **Elasticity** (the shared
+    :class:`~repro.engine.elastic.ElasticLayout`): a worker death
+    detected by the poll/liveness path never aborts the run.  Rank 0
+    re-samples the dead rank's shard for the chunk in flight, and
+    already-streamed rows stay merged.  Deaths and a due skew check
+    (every :attr:`REBALANCE_EVERY` chunks with ``rebalance=True``;
+    worker acks carry each rank's sample-seconds ledger) fence the
+    pipeline: no new speculation, the in-flight chunk is consumed under
+    the old layout, the layout settles at the next quiet boundary and
+    reaches the live workers as a ``reshard`` message, and speculation
+    resumes.  A worker that raised ships its traceback first; it lands
+    in a ``worker_error`` event.
     """
 
     #: Worker chunks between skew checks when rebalancing.
@@ -764,11 +611,15 @@ class MultiprocessExecutor:
         self.chunk = chunk
         self.last_step_seconds = 0.0
         self.faults = faults
-        self.rebalance_enabled = rebalance
-        self.recovery_events: List[RecoveryEvent] = []
-        self._views0 = [
-            ShardView(plan.provider, plan.shards[0]) for plan in self.plans
-        ]
+        self.layout = ElasticLayout(
+            self.plans,
+            n_ranks,
+            rebalance=rebalance,
+            every=self.REBALANCE_EVERY,
+        )
+        self.recovery_events = self.layout.recovery_events
+        # Rank 0's shard views, by (group, rank); dropped on a reshard.
+        self._views: Dict[Tuple[int, int], ShardView] = {}
         self._rank0_seconds = 0.0
         # Per-rank partial statistics, folded by the parent from the
         # shard parts the engine actually consumes — chunked prefetch
@@ -783,19 +634,9 @@ class MultiprocessExecutor:
         self._conns: list = []
         self._receivers: List[PickleRowReceiver] = []
         self._worker_stats: Optional[List[Optional[dict]]] = None
-        # Elasticity state.
         n_workers = max(0, n_ranks - 1)
-        self._worker_dead = [False] * n_workers
-        self._reshard_needed = False
-        self._adopt_views: Dict[tuple, ShardView] = {}
-        self._rank_samples = [0] * n_ranks
         self._worker_seconds = [0.0] * n_workers
-        self._rb_samples = [0] * n_ranks
-        self._rb_seconds = [0.0] * n_ranks
-        self._chunks_since_check = 0
         self._last_iteration = 0
-        self._resampled_total = 0
-        self._resampled_marked = 0
         self._delay0 = faults.delay_for(0) if faults else None
         # Pipelining state: at most one speculative chunk in flight.
         self._speculative: Optional[_Speculation] = None
@@ -961,76 +802,26 @@ class MultiprocessExecutor:
         self._worker_busy[index] = float(extra["busy_seconds"])
 
     def _on_worker_death(self, death: _WorkerDeath) -> None:
-        if self._worker_dead[death.index]:
-            return
-        self._worker_dead[death.index] = True
-        self._reshard_needed = True
-        self.recovery_events.append(
-            RecoveryEvent(
-                kind="rank_death",
-                iteration=self._last_iteration,
-                rank=death.rank,
-                detail=str(death),
-            )
+        self.layout.mark_dead(
+            death.rank,
+            self._last_iteration,
+            str(death),
+            death.worker_traceback,
         )
-        if death.worker_traceback:
-            self.recovery_events.append(
-                RecoveryEvent(
-                    kind="worker_error",
-                    iteration=self._last_iteration,
-                    rank=death.rank,
-                    detail=death.worker_traceback,
-                )
-            )
 
-    def _any_alive(self) -> bool:
-        return any(not dead for dead in self._worker_dead)
+    def _settle(self) -> None:
+        """Apply a due layout change at a quiet chunk boundary.
 
-    def _adopt_view(self, group: int, rank: int) -> ShardView:
-        key = (group, rank)
-        view = self._adopt_views.get(key)
-        if view is None:
-            plan = self.plans[group]
-            view = ShardView(plan.provider, plan.shards[rank])
-            self._adopt_views[key] = view
-        return view
-
-    def _apply_layout(
-        self,
-        weights: Optional[Sequence[float]],
-        kind: str,
-        detail: str = "",
-    ) -> bool:
-        """Reshard every plan over the live ranks; notify the workers.
-
-        Only legal between chunks (the buffer must be drained): every
-        buffered entry was streamed under the old layout and must be
-        consumed under it.
+        Only legal with nothing buffered or in flight: every buffered
+        entry was streamed under the old layout and must be consumed
+        under it.
         """
-        exclude = [
-            index + 1
-            for index, dead in enumerate(self._worker_dead)
-            if dead
-        ]
-        counts_before = _plan_shard_counts(self.plans, self.n_ranks)
-        changed = False
-        for plan in self.plans:
-            new = plan.decomposition.rebalance(weights, exclude)
-            if new.counts() != plan.decomposition.counts():
-                changed = True
-            plan.decomposition = new
-            plan.shards = [
-                plan.locations[new.slice_for(r)]
-                for r in range(self.n_ranks)
-            ]
-        if kind == "rebalance" and not changed:
-            return False
-        self._views0 = [
-            ShardView(plan.provider, plan.shards[0]) for plan in self.plans
-        ]
-        self._adopt_views.clear()
+        seconds = [self._rank0_seconds] + self._worker_seconds
+        if not self.layout.settle(self._last_iteration, seconds):
+            return
+        self._views.clear()
         for index in range(len(self._conns)):
-            if self._worker_dead[index]:
+            if self.layout.dead[index + 1]:
                 continue
             try:
                 self._post(
@@ -1044,83 +835,12 @@ class MultiprocessExecutor:
                 # Its freshly-assigned shard will be resampled by rank
                 # 0 until the next chunk boundary reshards again.
                 self._on_worker_death(death)
-        self._rb_samples = list(self._rank_samples)
-        self._rb_seconds = [self._rank0_seconds] + list(
-            self._worker_seconds
-        )
-        self.recovery_events.append(
-            RecoveryEvent(
-                kind=kind,
-                iteration=self._last_iteration,
-                detail=detail,
-                counts_before=counts_before,
-                counts_after=_plan_shard_counts(self.plans, self.n_ranks),
-                resampled_iterations=(
-                    self._resampled_total - self._resampled_marked
-                ),
-            )
-        )
-        self._resampled_marked = self._resampled_total
-        return True
-
-    def _maybe_rebalance(self) -> None:
-        counts = _plan_shard_counts(self.plans, self.n_ranks)
-        weights, skew = _rebalance_weights(
-            counts,
-            [
-                self._rank_samples[r] - self._rb_samples[r]
-                for r in range(self.n_ranks)
-            ],
-            [
-                second - snapshot
-                for second, snapshot in zip(
-                    [self._rank0_seconds] + list(self._worker_seconds),
-                    self._rb_seconds,
-                )
-            ],
-            [False] + list(self._worker_dead),
-            REBALANCE_THRESHOLD,
-        )
-        if weights is None:
-            return
-        self._apply_layout(
-            weights,
-            "rebalance",
-            detail=f"sample-time skew {skew:.2f} > {REBALANCE_THRESHOLD:g}",
-        )
-
-    def _pre_chunk_reshard(self) -> None:
-        """Apply deferred layout changes at a chunk boundary."""
-        if self._reshard_needed:
-            self._reshard_needed = False
-            dead = [
-                index + 1
-                for index, flag in enumerate(self._worker_dead)
-                if flag
-            ]
-            self._apply_layout(
-                None,
-                "reshard",
-                detail=(
-                    f"rank(s) {dead} dead; window re-sharded over "
-                    "survivors"
-                ),
-            )
-        elif self._rebalance_due():
-            self._chunks_since_check = 0
-            self._maybe_rebalance()
-
-    def _rebalance_due(self) -> bool:
-        return (
-            self.rebalance_enabled
-            and self._chunks_since_check >= self.REBALANCE_EVERY
-        )
 
     def _post_advance(self, frozen: tuple) -> List[int]:
         """Post one chunk request to every live worker."""
         posted = []
         for index in range(len(self._conns)):
-            if self._worker_dead[index]:
+            if self.layout.dead[index + 1]:
                 continue
             try:
                 self._post(index, ("advance", self.chunk, frozen))
@@ -1165,7 +885,7 @@ class MultiprocessExecutor:
                     parts_by_worker[index] = parts
                     for part in parts:
                         if part is not None:
-                            self._rank_samples[index + 1] += int(
+                            self.layout.samples[index + 1] += int(
                                 part.shape[0]
                             )
                 self._buffer.append((entry_iteration, parts_by_worker))
@@ -1202,10 +922,8 @@ class MultiprocessExecutor:
         """
         if (
             self._speculative is not None
-            or self._reshard_needed
-            or self._rebalance_due()
+            or self.layout.pending()
             or not self._buffer
-            or not self._any_alive()
         ):
             return
         frozen = self._chunk_active
@@ -1241,7 +959,7 @@ class MultiprocessExecutor:
         frozen = tuple(sorted(active))
         state, payloads = self._retire_speculation()
         if state is None:
-            self._pre_chunk_reshard()
+            self._settle()
             self._ingest_payloads(
                 self._collect(self._post_advance(frozen)), frozen
             )
@@ -1261,19 +979,37 @@ class MultiprocessExecutor:
             # deterministic.
             self._chunks_discarded += 1
             self._ingest_payloads(payloads, frozen, adopt=False)
-        self._chunks_since_check += 1
+        self.layout.tick()
         self._post_speculation()
+
+    def _sample(self, group: int, rank: int, domain: object) -> np.ndarray:
+        """Rank 0 samples ``rank``'s shard of ``group`` from its live app.
+
+        One path for rank 0's own shard, a dead rank's shard, a
+        discarded speculation and a group backfilled mid-chunk: all are
+        bit-identical to what the rank would have sent, because the
+        replicas are deterministic.
+        """
+        shard = self.plans[group].shards[rank]
+        if not shard.shape[0]:
+            return _EMPTY_SHARD
+        view = self._views.get((group, rank))
+        if view is None:
+            view = ShardView(self.plans[group].provider, shard)
+            self._views[(group, rank)] = view
+        tick = time.perf_counter()
+        part = view.sample(domain)
+        self._rank0_seconds += time.perf_counter() - tick
+        self.layout.samples[0] += int(part.shape[0])
+        return part
 
     def advance(
         self, iteration: int, active: Sequence[int]
     ) -> Dict[int, np.ndarray]:
         if self._conns and not self._buffer:
-            if self._any_alive() or self._speculative is not None:
-                self._prefetch(active)
-            else:
-                # Every worker is gone: rank 0 adopts the whole window
-                # (the reshard empties the dead shards) and runs solo.
-                self._pre_chunk_reshard()
+            # With every worker dead this posts nothing; its settle hands
+            # rank 0 the whole window, and rank 0 runs solo.
+            self._prefetch(active)
         tick = time.perf_counter()
         self.app.step()
         self.last_step_seconds = time.perf_counter() - tick
@@ -1291,40 +1027,34 @@ class MultiprocessExecutor:
         domain = self.app.domain
         rows: Dict[int, np.ndarray] = {}
         consumed = set(active)
-        resampled_here = False
-        rank0_samples = 0
-        for g in chunk_active:
-            plan = self.plans[g]
-            if not plan.temporal.matches(iteration):
+        resampled = False
+        samples0 = self.layout.samples[0]
+        for g in sorted(consumed.union(chunk_active)):
+            if not self.plans[g].temporal.matches(iteration):
                 continue
-            tick = time.perf_counter()
-            part0 = self._views0[g].sample(domain)
-            self._rank0_seconds += time.perf_counter() - tick
-            rank0_samples += int(part0.shape[0])
-            parts = [part0]
-            for w, worker in enumerate(worker_parts):
-                rank = w + 1
-                if worker is None:
-                    # Dead rank: its shard columns are re-sampled by
-                    # rank 0 from the live app — bit-identical, the
-                    # replicas are deterministic.
-                    shard = plan.shards[rank]
-                    if shard.shape[0]:
-                        tick = time.perf_counter()
-                        part = self._adopt_view(g, rank).sample(domain)
-                        self._rank0_seconds += time.perf_counter() - tick
-                        rank0_samples += int(part.shape[0])
-                        resampled_here = True
-                    else:
-                        part = _EMPTY_SHARD
-                    parts.append(part)
-                    continue
-                if worker[g] is None:
+            # A group the chunk was frozen without is one an adaptive
+            # cadence re-collects mid-chunk (a probe stride landing
+            # between boundaries, or a snap-back): no worker sampled
+            # it, so rank 0 assembles the whole row.
+            backfill = g not in chunk_active
+            self._backfilled_rows += backfill
+            parts = [self._sample(g, 0, domain)]
+            for rank, worker in enumerate(worker_parts, start=1):
+                if worker is None or backfill:
+                    # No worker part: a dead rank, a discarded
+                    # speculation, or a group backfilled mid-chunk.
+                    part = self._sample(g, rank, domain)
+                    resampled |= (
+                        worker is None and not backfill and part.size > 0
+                    )
+                elif worker[g] is None:
                     raise CommunicatorError(
                         f"worker replicas diverged: no shard row for group "
                         f"{g} at iteration {iteration}"
                     )
-                parts.append(worker[g])
+                else:
+                    part = worker[g]
+                parts.append(part)
             rows[g] = np.concatenate(parts)
             if g in consumed:
                 for rank, part in enumerate(parts):
@@ -1332,47 +1062,15 @@ class MultiprocessExecutor:
                         self._rank_stats[rank][g].update(
                             part.reshape(-1, 1)
                         )
-        for g in sorted(consumed):
-            if g in rows or g in chunk_active:
-                continue
-            plan = self.plans[g]
-            if not plan.temporal.matches(iteration):
-                continue
-            # The engine wants a group the chunk was frozen without —
-            # an adaptive cadence re-collecting mid-chunk (probe stride
-            # landing between boundaries, or a snap-back).  The workers
-            # never sampled it, so rank 0 assembles the full row from
-            # its live app; bit-identical, the replicas and shard
-            # layout are deterministic.
-            tick = time.perf_counter()
-            parts = [self._views0[g].sample(domain)]
-            for w in range(len(self._conns)):
-                shard = plan.shards[w + 1]
-                if shard.shape[0]:
-                    parts.append(self._adopt_view(g, w + 1).sample(domain))
-                else:
-                    parts.append(_EMPTY_SHARD)
-            self._rank0_seconds += time.perf_counter() - tick
-            rank0_samples += sum(int(part.shape[0]) for part in parts)
-            self._backfilled_rows += 1
-            rows[g] = np.concatenate(parts)
-            for rank, part in enumerate(parts):
-                if part.size:
-                    self._rank_stats[rank][g].update(part.reshape(-1, 1))
         if self._delay0 is not None and rows:
             tick = time.perf_counter()
-            time.sleep(self._delay0.seconds_for(rank0_samples))
+            time.sleep(
+                self._delay0.seconds_for(self.layout.samples[0] - samples0)
+            )
             self._rank0_seconds += time.perf_counter() - tick
-        self._rank_samples[0] += rank0_samples
-        if resampled_here:
-            self._resampled_total += 1
+        self.layout.resampled += resampled
         self._last_iteration = iteration
         return rows
-
-    @property
-    def resampled_iterations(self) -> int:
-        """Iterations where rank 0 backfilled a dead rank's shard."""
-        return self._resampled_total
 
     def _finish_workers(self) -> None:
         if self._worker_stats is not None or not self._conns:
@@ -1386,7 +1084,7 @@ class MultiprocessExecutor:
         self._retire_speculation()
         stats: List[Optional[dict]] = [None] * len(self._conns)
         for index in range(len(self._conns)):
-            if self._worker_dead[index]:
+            if self.layout.dead[index + 1]:
                 continue
             try:
                 self._post(index, ("finish",))
@@ -1610,7 +1308,8 @@ class DistributedEngine:
         ``REBALANCE_EVERY`` iterations (simcomm) or worker chunks
         (multiprocessing), per-rank sample-seconds are compared and
         window slices migrate away from slow ranks when the max/mean
-        skew exceeds :data:`REBALANCE_THRESHOLD`.
+        skew exceeds
+        :data:`~repro.engine.elastic.REBALANCE_THRESHOLD`.
     """
 
     def __init__(

@@ -203,10 +203,6 @@ class AnalysisScheduler:
         """True once the termination policy has been satisfied."""
         return self._stop_requested
 
-    @property
-    def n_active(self) -> int:
-        return sum(1 for state in self._states if state.active)
-
     def stopped_at(self) -> Dict[str, int]:
         """Stop iteration per completed analysis, keyed by name."""
         return {

@@ -63,14 +63,28 @@ class HeatDiffusionApp:
             ]
         )
         self.u = self._shapes.sum(axis=0)
+        # Step buffers, allocated once: at large n_nodes, fresh
+        # temporaries every step make the step's cost depend on whether
+        # the allocator reuses or re-maps them.
+        self._lap = np.empty_like(self.u)
+        self._next = np.empty_like(self.u)
 
     def step(self) -> None:
-        u = self.u
-        lap = np.empty_like(u)
-        lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
+        # Same operations in the same order as
+        #   lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:];  u + r * lap
+        # written into the preallocated buffers, so every state is
+        # bit-identical.  The state then swaps buffers: providers copy
+        # what they read, so nothing holds the old one.
+        u, lap, out = self.u, self._lap, self._next
+        inner = lap[1:-1]
+        np.multiply(u[1:-1], 2.0, out=inner)
+        np.subtract(u[:-2], inner, out=inner)
+        np.add(inner, u[2:], out=inner)
         lap[0] = -2.0 * u[0] + u[1]
         lap[-1] = u[-2] - 2.0 * u[-1]
-        self.u = u + self.r * lap
+        np.multiply(lap, self.r, out=lap)
+        np.add(u, lap, out=out)
+        self.u, self._next = out, u
         self.iteration += 1
 
     @property

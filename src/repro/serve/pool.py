@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional
 
 from repro.errors import ServeError
@@ -95,15 +95,6 @@ class _Worker:
 
     def alive(self) -> bool:
         return self.process.is_alive()
-
-
-@dataclass
-class PoolStats:
-    size: int = 0
-    busy: int = 0
-    jobs: int = 0
-    restarts: int = 0
-    worker_pids: List[int] = field(default_factory=list)
 
 
 class WorkerPool:

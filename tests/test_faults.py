@@ -27,7 +27,8 @@ from repro.engine import (
     ReplayApp,
     as_fault_plan,
 )
-from repro.engine.distributed import DistributedResult, _rebalance_weights
+from repro.engine.distributed import DistributedResult
+from repro.engine.elastic import _rebalance_weights
 from repro.errors import ConfigurationError, ScenarioError
 
 from test_distributed import _replay_analysis, _replay_app

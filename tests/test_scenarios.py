@@ -8,6 +8,9 @@ tested tolerance, and registering a duplicate or malformed spec must
 raise a clear :class:`repro.errors.ScenarioError`.
 """
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -387,6 +390,15 @@ class TestRunConfig:
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ScenarioError, match="no field"):
             scenarios.RunConfig.from_json({"warp_factor": 9})
+
+    def test_committed_bench_configs_load(self):
+        # A committed benchmark report's config block must be a request
+        # the current RunConfig accepts, or the report cannot be replayed.
+        root = pathlib.Path(__file__).resolve().parents[1]
+        for path in sorted(root.glob("BENCH_*.json")):
+            config = json.loads(path.read_text()).get("config")
+            if config is not None:
+                scenarios.RunConfig.from_json(config)
 
     def test_frozen(self):
         import dataclasses
