@@ -35,15 +35,18 @@ Two execution backends ship behind the
     backend the equivalence tests and the scaling experiment use.
 
 ``"multiprocessing"``
-    A real process pool for wall-clock speedup on wide-spatial
-    scenarios.  Worker ranks step their own deterministic replica of
-    the simulation (``app_factory`` must be picklable) and stream
-    their shard rows back in chunks, one pickled payload per chunk over
-    the control pipe (:mod:`repro.engine.transport`); the parent
-    assembles rows, trains and decides termination, then reduces the
-    workers' partial statistics at shutdown.  Results match the serial
-    engine because row assembly is a pure concatenation of shard
-    gathers.  Bytes moved and serialization/transfer seconds land in
+    A real process pool for wall-clock speedup.  An app that can shard
+    (:mod:`repro.engine.workload`) is stepped one block per rank, with
+    halo cells swapped through rank 0 once per chunk, and rank 0's
+    block holds every sampled location.  Otherwise worker ranks step
+    their own deterministic replica of the simulation (``app_factory``
+    must be picklable) and stream their shard rows back in chunks, one
+    pickled payload per chunk over the control pipe
+    (:mod:`repro.engine.transport`); the parent assembles rows, trains
+    and decides termination, then reduces the workers' partial
+    statistics at shutdown.  Results match the serial engine because
+    row assembly is a pure concatenation of shard gathers.  Bytes
+    moved and serialization/transfer seconds land in
     ``DistributedResult.transport_stats``.
 
 Both backends are elastic through one policy,
@@ -98,6 +101,7 @@ from repro.errors import (
     ConfigurationError,
 )
 from repro.parallel.comm import SimComm
+from repro.parallel.decomposition import BlockDecomposition
 
 #: Execution backend names.
 BACKEND_SIMCOMM = "simcomm"
@@ -369,13 +373,16 @@ class _WorkerTask:
     groups: List[_WorkerGroupSpec]
     max_iterations: int
     faults: Optional[FaultPlan] = None
+    #: ``(lo, hi, ghost)`` under block stepping; None steps a replica.
+    block: Optional[Tuple[int, int, int]] = None
 
 
 def _shard_worker(conn, task: _WorkerTask) -> None:
     """Worker-rank main loop: step a replica, stream shard rows back.
 
-    Protocol (parent -> worker): ``("advance", n, active)`` requests up
-    to ``n`` more iterations sampling the groups in ``active``;
+    Protocol (parent -> worker): ``("advance", n, active, ghosts)``
+    requests up to ``n`` more iterations sampling the groups in
+    ``active`` (``ghosts`` is None outside block stepping);
     ``("reshard", locations_per_group)`` adopts a new shard layout (an
     elastic recovery or rebalance — no reply); ``("resend",)`` replays
     the chunk retained by an injected drop fault; ``("finish",)``
@@ -392,6 +399,12 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     (a mid-chunk stop), so the parent folds each rank's partial from
     the shard parts it actually uses.
 
+    Block stepping (``task.block``): the replica steps its block plus
+    ``ghost`` cells each side and samples nothing.  ``ghosts`` are the
+    cells just outside the block, from rank 0's state; the ack carries
+    no rows, and ``extra["edges"]`` the block's first and last
+    ``ghost`` cells for rank 0 to write into its state.
+
     Injected faults (:class:`~repro.engine.faults.FaultPlan`): a kill
     fault ``os._exit``\\ s the process the moment the replica reaches
     the fault iteration (no ack, no cleanup — a reclaimed preemptible
@@ -402,6 +415,9 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     failed = False
     try:
         app = as_simulation_app(task.app_factory())
+        if task.block is not None:
+            lo, hi, ghost = task.block
+            app.shard(max(0, lo - ghost), min(len(app.state), hi + ghost))
         views = [
             ShardView(spec.provider, spec.locations) for spec in task.groups
         ]
@@ -418,8 +434,11 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
             message = conn.recv()
             command = message[0]
             if command == "advance":
-                _, budget, active = message
+                _, budget, active, ghosts = message
                 busy_start = time.perf_counter()
+                if ghosts is not None:
+                    app.state[lo - len(ghosts[0]):lo] = ghosts[0]
+                    app.state[hi:hi + len(ghosts[1])] = ghosts[1]
                 payload = []
                 for _ in range(budget):
                     if app.done or iteration >= task.max_iterations:
@@ -431,6 +450,8 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
                         # or error message ever leaves the process.
                         os._exit(KILL_EXIT_CODE)
                     app.step()
+                    if ghosts is not None:
+                        continue
                     parts: List[Optional[np.ndarray]] = []
                     sampled = 0
                     for g, (spec, view) in enumerate(
@@ -458,6 +479,12 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
                     "sample_seconds": sample_seconds,
                     "busy_seconds": time.perf_counter() - busy_start,
                 }
+                if ghosts is not None:
+                    width = min(ghost, hi - lo)
+                    extra["edges"] = (
+                        app.state[lo:lo + width].copy(),
+                        app.state[hi - width:hi].copy(),
+                    )
                 if (
                     drop is not None
                     and not dropped_once
@@ -531,8 +558,8 @@ class _WorkerDeath(CommunicatorError):
 
 @dataclass
 class _Speculation:
-    """One speculative chunk in flight: its frozen active set, the
-    workers it was posted to, and when."""
+    """One chunk in flight (speculative, or block-stepped): its frozen
+    active set, the workers it was posted to, and when."""
 
     frozen: tuple
     posted: List[int]
@@ -540,9 +567,30 @@ class _Speculation:
 
 
 class MultiprocessExecutor:
-    """Process-pool backend: worker ranks sample shards of replicas.
+    """Process-pool backend: ranks step blocks, or sample replicas.
 
-    Rank 0 is the parent: it steps the engine-visible app (so analyses
+    **Block stepping** runs when the app can shard
+    (:mod:`repro.engine.workload`), rank 0's block leaves cells for the
+    workers, ``rebalance`` is off and no slow fault targets a worker
+    (both act on worker-sampled shards; block stepping has none).
+    Rank 0 owns cells ``[0, max(ceil(n / R), L))`` of the ``n``-cell
+    state, ``L`` one past the largest sampled location; the workers
+    split the rest evenly in rank order.  Each rank steps its block
+    plus ``stencil_radius * chunk`` ghost cells a side.  At every chunk
+    boundary each worker's ack brings rank 0 its block-edge cells;
+    rank 0 writes them into its full-size state and posts the next
+    chunk with each worker's ghost cells read from it, and both sides
+    step that chunk at once.  Every sampled shard is rank 0's, so it
+    gathers every row from its own live app as serial does: no rows
+    move, nothing is speculated.  A worker found dead at a boundary
+    gets its ``rank_death``; rank 0 replays a fresh ``app_factory()``
+    replica to its iteration, copies its state, retires the surviving
+    workers and steps the whole domain alone (one ``reshard`` event
+    with the replay's seconds).  After a run ``app`` is exact only on
+    rank 0's block; validators read sampled rows and closed forms.
+
+    Otherwise workers step **replicas**.  Rank 0 is the parent: it
+    steps the engine-visible app (so analyses
     can read the live domain), samples its own shard, and assembles
     full rows by concatenating the shard parts streamed back from
     worker ranks 1..R-1.  Worker requests are chunked (``chunk``
@@ -650,6 +698,34 @@ class MultiprocessExecutor:
         self._worker_busy = [0.0] * n_workers
         self._worker_overlap = [0.0] * n_workers
         self._worker_idle = [0.0] * n_workers
+        # Block stepping: each rank's (lo, hi), or None for replicas;
+        # each worker's block edges from its latest ack.
+        self._blocks = self._plan_blocks(rebalance)
+        self._edges = [(_EMPTY_SHARD, _EMPTY_SHARD)] * n_workers
+        if self._blocks is not None:
+            self._ghost = self.app.stencil_radius * chunk
+            for plan in self.plans:  # every sampled shard is rank 0's
+                plan.decomposition = plan.decomposition.rebalance(
+                    exclude=range(1, n_ranks)
+                )
+                plan.shards = [plan.locations] + [plan.locations[:0]] * (n_ranks - 1)
+
+    def _plan_blocks(self, rebalance: bool) -> Optional[List[Tuple[int, int]]]:
+        """Each rank's ``(lo, hi)`` block of the app's state, or None."""
+        delays = self.faults.delays if self.faults else ()
+        worker_slowed = any(delay.rank > 0 for delay in delays)
+        if rebalance or worker_slowed or not hasattr(self.app, "shard"):
+            return None
+        n = len(self.app.state)
+        sampled = [int(plan.locations.max()) + 1 for plan in self.plans]
+        end0 = max([-(-n // self.n_ranks)] + sampled)
+        if end0 >= n:
+            return None
+        rest = BlockDecomposition(n - end0, self.n_ranks - 1)
+        return [(0, end0)] + [
+            (end0 + part.start, end0 + part.stop)
+            for part in map(rest.slice_for, range(self.n_ranks - 1))
+        ]
 
     def start(self) -> None:
         import multiprocessing
@@ -676,6 +752,7 @@ class MultiprocessExecutor:
                 ],
                 max_iterations=self.max_iterations,
                 faults=self.faults,
+                block=self._blocks and (*self._blocks[rank], self._ghost),
             )
             for rank in range(1, self.n_ranks)
         ]
@@ -700,6 +777,9 @@ class MultiprocessExecutor:
             self._processes.append(process)
             self._conns.append(parent_conn)
             self._receivers.append(PickleRowReceiver())
+        if self._blocks is not None:
+            end = self._blocks[0][1] + self._ghost
+            self.app.shard(0, min(len(self.app.state), end))
 
     def _died(
         self, index: int, worker_traceback: Optional[str] = None
@@ -800,6 +880,7 @@ class MultiprocessExecutor:
     def _note_extra(self, index: int, extra) -> None:
         self._worker_seconds[index] = float(extra["sample_seconds"])
         self._worker_busy[index] = float(extra["busy_seconds"])
+        self._edges[index] = extra.get("edges")
 
     def _on_worker_death(self, death: _WorkerDeath) -> None:
         self.layout.mark_dead(
@@ -843,7 +924,7 @@ class MultiprocessExecutor:
             if self.layout.dead[index + 1]:
                 continue
             try:
-                self._post(index, ("advance", self.chunk, frozen))
+                self._post(index, ("advance", self.chunk, frozen, None))
                 posted.append(index)
             except _WorkerDeath as death:
                 self._on_worker_death(death)
@@ -1003,10 +1084,63 @@ class MultiprocessExecutor:
         self.layout.samples[0] += int(part.shape[0])
         return part
 
+    # -- block stepping ------------------------------------------------
+
+    def _swap_halos(self) -> None:
+        """Block stepping's chunk boundary: swap halos, post a chunk.
+
+        The posted chunk rides speculation's in-flight slot (drained at
+        shutdown alike) but is never counted as a speculation.
+        """
+        self._retire_speculation()
+        state = self.app.state
+        if not any(self.layout.dead):
+            for (lo, hi), (left, right) in zip(self._blocks[1:], self._edges):
+                state[lo:lo + len(left)] = left
+                state[hi - len(right):hi] = right
+            posted = []
+            for index, (lo, hi) in enumerate(self._blocks[1:]):
+                ghosts = (
+                    state[max(0, lo - self._ghost):lo],
+                    state[hi:hi + self._ghost],
+                )
+                try:
+                    self._post(index, ("advance", self.chunk, (), ghosts))
+                    posted.append(index)
+                except _WorkerDeath as death:
+                    self._on_worker_death(death)
+            self._speculative = _Speculation((), posted)
+        if any(self.layout.dead):
+            self._replay()
+
+    def _replay(self) -> None:
+        """Rank 0 takes the whole domain after a worker death."""
+        done = self._last_iteration
+        tick = time.perf_counter()
+        replica = as_simulation_app(self.app_factory())
+        for _ in range(done):
+            replica.step()
+        self.app.state[:] = replica.state
+        self.app.shard(0, len(self.app.state))
+        seconds = time.perf_counter() - tick
+        self._finish_workers()
+        for conn in self._conns:
+            conn.close()
+        self._conns, self._blocks = [], None
+        dead = [rank for rank, flag in enumerate(self.layout.dead) if flag]
+        detail = (
+            f"rank(s) {dead} dead; rank 0 replayed a fresh replica to "
+            f"iteration {done} in {seconds:.3f} s and steps the whole domain"
+        )
+        self.recovery_events.append(RecoveryEvent("reshard", done, detail=detail))
+
     def advance(
         self, iteration: int, active: Sequence[int]
     ) -> Dict[int, np.ndarray]:
-        if self._conns and not self._buffer:
+        if self._blocks is not None:
+            if (iteration - 1) % self.chunk == 0:
+                self._swap_halos()
+        elif self._conns and not self._buffer:
             # With every worker dead this posts nothing; its settle hands
             # rank 0 the whole window, and rank 0 runs solo.
             self._prefetch(active)
@@ -1279,7 +1413,8 @@ class DistributedEngine:
     backend:
         ``"simcomm"`` (deterministic, cost-ledger timing) or
         ``"multiprocessing"`` (real worker processes; needs a picklable
-        ``app_factory`` and providers).
+        ``app_factory`` and providers; a block-stepped app is exact
+        after the run only on rank 0's block).
     comm:
         Optional :class:`SimComm`; built from ``n_ranks`` by default.
         Ignored by the multiprocessing backend (real processes do not

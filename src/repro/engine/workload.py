@@ -16,6 +16,20 @@ a ~50-line adapter implementing four members:
 ``max_iterations``
     A hard iteration ceiling (guards against runaway loops).
 
+Three optional members, outside the Protocol, let the multiprocessing
+backend step a 1-D stencil app one block per rank instead of one full
+replica per rank (:class:`~repro.engine.distributed.MultiprocessExecutor`):
+
+``stencil_radius``
+    Cells one step reads on each side of a cell.
+``state``
+    The 1-D float array location ids index; the executor may read and
+    write it between steps.
+``shard(lo, hi)``
+    Step only cells ``[lo, hi)`` from now on, with the same arithmetic
+    per cell (cells near an edge inside the domain go stale; the
+    executor refreshes them).  Providers must read only their cells.
+
 Adapters for the two paper case studies ship here, plus
 :class:`ReplayApp`, which replays a recorded history matrix as if it
 were a live simulation — the backbone of the cheap accuracy sweeps.

@@ -120,8 +120,14 @@ def make_analyses(
     learning_rate: float = 0.3,
     epochs_per_batch: int = 48,
     threshold: float = 0.5,
+    n_cells: int = 64,
     **_,
 ):
+    if window[1] >= n_cells:
+        raise ConfigurationError(
+            f"window {list(window)} runs past the domain: n_cells is "
+            f"{n_cells}, so locations must be in [0, {n_cells - 1}]"
+        )
     # order=2 captures the exact shift relation u(l,t) = u(l-1,t-lag);
     # a third (collinear) feature only destabilises the SGD fit here.
     return [

@@ -31,8 +31,12 @@ class HeatDiffusionApp:
     ``n_nodes`` interior nodes on the unit interval; ``r`` is the
     diffusion number ``alpha dt / h^2`` (stable for ``r <= 0.5``).
     ``modes`` is a tuple of ``(wavenumber, amplitude)`` pairs summed
-    into the initial condition.
+    into the initial condition.  It can be block-sharded: see the
+    optional members ``stencil_radius``, ``state`` and ``shard`` in
+    :mod:`repro.engine.workload`.
     """
+
+    stencil_radius = 1
 
     def __init__(
         self,
@@ -65,25 +69,39 @@ class HeatDiffusionApp:
         self.u = self._shapes.sum(axis=0)
         # Step buffers, allocated once: at large n_nodes, fresh
         # temporaries every step make the step's cost depend on whether
-        # the allocator reuses or re-maps them.
+        # the allocator reuses or re-maps them.  The second one starts
+        # as a copy, so nodes a sharded step skips stay finite.
         self._lap = np.empty_like(self.u)
-        self._next = np.empty_like(self.u)
+        self._next = self.u.copy()
+        self._range = (0, self.n_nodes)
+
+    @property
+    def state(self) -> np.ndarray:
+        return self.u
+
+    def shard(self, lo: int, hi: int) -> None:
+        self._range = (int(lo), int(hi))
 
     def step(self) -> None:
         # Same operations in the same order as
         #   lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:];  u + r * lap
+        # over nodes [lo, hi) (over all nodes, exactly those slices),
         # written into the preallocated buffers, so every state is
         # bit-identical.  The state then swaps buffers: providers copy
         # what they read, so nothing holds the old one.
         u, lap, out = self.u, self._lap, self._next
-        inner = lap[1:-1]
-        np.multiply(u[1:-1], 2.0, out=inner)
-        np.subtract(u[:-2], inner, out=inner)
-        np.add(inner, u[2:], out=inner)
-        lap[0] = -2.0 * u[0] + u[1]
-        lap[-1] = u[-2] - 2.0 * u[-1]
-        np.multiply(lap, self.r, out=lap)
-        np.add(u, lap, out=out)
+        lo, hi = self._range
+        a, b = max(lo, 1), min(hi, self.n_nodes - 1)
+        inner = lap[a:b]
+        np.multiply(u[a:b], 2.0, out=inner)
+        np.subtract(u[a - 1 : b - 1], inner, out=inner)
+        np.add(inner, u[a + 1 : b + 1], out=inner)
+        if lo == 0:
+            lap[0] = -2.0 * u[0] + u[1]
+        if hi == self.n_nodes:
+            lap[-1] = u[-2] - 2.0 * u[-1]
+        np.multiply(lap[lo:hi], self.r, out=lap[lo:hi])
+        np.add(u[lo:hi], lap[lo:hi], out=out[lo:hi])
         self.u, self._next = out, u
         self.iteration += 1
 
@@ -140,8 +158,14 @@ def make_analyses(
     order: int = 3,
     lag: int = 1,
     batch_size: int = 16,
+    n_nodes: int = 48,
     **_,
 ):
+    if window[1] >= n_nodes:
+        raise ConfigurationError(
+            f"window {list(window)} runs past the domain: n_nodes is "
+            f"{n_nodes}, so locations must be in [0, {n_nodes - 1}]"
+        )
     return [
         CurveFitting(
             temperature_provider,

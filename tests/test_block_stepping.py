@@ -1,0 +1,167 @@
+"""Block-sharded stepping on the multiprocessing backend.
+
+Heat-diffusion can shard its cell array, so each mp rank steps only its
+own block and swaps halo cells through rank 0 once per chunk.  Rank 0's
+block holds every sampled location, so every stored row must equal the
+serial run's bit for bit.  Runs that need worker-sampled shards
+(rebalancing, a slowed worker) and apps that cannot shard keep the
+replica path.  Every run must leave no child process behind.
+"""
+
+import functools
+import multiprocessing
+
+import numpy as np
+import pytest
+
+from repro import scenarios
+from repro.engine import DistributedEngine, InSituEngine
+from repro.errors import ConfigurationError
+
+from test_distributed import _replay_analysis, _replay_app
+
+TINY_BIGSIM = {
+    "n_nodes": 4000,
+    "n_iterations": 150,
+    "train_iterations": 128,
+    "window": (6, 69),
+}
+
+
+def _heat(n_ranks, *, adaptive=False, params=None, **engine_kwargs):
+    spec = scenarios.get("heat-diffusion")
+    merged = spec.params(quick=True, overrides=params or {})
+    cadence = spec.cadence_controller() if adaptive else None
+    if n_ranks == 1:
+        engine = InSituEngine(
+            spec.app_factory(**merged), policy=spec.policy, cadence=cadence
+        )
+    else:
+        engine = DistributedEngine(
+            backend="multiprocessing",
+            n_ranks=n_ranks,
+            app_factory=functools.partial(spec.app_factory, **merged),
+            policy=spec.policy,
+            cadence=cadence,
+            **engine_kwargs,
+        )
+    analyses = [engine.add_analysis(a) for a in spec.analysis_factory(**merged)]
+    result = engine.run()
+    assert multiprocessing.active_children() == []
+    return engine, analyses, result
+
+
+def _assert_rows_identical(serial, sharded):
+    (_, serial_analyses, serial_result) = serial
+    (_, analyses, result) = sharded
+    assert result.stopped_at == serial_result.stopped_at
+    assert result.iterations == serial_result.iterations
+    for left, right in zip(serial_analyses, analyses):
+        a, b = left.collector.store, right.collector.store
+        assert np.array_equal(a.iterations, b.iterations)
+        assert np.array_equal(
+            a.matrix().view(np.uint64), b.matrix().view(np.uint64)
+        )
+
+
+def _block_stepped(engine, result):
+    # Every sampled shard is rank 0's and no chunk was speculated.
+    plans = engine.driver.plans
+    return result.transport_stats["pipeline"]["chunks_speculated"] == 0 and all(
+        shard.size == 0 for plan in plans for shard in plan.shards[1:]
+    )
+
+
+@pytest.mark.parametrize("params", [None, TINY_BIGSIM], ids=["quick", "bigsim"])
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("n_ranks", [2, 3, 4])
+def test_rows_bit_identical_to_serial(n_ranks, adaptive, params):
+    serial = _heat(1, adaptive=adaptive, params=params)
+    sharded = _heat(n_ranks, adaptive=adaptive, params=params)
+    _assert_rows_identical(serial, sharded)
+    engine, _, result = sharded
+    assert _block_stepped(engine, result)
+    # No rows move: each chunk ack carries an empty payload.
+    assert result.transport_stats["total_bytes_moved"] < 1024
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_short_chunks_refresh_every_ghost_cell(chunk):
+    # Worker blocks of 3-4 cells, with ghosts not clipped at the domain
+    # end: a stale ghost cell reaches rank 0's sampled cells in the run.
+    sharded = _heat(4, chunk=chunk)
+    _assert_rows_identical(_heat(1), sharded)
+    assert _block_stepped(*sharded[::2])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rebalance": True},
+        {"faults": "slow:rank=1,per_sample=1e-4"},
+    ],
+    ids=["rebalance", "slow-worker"],
+)
+def test_worker_sampled_shards_keep_the_replica_path(kwargs):
+    # The same run block-steps without the knob that needs worker shards.
+    assert _block_stepped(*_heat(2)[::2])
+    engine, _, result = _heat(2, **kwargs)
+    assert result.transport_stats["pipeline"]["chunks_speculated"] > 0
+    assert not _block_stepped(engine, result)
+
+
+def test_app_without_shard_keeps_the_replica_path():
+    engine = DistributedEngine(
+        backend="multiprocessing",
+        n_ranks=2,
+        app_factory=_replay_app,
+        policy="all",
+    )
+    engine.add_analysis(_replay_analysis())
+    result = engine.run()
+    assert multiprocessing.active_children() == []
+    assert result.transport_stats["pipeline"]["chunks_speculated"] > 0
+
+
+def test_worker_death_replays_and_stays_bit_identical():
+    serial = _heat(1)
+    faulted = _heat(4, faults="kill:rank=2,iter=10")
+    _assert_rows_identical(serial, faulted)
+    events = faulted[2].recovery_events
+    assert [event.kind for event in events] == ["rank_death", "reshard"]
+    death, reshard = events
+    assert death.rank == 2
+    # The death surfaces at the boundary after the chunk it died in.
+    assert death.iteration == reshard.iteration == 16
+    assert "replayed a fresh replica to iteration 16" in reshard.detail
+
+
+def test_dropped_chunk_is_resent():
+    serial = _heat(1)
+    dropped = _heat(2, faults="drop:rank=1,chunk=2")
+    _assert_rows_identical(serial, dropped)
+    engine, _, result = dropped
+    assert _block_stepped(engine, result)
+    kinds = [event.kind for event in result.recovery_events]
+    assert kinds == ["chunk_dropped", "chunk_resent"]
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+@pytest.mark.parametrize(
+    "name, window, size",
+    [
+        ("heat-diffusion", (6, 40), "n_nodes is 32"),
+        ("advection-front", (0, 80), "n_cells is 48"),
+    ],
+)
+def test_window_past_the_domain_is_rejected(name, window, size, n_ranks):
+    config = scenarios.RunConfig(
+        quick=True,
+        n_ranks=n_ranks,
+        backend="multiprocessing" if n_ranks > 1 else "simcomm",
+        params={"window": window},
+    )
+    expected = rf"window \[{window[0]}, {window[1]}\].*{size}"
+    with pytest.raises(ConfigurationError, match=expected):
+        scenarios.run_scenario(name, config=config)
+    assert multiprocessing.active_children() == []

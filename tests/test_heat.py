@@ -3,6 +3,8 @@
 The step writes into buffers allocated once, so its cost does not
 depend on whether the allocator reuses or re-maps large temporaries.
 It must still produce exactly the states of the plain expression.
+A sharded step, with ghost cells refreshed once per chunk, must produce
+exactly the unsharded states on the cells it owns.
 """
 
 import tracemalloc
@@ -45,3 +47,47 @@ def test_step_allocates_no_state_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * app.u.nbytes
+
+
+def _blocks(n_nodes, n_ranks, layout):
+    """Non-empty ``(lo, hi)`` blocks: an even split, or rank 0 owning
+    all but one cell per other rank (blocks narrower than a ghost)."""
+    if layout == "even":
+        bounds = np.linspace(0, n_nodes, n_ranks + 1).astype(int)
+    else:
+        start = max(0, n_nodes - (n_ranks - 1))
+        bounds = [0] + list(range(start, n_nodes + 1))
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+@pytest.mark.parametrize("layout", ["even", "narrow"])
+@pytest.mark.parametrize("chunk", [1, 8])
+@pytest.mark.parametrize("n_ranks", [2, 3, 4])
+@pytest.mark.parametrize("n_nodes", [3, 32, 48, 4000])
+def test_sharded_step_matches_unsharded(n_nodes, n_ranks, chunk, layout):
+    steps = 40
+    whole = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+    blocks = _blocks(n_nodes, n_ranks, layout)
+    ghost = HeatDiffusionApp.stencil_radius * chunk
+    shards = []
+    for lo, hi in blocks:
+        app = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+        app.shard(max(0, lo - ghost), min(n_nodes, hi + ghost))
+        shards.append(app)
+    for step in range(steps):
+        if step % chunk == 0:
+            # Swap halos by hand: every ghost cell comes from its owner.
+            owned = np.concatenate(
+                [app.state[lo:hi] for app, (lo, hi) in zip(shards, blocks)]
+            )
+            for app, (lo, hi) in zip(shards, blocks):
+                left = max(0, lo - ghost)
+                app.state[left:lo] = owned[left:lo]
+                app.state[hi:hi + ghost] = owned[hi:hi + ghost]
+        whole.step()
+        for app, (lo, hi) in zip(shards, blocks):
+            app.step()
+            assert np.array_equal(
+                app.state[lo:hi].view(np.uint64),
+                whole.state[lo:hi].view(np.uint64),
+            ), f"block [{lo}, {hi}) diverged at step {step + 1}"
