@@ -45,8 +45,8 @@ Two execution backends ship behind the
     (:mod:`repro.engine.transport`); the parent assembles rows, trains
     and decides termination, then reduces the workers' partial
     statistics at shutdown.  Results match the serial engine because
-    row assembly is a pure concatenation of shard gathers.  Bytes
-    moved and serialization/transfer seconds land in
+    row assembly is a pure concatenation of shard gathers.  Row and
+    halo bytes moved and serialization/transfer seconds land in
     ``DistributedResult.transport_stats``.
 
 Both backends are elastic through one policy,
@@ -699,9 +699,11 @@ class MultiprocessExecutor:
         self._worker_overlap = [0.0] * n_workers
         self._worker_idle = [0.0] * n_workers
         # Block stepping: each rank's (lo, hi), or None for replicas;
-        # each worker's block edges from its latest ack.
+        # each worker's block edges from its latest ack, and the bytes
+        # of every ghost and edge array swapped with it.
         self._blocks = self._plan_blocks(rebalance)
         self._edges = [(_EMPTY_SHARD, _EMPTY_SHARD)] * n_workers
+        self._halo_bytes = [0] * n_workers
         if self._blocks is not None:
             self._ghost = self.app.stencil_radius * chunk
             for plan in self.plans:  # every sampled shard is rank 0's
@@ -881,6 +883,8 @@ class MultiprocessExecutor:
         self._worker_seconds[index] = float(extra["sample_seconds"])
         self._worker_busy[index] = float(extra["busy_seconds"])
         self._edges[index] = extra.get("edges")
+        if self._edges[index] is not None:
+            self._halo_bytes[index] += sum(e.nbytes for e in self._edges[index])
 
     def _on_worker_death(self, death: _WorkerDeath) -> None:
         self.layout.mark_dead(
@@ -1107,6 +1111,7 @@ class MultiprocessExecutor:
                 try:
                     self._post(index, ("advance", self.chunk, (), ghosts))
                     posted.append(index)
+                    self._halo_bytes[index] += ghosts[0].nbytes + ghosts[1].nbytes
                 except _WorkerDeath as death:
                     self._on_worker_death(death)
             self._speculative = _Speculation((), posted)
@@ -1269,12 +1274,18 @@ class MultiprocessExecutor:
         sat waiting for rank 0.  The ``pipeline`` block summarizes the
         speculation machinery (chunks speculated/discarded, rows
         backfilled by rank 0 for mid-chunk cadence growth).
+
+        ``bytes_moved`` counts row payloads only.  Under block stepping
+        the halo cells travel beside them, in the chunk request and its
+        ack: ``halo_bytes`` counts every ghost array posted to a worker
+        and every edge array received from it (0 on the replica path).
         """
         self._finish_workers()
         per_rank = [
             {
                 "rank": 0,
                 "bytes_moved": 0,
+                "halo_bytes": 0,
                 "serialize_seconds": 0.0,
                 "transfer_seconds": 0.0,
                 "overlap_seconds": float(self._rank0_overlap),
@@ -1290,6 +1301,7 @@ class MultiprocessExecutor:
                     {
                         "rank": index + 1,
                         "bytes_moved": int(receiver.counters.bytes_moved),
+                        "halo_bytes": self._halo_bytes[index],
                         "serialize_seconds": 0.0,
                         "transfer_seconds": float(receiver.counters.seconds),
                         "overlap_seconds": float(self._worker_overlap[index]),
@@ -1302,6 +1314,7 @@ class MultiprocessExecutor:
                 {
                     "rank": index + 1,
                     "bytes_moved": int(stats["bytes_moved"]),
+                    "halo_bytes": self._halo_bytes[index],
                     "serialize_seconds": float(stats["serialize_seconds"]),
                     "transfer_seconds": float(receiver.counters.seconds),
                     "overlap_seconds": float(self._worker_overlap[index]),
@@ -1311,6 +1324,7 @@ class MultiprocessExecutor:
         return {
             "per_rank": per_rank,
             "total_bytes_moved": sum(r["bytes_moved"] for r in per_rank),
+            "total_halo_bytes": sum(r["halo_bytes"] for r in per_rank),
             "pipeline": {
                 "chunks_speculated": int(self._chunks_speculated),
                 "chunks_discarded": int(self._chunks_discarded),

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.scenarios.spec import ScenarioSpec, register
+from repro.scenarios.spec import ScenarioSpec, register, require_number
 
 
 class AdvectionFrontApp:
@@ -49,13 +49,11 @@ class AdvectionFrontApp:
         n_iterations: int = 96,
         **_,
     ) -> None:
-        if n_cells < 4:
-            raise ConfigurationError(f"n_cells must be >= 4, got {n_cells}")
+        self.n_cells = require_number("n_cells", n_cells, int, 4)
         if speed <= 0:
             raise ConfigurationError(f"speed must be positive, got {speed}")
         if width <= 0:
             raise ConfigurationError(f"width must be positive, got {width}")
-        self.n_cells = int(n_cells)
         self.speed = float(speed)
         self.width = float(width)
         self.front0 = float(front0)

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.scenarios.spec import ScenarioSpec, register
+from repro.scenarios.spec import ScenarioSpec, register, require_number
 
 
 class RingdownApp:
@@ -48,11 +48,9 @@ class RingdownApp:
         n_iterations: int = 240,
         **_,
     ) -> None:
-        if n_channels < 1:
-            raise ConfigurationError(f"n_channels must be >= 1, got {n_channels}")
+        self.n_channels = require_number("n_channels", n_channels, int, 1)
         if gamma < 0:
             raise ConfigurationError(f"gamma must be >= 0, got {gamma}")
-        self.n_channels = int(n_channels)
         self.omega = float(omega)
         self.gamma = float(gamma)
         self.n_iterations = int(n_iterations)

@@ -30,6 +30,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -95,6 +96,28 @@ def json_safe(value):
         number = float(value)
         return number if np.isfinite(number) else str(number)
     return value
+
+
+def require_number(name: str, value, kind: type = int, low=None, high=None):
+    """``value`` as ``kind``, or a :class:`ConfigurationError` naming it.
+
+    ``kind`` is ``int`` for sizes and wavenumbers: an app would truncate
+    ``40.5`` but its window check would not, so only integers pass.
+    ``float`` takes any finite real.  A bool is neither.  ``low`` and
+    ``high`` bound the value, inclusive.
+    """
+    if kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real) and np.isfinite(value)
+    ok = ok and not isinstance(value, bool)
+    ok = ok and (low is None or value >= low) and (high is None or value <= high)
+    if not ok:
+        what = "an integer" if kind is int else "a finite real number"
+        if low is not None:
+            what += f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def resolve_backend(name: str) -> str:

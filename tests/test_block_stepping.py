@@ -17,6 +17,7 @@ import pytest
 from repro import scenarios
 from repro.engine import DistributedEngine, InSituEngine
 from repro.errors import ConfigurationError
+from repro.scenarios import heat
 
 from test_distributed import _replay_analysis, _replay_app
 
@@ -72,11 +73,21 @@ def _block_stepped(engine, result):
     )
 
 
-@pytest.mark.parametrize("params", [None, TINY_BIGSIM], ids=["quick", "bigsim"])
+@pytest.mark.parametrize(
+    "params, tile",
+    [
+        pytest.param(None, heat.TILE, id="quick"),
+        pytest.param(TINY_BIGSIM, heat.TILE, id="bigsim"),
+        # Tile edges inside every rank's block and ghost zones; forked
+        # workers inherit the patched TILE.
+        pytest.param(None, 5, id="quick-tile5"),
+    ],
+)
 @pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("n_ranks", [2, 3, 4])
-def test_rows_bit_identical_to_serial(n_ranks, adaptive, params):
+def test_rows_bit_identical_to_serial(n_ranks, adaptive, params, tile, monkeypatch):
     serial = _heat(1, adaptive=adaptive, params=params)
+    monkeypatch.setattr(heat, "TILE", tile)
     sharded = _heat(n_ranks, adaptive=adaptive, params=params)
     _assert_rows_identical(serial, sharded)
     engine, _, result = sharded

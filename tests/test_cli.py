@@ -135,6 +135,12 @@ class TestRun:
         assert main(["run", "heat-diffusion", "--param", "novalue"]) == 2
         assert "key=value" in capsys.readouterr().err
 
+    def test_non_integer_size_exits_2(self, capsys):
+        # Run as 40 nodes, window [6, 40] would pass its check and crash.
+        argv = ["run", "heat-diffusion", "--quick", "--param", "n_nodes=40.5"]
+        assert main(argv + ["--param", "window=[6,40]"]) == 2
+        assert "error: n_nodes must be an integer" in capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_renders_table_and_json(self, capsys, tmp_path):

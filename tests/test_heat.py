@@ -4,7 +4,9 @@ The step writes into buffers allocated once, so its cost does not
 depend on whether the allocator reuses or re-maps large temporaries.
 It must still produce exactly the states of the plain expression.
 A sharded step, with ghost cells refreshed once per chunk, must produce
-exactly the unsharded states on the cells it owns.
+exactly the unsharded states on the cells it owns.  The step walks its
+range in ``heat.TILE``-node tiles; tests patch ``TILE`` down to a few
+nodes to put tile edges everywhere on small domains.
 """
 
 import tracemalloc
@@ -12,7 +14,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.scenarios import heat
 from repro.scenarios.heat import HeatDiffusionApp
+
+#: ``(n_nodes, TILE)`` cases.  Tiles of 1, 2 and 5 nodes put tile edges
+#: inside blocks, on block edges, inside ghost zones and at both domain
+#: ends.  A tile loop costs ~10 us, so they run on the small domains.
+SIZES = [pytest.param(n, heat.TILE, id=str(n)) for n in (3, 32, 48, 4000)] + [
+    pytest.param(n, tile, id=f"{n}-tile{tile}")
+    for n in (3, 32, 48)
+    for tile in (1, 2, 5)
+]
 
 
 def _reference_step(u, r):
@@ -23,8 +35,9 @@ def _reference_step(u, r):
     return u + r * lap
 
 
-@pytest.mark.parametrize("n_nodes", [3, 32, 48, 4000])
-def test_step_bit_identical_to_reference(n_nodes):
+@pytest.mark.parametrize("n_nodes, tile", SIZES)
+def test_step_bit_identical_to_reference(n_nodes, tile, monkeypatch):
+    monkeypatch.setattr(heat, "TILE", tile)
     app = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=200)
     reference = app.u.copy()
     for step in range(200):
@@ -63,8 +76,11 @@ def _blocks(n_nodes, n_ranks, layout):
 @pytest.mark.parametrize("layout", ["even", "narrow"])
 @pytest.mark.parametrize("chunk", [1, 8])
 @pytest.mark.parametrize("n_ranks", [2, 3, 4])
-@pytest.mark.parametrize("n_nodes", [3, 32, 48, 4000])
-def test_sharded_step_matches_unsharded(n_nodes, n_ranks, chunk, layout):
+@pytest.mark.parametrize("n_nodes, tile", SIZES)
+def test_sharded_step_matches_unsharded(
+    n_nodes, tile, n_ranks, chunk, layout, monkeypatch
+):
+    monkeypatch.setattr(heat, "TILE", tile)
     steps = 40
     whole = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
     blocks = _blocks(n_nodes, n_ranks, layout)
@@ -90,4 +106,38 @@ def test_sharded_step_matches_unsharded(n_nodes, n_ranks, chunk, layout):
             assert np.array_equal(
                 app.state[lo:hi].view(np.uint64),
                 whole.state[lo:hi].view(np.uint64),
+            ), f"block [{lo}, {hi}) diverged at step {step + 1}"
+
+
+def test_real_tiles_bit_identical_to_reference():
+    # Four tiles a step, the last one 5 nodes wide; an even 2-rank split
+    # puts the block edge mid-tile, and each shard's tiles start at its
+    # own ghost edge.  Ghost cells come from the reference state.
+    n_nodes, steps, chunk = 3 * heat.TILE + 5, 40, 8
+    whole = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+    reference = whole.u.copy()
+    blocks = _blocks(n_nodes, 2, "even")
+    assert all(lo % heat.TILE for lo, _ in blocks[1:])
+    ghost = HeatDiffusionApp.stencil_radius * chunk
+    shards = []
+    for lo, hi in blocks:
+        app = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+        app.shard(max(0, lo - ghost), min(n_nodes, hi + ghost))
+        shards.append(app)
+    for step in range(steps):
+        if step % chunk == 0:
+            for app, (lo, hi) in zip(shards, blocks):
+                left = max(0, lo - ghost)
+                app.state[left:lo] = reference[left:lo]
+                app.state[hi : hi + ghost] = reference[hi : hi + ghost]
+        reference = _reference_step(reference, whole.r)
+        whole.step()
+        assert np.array_equal(
+            whole.state.view(np.uint64), reference.view(np.uint64)
+        ), f"state diverged at step {step + 1}"
+        for app, (lo, hi) in zip(shards, blocks):
+            app.step()
+            assert np.array_equal(
+                app.state[lo:hi].view(np.uint64),
+                reference[lo:hi].view(np.uint64),
             ), f"block [{lo}, {hi}) diverged at step {step + 1}"

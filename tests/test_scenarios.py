@@ -9,6 +9,7 @@ raise a clear :class:`repro.errors.ScenarioError`.
 """
 
 import json
+import multiprocessing
 import pathlib
 
 import numpy as np
@@ -33,6 +34,17 @@ BUILTINS = (
     "oscillator-ringdown",
     "wdmerger-detonation",
 )
+
+#: perfbench's tiny ``bigsim-mp`` request, as ``RunConfig`` fields.
+TINY_BIGSIM_RUN = {
+    "adaptive": True,
+    "params": {
+        "n_nodes": 4000,
+        "n_iterations": 150,
+        "train_iterations": 128,
+        "window": (6, 69),
+    },
+}
 
 
 def _dummy_spec(**overrides):
@@ -159,6 +171,37 @@ class TestRunner:
                 "heat-diffusion", config=scenarios.RunConfig(n_ranks=0)
             )
 
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("heat-diffusion", {"n_nodes": 40.5, "window": (6, 40)}, "n_nodes"),
+            ("advection-front", {"n_cells": 40.5, "window": (0, 40)}, "n_cells"),
+            ("oscillator-ringdown", {"n_channels": 4.5}, "n_channels"),
+            ("heat-diffusion", {"n_nodes": "abc"}, "n_nodes"),
+            ("oscillator-ringdown", {"n_channels": True}, "n_channels"),
+            ("heat-diffusion", {"r": "abc"}, "r must be a finite real"),
+            ("advection-front", {"n_cells": "abc"}, "n_cells"),
+            ("oscillator-ringdown", {"n_channels": "abc"}, "n_channels"),
+            ("heat-diffusion", {"modes": ((0, 1.0),)}, r"wavenumber.*\[1, 32\]"),
+            # Mode 33 of 32 nodes aliases to zero.
+            ("heat-diffusion", {"modes": ((33, 1.0),)}, r"wavenumber.*\[1, 32\]"),
+            ("heat-diffusion", {"modes": ((1, 0.0), (3, 0))}, "nonzero amplitude"),
+        ],
+    )
+    def test_malformed_params_rejected_before_any_step(
+        self, name, params, message, n_ranks
+    ):
+        config = scenarios.RunConfig(
+            quick=True,
+            n_ranks=n_ranks,
+            backend="mp" if n_ranks > 1 else "simcomm",
+            params=params,
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            scenarios.run_scenario(name, config=config)
+        assert multiprocessing.active_children() == []
+
     def test_validator_must_report_error(self):
         spec = _dummy_spec(
             name="no-error-metric",
@@ -271,6 +314,30 @@ class TestRoundTrip:
         assert stats["total_bytes_moved"] > 0
         assert all(rank["bytes_moved"] > 0 for rank in stats["per_rank"][1:])
         assert run.ok
+
+    @pytest.mark.parametrize(
+        "n_ranks, overrides, halo",
+        [
+            # perfbench's tiny bigsim-mp shape block-steps 16 chunks.  A
+            # worker gets 8 ghost cells a side (none past the domain
+            # end) and sends 8 + 8 edge cells back: 192 B a chunk for
+            # the last worker, 256 B for one in the middle.
+            (2, TINY_BIGSIM_RUN, [0, 3072]),
+            (3, TINY_BIGSIM_RUN, [0, 4096, 3072]),
+            # Rebalancing keeps the replica path, which swaps no halos.
+            (2, {"quick": True, "rebalance": True}, [0, 0]),
+        ],
+        ids=["block-stepped", "block-stepped-3", "replica"],
+    )
+    def test_halo_bytes_counted_beside_row_bytes(self, n_ranks, overrides, halo):
+        config = scenarios.RunConfig(
+            n_ranks=n_ranks, backend="mp", crosscheck=False, **overrides
+        )
+        run = scenarios.run_scenario("heat-diffusion", config=config)
+        stats = run.result.transport_stats
+        assert [rank["halo_bytes"] for rank in stats["per_rank"]] == halo
+        assert stats["total_halo_bytes"] == sum(halo)
+        assert stats["total_bytes_moved"] > 0
 
     def test_advection_wavefront_ranks_span_decomposition(self):
         # The threshold events must carry the owner rank of the moving
