@@ -186,6 +186,19 @@ class SeriesStore:
             int(iters[anchor]) - int(iters[lo]) == (order - 1) * step
         )
 
+    def lag_exact_rows(
+        self, *, lag_rows: int, order: int, step: int
+    ) -> np.ndarray:
+        """Indices of every row :meth:`lag_exact` accepts, ascending."""
+        lo = lag_rows + order - 1
+        n = max(self._n, lo)
+        iters = self._iterations
+        anchor = iters[order - 1: n - lag_rows]
+        exact = (iters[lo:n] - anchor == lag_rows * step) & (
+            anchor - iters[: n - lo] == (order - 1) * step
+        )
+        return exact.nonzero()[0] + lo
+
     def row_at(self, iteration: int) -> Optional[np.ndarray]:
         """Row collected at exactly ``iteration``, or None (O(1))."""
         idx = self._index.get(int(iteration))

@@ -291,53 +291,39 @@ class CurveFitting(Analysis):
         # spacing; an adaptive-cadence snap-back can leave gaps in the
         # collected iterations, and a pair built across one would
         # evaluate the model at the wrong lag.  Only lag-exact pairs
-        # are kept — the same SeriesStore.lag_exact predicate the
-        # training emitter applies, so training and evaluation always
-        # agree on which pairs are valid (at full cadence: every pair).
+        # are kept — the rows SeriesStore.lag_exact, the training
+        # emitter's predicate, accepts — so training and evaluation
+        # always agree on which pairs are valid (at full cadence: every
+        # pair).
         if self.axis == "time":
             loc = int(store.locations[0]) if location is None else location
             iters, series = store.series(loc)
-            start = order - 1 + lag_rows
-            valid = [
-                i
-                for i in range(start, series.size)
-                if store.lag_exact(i, lag_rows=lag_rows, order=order, step=step)
-            ]
-            if series.size <= start or not valid:
-                raise NotTrainedError("not enough collected data to evaluate")
-            features = np.stack(
-                [
-                    series[i - lag_rows - order + 1: i - lag_rows + 1][::-1]
-                    for i in valid
-                ]
+            valid = store.lag_exact_rows(
+                lag_rows=lag_rows, order=order, step=step
             )
+            if not valid.size:
+                raise NotTrainedError("not enough collected data to evaluate")
+            # Row i's features, most recent first, end lag_rows back.
+            features = series[(valid - lag_rows)[:, None] - np.arange(order)]
             predicted = self.model.predict_many(features)
             return iters[valid], predicted, series[valid]
-        # axis == "space"
+        # axis == "space".  Spatial features come from ONE lagged row, so
+        # order=1.  The training emitter's windows (most recent first,
+        # ending at the target's column, or the one before it without
+        # include_self) are gathered for every kept row at once; each
+        # row is still predicted by its own predict_many call of the
+        # same shape, since a matvec's bits can depend on it.
         first = self.collector.first_target_offset
-        rows_pred, rows_real, kept_iters = [], [], []
-        for i in range(lag_rows, matrix.shape[0]):
-            # Spatial features come from ONE lagged row, so order=1.
-            if not store.lag_exact(i, lag_rows=lag_rows, order=1, step=step):
-                continue
-            lagged = matrix[i - lag_rows]
-            features = np.stack(
-                [
-                    (
-                        lagged[j - order + 1: j + 1][::-1]
-                        if self.include_self
-                        else lagged[j - order: j][::-1]
-                    )
-                    for j in range(first, matrix.shape[1])
-                ]
-            )
-            rows_pred.append(self.model.predict_many(features))
-            rows_real.append(matrix[i, first:])
-            kept_iters.append(store.iterations[i])
-        if not rows_pred:
+        kept = store.lag_exact_rows(lag_rows=lag_rows, order=1, step=step)
+        if not kept.size:
             raise NotTrainedError("not enough collected data to evaluate")
-        predicted = np.stack(rows_pred)
-        real = np.stack(rows_real)
+        ends = np.arange(first, matrix.shape[1]) - (0 if self.include_self else 1)
+        features = matrix[
+            (kept - lag_rows)[:, None, None], ends[:, None] - np.arange(order)
+        ]
+        predicted = np.stack([self.model.predict_many(f) for f in features])
+        real = matrix[kept, first:]
+        kept_iters = store.iterations[kept]
         if location is not None:
             cols = store.locations[first:]
             sel = np.where(cols == location)[0]
@@ -347,7 +333,7 @@ class CurveFitting(Analysis):
                 )
             predicted = predicted[:, sel[0]]
             real = real[:, sel[0]]
-        return np.asarray(kept_iters), predicted, real
+        return kept_iters, predicted, real
 
     def fit_error(self, location: Optional[int] = None) -> float:
         """Curve-fit error rate (%) — the metric of Tables I and V.

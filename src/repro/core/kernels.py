@@ -59,7 +59,7 @@ def chan_update(
     k = rows.shape[0]
     if k == 0:
         return mean, m2, count
-    block_mean = rows.mean(axis=0)
+    block_mean = np.add.reduce(rows, axis=0) / k
     centered = rows - block_mean
     block_m2 = np.einsum("ij,ij->j", centered, centered)
     delta = block_mean - mean
@@ -117,35 +117,47 @@ def ar_batch_update(
     xs = (x - x_mean) / x_std
     ys = (y - y_mean[0]) / y_std[0]
 
-    # At order 3 an epoch is a dozen tiny array operations, so its cost
-    # is per-call overhead, not arithmetic: the loop-invariant
-    # projection terms are computed once, and means, sums and the norm
-    # use the array methods and math.sqrt instead of the np.* wrappers.
-    # These are the same operations in the same order, so the result
-    # matches the straight-line reference bit for bit.
+    # At order 3 an epoch is a dozen operations on 3- and k-element
+    # arrays, so its cost is per-call overhead, not arithmetic.  The
+    # body computes the straight-line reference in tests/test_kernels.py
+    # with fewer or cheaper calls and the same bits:
+    # - ndarray.dot reaches the same BLAS routines as ``@``;
+    # - ``v / (k * 0.5)`` is ``2.0 * v / k``: doubling is exact and
+    #   ``k * 0.5`` is representable, so both round 2v/k once;
+    # - np.add.reduce is the reduction ``.sum()`` and ``.mean()`` run;
+    # - the first epoch's residual is the pre-update one;
+    # - the ridge term is skipped when l2 is zero: it is then a signed
+    #   zero, so adding it changes at most the sign of a zero gradient
+    #   entry, which ``w -= learning_rate * grad_w`` cannot carry into
+    #   a w that holds no -0.0.
     k = xs.shape[0]
+    half_k = k * 0.5
+    ridge = 2.0 * l2
     xs_t = xs.T
     w = w.copy()
-    pre_residual = xs @ w + b - ys
-    pre_mse = float((pre_residual**2).sum()) / k
+    residual = xs.dot(w) + b - ys
+    pre_mse = float(np.add.reduce(residual * residual)) / k
 
     project = max_coefficient_sum > 0.0
     if project:
         proj_scale = float(y_std[0]) / x_std
-        prior_total = float((prior * proj_scale).sum())
-    for _ in range(epochs):
-        residual = xs @ w + b - ys
-        grad_w = 2.0 * (xs_t @ residual) / k + 2.0 * l2 * (w - prior)
-        grad_b = 2.0 * (float(residual.sum()) / k)
-        norm = math.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
+        prior_total = float(np.add.reduce(prior * proj_scale))
+    for epoch in range(epochs):
+        if epoch:
+            residual = xs.dot(w) + b - ys
+        grad_w = xs_t.dot(residual) / half_k
+        if l2:
+            grad_w += ridge * (w - prior)
+        grad_b = 2.0 * (float(np.add.reduce(residual)) / k)
+        norm = math.sqrt(grad_w.dot(grad_w) + grad_b * grad_b)
         if norm > clip:
             scale = clip / norm
-            grad_w = grad_w * scale
+            grad_w *= scale
             grad_b = grad_b * scale
         w -= learning_rate * grad_w
         b -= learning_rate * grad_b
         if project:
-            total = float((w * proj_scale).sum())
+            total = float(np.add.reduce(w * proj_scale))
             if total > max_coefficient_sum:
                 deviation_total = total - prior_total
                 if (

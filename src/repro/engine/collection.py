@@ -164,21 +164,21 @@ class SharedCollector:
         group.collectors.append(collector)
         return True
 
-    def fork(self, analysis) -> bool:
+    def fork(self, analysis, active) -> bool:
         """Give a completed analysis a private copy of a shared trainer.
 
-        The scheduler calls this when ``analysis`` stops: if another
-        subscriber still trains through its trainer, the analysis gets
-        a deep copy of trainer and model, frozen at this iteration.
+        The scheduler calls this after dispatching the iteration in
+        which ``analysis`` stopped: if one of the ``active`` analyses
+        still trains through its trainer, the analysis gets a deep copy
+        of trainer and model, frozen at this iteration.  Twins that
+        stop together share no later update, so they need no copy.
         Returns True when a copy was made.
         """
         collector = getattr(analysis, "collector", None)
-        if not isinstance(collector, DataCollector):
-            return False
-        group = self._groups.get(_group_key(collector))
-        if group is None or not any(
-            other is not collector and other.trainer is collector.trainer
-            for other in group.collectors
+        if not isinstance(collector, DataCollector) or not any(
+            getattr(getattr(other, "collector", None), "trainer", None)
+            is collector.trainer
+            for other in active
         ):
             return False
         collector.trainer = copy.deepcopy(collector.trainer)

@@ -240,6 +240,7 @@ class AnalysisScheduler:
         Returns False once the termination policy is satisfied (and
         keeps returning False thereafter — the stop decision latches).
         """
+        stopped = []
         for state in self._states:
             if not state.active:
                 continue
@@ -256,9 +257,16 @@ class AnalysisScheduler:
             if state.analysis.wants_stop and state.active:
                 state.stopped_at = iteration
             if not state.active:
-                # Completed: freeze its training here while any twin
-                # sharing the trainer trains on.
-                self.shared.fork(state.analysis)
+                stopped.append(state.analysis)
+        if stopped:
+            # Freeze each completed analysis's training where a twin
+            # sharing its trainer trains on.  Forking here, not at the
+            # stop, is the same state: a twin dispatched after the stop
+            # replays this iteration's feed and flush from the trainer
+            # (DataCollector.observe, .finalize) instead of training it.
+            active = [s.analysis for s in self._states if s.active]
+            for analysis in stopped:
+                self.shared.fork(analysis, active)
         satisfied = self._policy_satisfied()
         if self.stop_reducer is not None and not self._stop_requested:
             satisfied = bool(self.stop_reducer(satisfied))

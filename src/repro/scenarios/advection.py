@@ -50,14 +50,14 @@ class AdvectionFrontApp:
         **_,
     ) -> None:
         self.n_cells = require_number("n_cells", n_cells, int, 4)
-        if speed <= 0:
+        self.speed = require_number("speed", speed, float)
+        self.width = require_number("width", width, float)
+        if self.speed <= 0:
             raise ConfigurationError(f"speed must be positive, got {speed}")
-        if width <= 0:
+        if self.width <= 0:
             raise ConfigurationError(f"width must be positive, got {width}")
-        self.speed = float(speed)
-        self.width = float(width)
-        self.front0 = float(front0)
-        self.n_iterations = int(n_iterations)
+        self.front0 = require_number("front0", front0, float)
+        self.n_iterations = require_number("n_iterations", n_iterations, int, 1)
         self.iteration = 0
         self._x = np.arange(self.n_cells, dtype=np.float64)
         self.u = self.profile(self._x, 0)

@@ -62,8 +62,17 @@ class HeatDiffusionApp:
                 f"diffusion number r must be in (0, 0.5] for stability, "
                 f"got {r}"
             )
+        pairs = isinstance(modes, (list, tuple)) and all(
+            isinstance(mode, (list, tuple)) and len(mode) == 2 for mode in modes
+        )
+        if not pairs or not modes:
+            raise ConfigurationError(
+                "modes must be a non-empty list of [wavenumber, amplitude] "
+                f"pairs, got {modes!r}"
+            )
         # A wavenumber past n_nodes aliases onto a lower mode, or onto
-        # zero; with no nonzero amplitude the state is zero throughout.
+        # zero; with no nonzero amplitude the state is zero throughout,
+        # and so it is when the amplitudes of one wavenumber cancel.
         self.modes = tuple(
             (
                 require_number("modes wavenumber", k, int, 1, self.n_nodes),
@@ -71,11 +80,7 @@ class HeatDiffusionApp:
             )
             for k, a in modes
         )
-        if not any(amplitude for _, amplitude in self.modes):
-            raise ConfigurationError(
-                f"modes {list(modes)} need at least one nonzero amplitude"
-            )
-        self.n_iterations = int(n_iterations)
+        self.n_iterations = require_number("n_iterations", n_iterations, int, 1)
         self.iteration = 0
         j = np.arange(1, self.n_nodes + 1, dtype=np.float64)
         self._shapes = np.stack(
@@ -85,6 +90,11 @@ class HeatDiffusionApp:
             ]
         )
         self.u = self._shapes.sum(axis=0)
+        if not self.u.any():
+            raise ConfigurationError(
+                f"modes {list(modes)} need at least one nonzero amplitude "
+                "that no other mode of its wavenumber cancels"
+            )
         # Step buffers, allocated once: at large n_nodes, fresh
         # temporaries every step make the step's cost depend on whether
         # the allocator reuses or re-maps them.  The second one starts

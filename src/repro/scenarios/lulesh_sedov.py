@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.params import IterParam
-from repro.scenarios.spec import ScenarioSpec, register
+from repro.scenarios.spec import ScenarioSpec, register, require_number
 
 
 def velocity_provider(domain: object, location: int) -> float:
@@ -38,6 +38,7 @@ def make_app(*, size: int = 30, maintain_field: bool = False, **extra):
         for key in ("record_locations", "stop_time", "blast_energy")
         if key in extra
     }
+    size = require_number("size", size, int, 2)
     return LuleshSimulation(size, maintain_field=maintain_field, **factory_kwargs)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam
-from repro.errors import ConfigurationError, NotTrainedError
+from repro.errors import NotTrainedError
 from repro.scenarios.spec import ScenarioSpec, register, require_number
 
 
@@ -49,11 +49,9 @@ class RingdownApp:
         **_,
     ) -> None:
         self.n_channels = require_number("n_channels", n_channels, int, 1)
-        if gamma < 0:
-            raise ConfigurationError(f"gamma must be >= 0, got {gamma}")
-        self.omega = float(omega)
-        self.gamma = float(gamma)
-        self.n_iterations = int(n_iterations)
+        self.omega = require_number("omega", omega, float)
+        self.gamma = require_number("gamma", gamma, float, 0)
+        self.n_iterations = require_number("n_iterations", n_iterations, int, 1)
         self.iteration = 0
         j = np.arange(self.n_channels, dtype=np.float64)
         self.amplitudes = 1.0 + 0.5 * j

@@ -17,7 +17,7 @@ multiprocessing backend would need to pickle them).
 from __future__ import annotations
 
 from repro.core.params import IterParam
-from repro.scenarios.spec import ScenarioSpec, register
+from repro.scenarios.spec import ScenarioSpec, register, require_number
 
 
 def total_iterations(resolution: int, end_time: float = 100.0) -> int:
@@ -34,6 +34,7 @@ def make_app(*, resolution: int = 16, maintain_grid: bool = False, **extra):
         for key in ("initial_separation", "m_primary", "m_secondary")
         if key in extra
     }
+    resolution = require_number("resolution", resolution, int, 4)
     return WdMergerSimulation(resolution, maintain_grid=maintain_grid, **factory_kwargs)
 
 

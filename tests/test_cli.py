@@ -141,6 +141,23 @@ class TestRun:
         assert main(argv + ["--param", "window=[6,40]"]) == 2
         assert "error: n_nodes must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, param, message",
+        [
+            ("advection-front", "speed=abc", "speed must be a finite real"),
+            ("oscillator-ringdown", "gamma=abc", "gamma must be a finite real"),
+            ("heat-diffusion", "n_iterations=abc", "n_iterations must be an integer"),
+            ("heat-diffusion", "modes=5", "modes must be a non-empty list"),
+            ("heat-diffusion", "modes=[[1,1.0],[1,-1.0]]", "cancels"),
+            ("lulesh-sedov", "size=abc", "size must be an integer"),
+            ("wdmerger-detonation", "resolution=7.5", "resolution must be an integer"),
+        ],
+    )
+    def test_malformed_scenario_param_exits_2(self, capsys, scenario, param, message):
+        assert main(["run", scenario, "--quick", "--param", param]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err
+
 
 class TestBench:
     def test_bench_renders_table_and_json(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.curve_fitting import CurveFitting, evaluate_spatial_history
 from repro.core.params import IterParam
 from repro.core.region import Region
+from repro.engine import ReplayApp
 from repro.errors import ConfigurationError, NotTrainedError
 
 
@@ -104,6 +105,123 @@ class TestTrainingFlow:
         analysis = CurveFitting(_provider, (0, 5, 1), (1, 10, 1))
         with pytest.raises(NotTrainedError):
             analysis.fit_error()
+
+
+def _predicted_vs_real_loop(analysis, location=None):
+    """``CurveFitting.predicted_vs_real`` as one call per row, the way it
+    was written before its row pairing was vectorised."""
+    store = analysis.collector.store
+    matrix = store.matrix()
+    order = analysis.model.order
+    step = analysis.collector.temporal.step
+    lag_rows = analysis.model.lag // step
+    if analysis.axis == "time":
+        loc = int(store.locations[0]) if location is None else location
+        iters, series = store.series(loc)
+        start = order - 1 + lag_rows
+        valid = [
+            i
+            for i in range(start, series.size)
+            if store.lag_exact(i, lag_rows=lag_rows, order=order, step=step)
+        ]
+        features = np.stack(
+            [
+                series[i - lag_rows - order + 1: i - lag_rows + 1][::-1]
+                for i in valid
+            ]
+        )
+        predicted = analysis.model.predict_many(features)
+        return iters[valid], predicted, series[valid]
+    first = analysis.collector.first_target_offset
+    rows_pred, rows_real, kept_iters = [], [], []
+    for i in range(lag_rows, matrix.shape[0]):
+        if not store.lag_exact(i, lag_rows=lag_rows, order=1, step=step):
+            continue
+        lagged = matrix[i - lag_rows]
+        features = np.stack(
+            [
+                (
+                    lagged[j - order + 1: j + 1][::-1]
+                    if analysis.include_self
+                    else lagged[j - order: j][::-1]
+                )
+                for j in range(first, matrix.shape[1])
+            ]
+        )
+        rows_pred.append(analysis.model.predict_many(features))
+        rows_real.append(matrix[i, first:])
+        kept_iters.append(store.iterations[i])
+    predicted, real = np.stack(rows_pred), np.stack(rows_real)
+    if location is not None:
+        sel = np.where(store.locations[first:] == location)[0][0]
+        predicted, real = predicted[:, sel], real[:, sel]
+    return np.asarray(kept_iters), predicted, real
+
+
+class TestPredictedVsRealPairing:
+    """The vectorised row pairing against the one-call-per-row loop, on
+    stores with cadence gaps, so the lag-exact mask drops rows."""
+
+    GATED_OFF = {9, 10, 11, 24, 31, 32}
+
+    def _run(self, axis, lag, step, include_self):
+        t = np.arange(1, 61, dtype=np.float64)[:, None]
+        x = np.arange(12, dtype=np.float64)[None, :]
+        history = np.sin(0.07 * t - 0.4 * x) + 0.02 * x + 1.5
+        analysis = CurveFitting(
+            ReplayApp.provider,
+            (0, 11, 1) if axis == "space" else (2, 5, 1),
+            (1, 60, step),
+            axis=axis,
+            order=3,
+            lag=lag * step,
+            batch_size=4,
+            include_self=include_self,
+        )
+        analysis.collector.cadence_gate = lambda it: it not in self.GATED_OFF
+        app = ReplayApp(history)
+        for iteration in range(1, 61):
+            app.step()
+            analysis.on_iteration(app.domain, iteration)
+        return analysis
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("lag", [1, 2])
+    @pytest.mark.parametrize("axis", ["time", "space"])
+    def test_matches_row_loop(self, monkeypatch, axis, lag, step, include_self):
+        analysis = self._run(axis, lag, step, include_self)
+        store = analysis.collector.store
+        assert len(store) < 60 // step  # the gate left gaps
+        shapes = []
+        predict_many = analysis.model.predict_many
+        monkeypatch.setattr(
+            analysis.model,
+            "predict_many",
+            lambda past: shapes.append(np.shape(past)) or predict_many(past),
+        )
+        for location in (None, int(store.locations[-1])):
+            shapes.clear()
+            ours = analysis.predicted_vs_real(location)
+            ours_shapes = list(shapes)
+            shapes.clear()
+            ref = _predicted_vs_real_loop(analysis, location)
+            assert ours_shapes == shapes
+            for a, b in zip(ours, ref):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        lag_rows = analysis.model.lag // step
+        for order in (1, 3, 60):  # 60: more than the store holds
+            np.testing.assert_array_equal(
+                store.lag_exact_rows(lag_rows=lag_rows, order=order, step=step),
+                [
+                    i
+                    for i in range(len(store))
+                    if store.lag_exact(
+                        i, lag_rows=lag_rows, order=order, step=step
+                    )
+                ],
+            )
 
 
 class TestTimeAxis:

@@ -8,6 +8,7 @@ while invoking the variable provider at most once per
 """
 
 import time
+import types
 
 import numpy as np
 import pytest
@@ -774,6 +775,48 @@ class TestSharedTraining:
         trainers = {id(a.trainer) for a in shared.values()}
         models = {id(a.model) for a in shared.values()}
         assert len(trainers) == len(models) == len(self.STOPS)
+
+    @pytest.mark.parametrize(
+        "stops, copies",
+        [((60, 60, 60), 0), ((40, 60, 60), 1)],
+        ids=["stop_together", "one_stops_early"],
+    )
+    def test_fork_copies_only_for_a_twin_that_trains_on(
+        self, monkeypatch, stops, copies
+    ):
+        """Twins that stop in one iteration keep sharing their trainer;
+        one that stops while others train on gets the only copy.  Every
+        fit still equals its solo run."""
+        from repro.engine import collection
+
+        made = []
+        deepcopy = collection.copy.deepcopy
+        monkeypatch.setattr(
+            collection,
+            "copy",
+            types.SimpleNamespace(
+                deepcopy=lambda obj: made.append(obj) or deepcopy(obj)
+            ),
+        )
+        history = _wave_history()
+        engine = InSituEngine(ReplayApp(history), policy="all")
+        shared = [
+            engine.add_analysis(self._analysis(stop, f"twin_{i}"))
+            for i, stop in enumerate(stops)
+        ]
+        result = engine.run()
+        assert len(made) == copies
+        assert len({id(a.trainer) for a in shared}) == copies + 1
+        for twin, stop in zip(shared, stops):
+            assert result.stopped_at[twin.name] == stop
+            solo = InSituEngine(ReplayApp(history))
+            alone = solo.add_analysis(self._analysis(stop, twin.name))
+            solo.run()
+            np.testing.assert_array_equal(
+                alone.model.coefficients, twin.model.coefficients
+            )
+            assert alone.trainer.losses == twin.trainer.losses
+            assert alone.summary() == twin.summary()
 
     def test_replayed_updates_are_charged_to_every_subscriber(
         self, lulesh_total_iterations, monkeypatch

@@ -10,6 +10,7 @@ implementation in a benchmark's environment record, accepts only
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.ar_model import ARModel, RunningStats
@@ -87,6 +88,105 @@ def _legacy_update(model, x, y, w, b, x_stats, y_stats, hits):
                 hits.add("shrink")
                 w = prior + (bound - prior_total) / deviation * (w - prior)
     return pre_mse, w, b
+
+
+def _chan_update_reference(mean, m2, count, rows):
+    """``kernels.chan_update`` as it was written before its rewrite."""
+    k = rows.shape[0]
+    if k == 0:
+        return mean, m2, count
+    block_mean = rows.mean(axis=0)
+    centered = rows - block_mean
+    block_m2 = np.einsum("ij,ij->j", centered, centered)
+    delta = block_mean - mean
+    total = count + k
+    mean = mean + delta * (k / total)
+    m2 = m2 + block_m2 + delta * delta * (count * k / total)
+    return mean, m2, total
+
+
+def _std_reference(mean, m2, count):
+    """``kernels.std`` as it was written before its rewrite."""
+    if count < 2:
+        return np.ones(mean.shape[0], dtype=np.float64)
+    std = np.sqrt(m2 / (count - 1))
+    floor = 1e-3 * np.abs(mean) + 1e-12
+    std = np.maximum(std, floor)
+    return np.where(std > 1e-12, std, 1.0)
+
+
+def _check_update_against_legacy(
+    order, k, l2, clip, bound, epochs, batches, constant, seed
+):
+    """Run ``batches`` updates through ``partial_fit`` and ``_legacy_update``.
+
+    Asserts every output equal by ``tobytes()`` and returns the
+    branches the reference took.  ``constant`` pins the last feature
+    column to a value whose running mean is exact, so it standardises
+    to exact zeros and its gradient entry is a signed zero.
+    """
+    rng = np.random.default_rng(seed)
+    model = ARModel(
+        order,
+        seed=seed,
+        learning_rate=0.1,
+        epochs_per_batch=epochs,
+        l2=l2,
+        clip=clip,
+        max_coefficient_sum=bound,
+    )
+    x_stats, y_stats = RunningStats(order), RunningStats(1)
+    w, b = model._w.copy(), model._b
+    coef = rng.standard_normal(order) * 1.5
+    hits = set()
+    for _ in range(batches):
+        x = rng.standard_normal((k, order)) * 2.0 + 0.3
+        if constant is not None:
+            x[:, -1] = constant
+        y = x @ coef + 0.1 * rng.standard_normal(k) + 0.1
+        ref_pre_mse, w, b = _legacy_update(
+            model, x, y, w, b, x_stats, y_stats, hits
+        )
+        pre_mse = model.partial_fit(x, y)
+        assert np.float64(pre_mse).tobytes() == np.float64(ref_pre_mse).tobytes()
+        assert model._w.tobytes() == w.tobytes()
+        assert np.float64(model._b).tobytes() == np.float64(b).tobytes()
+        for ours, ref in ((model.x_stats, x_stats), (model.y_stats, y_stats)):
+            assert ours.count == ref.count
+            assert ours._mean.tobytes() == ref._mean.tobytes()
+            assert ours._m2.tobytes() == ref._m2.tobytes()
+    return hits
+
+
+#: Draws of ``test_ar_batch_update_matches_legacy_over_draws`` pinned
+#: with the exact branches each takes: clip hit and miss, both
+#: projections, projection off (the last shrink draw without its
+#: bound) and one-row batches.
+PINNED_DRAWS = [
+    pytest.param(
+        (5, 15, 0.01, 0.05, None, 16, 1, 0.0, 32652), {"clip"}, id="clip"
+    ),
+    pytest.param(
+        (4, 9, 0.0, 0.05, 0.5, 20, 1, 0.0, 26418),
+        {"clip", "scale_down"},
+        id="clip-scale_down-zero_column",
+    ),
+    pytest.param(
+        (3, 9, 0.5, 10.0, 2.0, 2, 3, 0.0, 35469), {"scale_down"}, id="scale_down"
+    ),
+    pytest.param(
+        (5, 57, 0.0, 0.05, 2.0, 8, 1, -3.0, 13617),
+        {"clip", "shrink"},
+        id="clip-shrink-constant_column",
+    ),
+    pytest.param(
+        (3, 59, 0.01, 10.0, 0.5, 16, 3, 2.0, 15368), {"shrink"}, id="shrink"
+    ),
+    pytest.param(
+        (3, 59, 0.01, 10.0, None, 16, 3, 2.0, 15368), set(), id="no_projection"
+    ),
+    pytest.param((1, 1, 0.0, 1.0, 1.05, 1, 1, None, 0), set(), id="one_row"),
+]
 
 
 class TestNumpyKernels:
@@ -201,6 +301,66 @@ class TestNumpyKernels:
         if kwargs.get("max_coefficient_sum", 0.0) is None:
             # The bound would have held the fit: it is really off.
             assert model.coefficients.sum() > 1.05
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(
+        order=st.integers(1, 5),
+        k=st.integers(1, 70),
+        l2=st.sampled_from([0.0, 0.01, 0.5]),
+        clip=st.sampled_from([0.05, 1.0, 10.0]),
+        bound=st.sampled_from([None, 0.5, 1.05, 2.0]),
+        epochs=st.integers(1, 20),
+        batches=st.integers(1, 3),
+        constant=st.sampled_from([None, 0.0, 2.0, -3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ar_batch_update_matches_legacy_over_draws(
+        self, order, k, l2, clip, bound, epochs, batches, constant, seed
+    ):
+        """Bit identity with the straight-line reference over the whole
+        space of orders, odd and even batch sizes, ridge on and off,
+        clip hit and miss, both projections, projection off and signed
+        zero gradients from a constant feature column."""
+        _check_update_against_legacy(
+            order, k, l2, clip, bound, epochs, batches, constant, seed
+        )
+
+    @pytest.mark.parametrize("draw, branches", PINNED_DRAWS)
+    def test_pinned_draws_take_their_branches(self, draw, branches):
+        assert _check_update_against_legacy(*draw) == branches
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        width=st.integers(1, 5),
+        k=st.integers(0, 70),
+        count=st.sampled_from([0, 1, 2, 7, 64]),
+        degenerate=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chan_update_and_std_match_reference_bitwise(
+        self, width, k, count, degenerate, seed
+    ):
+        """``ar_batch_update`` folds stats through these two, so the
+        legacy comparison cannot see a change in them: pin them against
+        copies of their bodies.  ``degenerate`` adds a constant column
+        and a zero mean and M2, where the std floor and its 1.0
+        fallback apply."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((k, width)) * 3.0 + 1.5
+        mean = rng.standard_normal(width) if count else np.zeros(width)
+        m2 = np.abs(rng.standard_normal(width)) * count
+        if degenerate:
+            rows[:, 0] = 2.0
+            mean[-1] = m2[-1] = 0.0
+        ours = kernels.chan_update(mean, m2, count, rows)
+        ref = _chan_update_reference(mean, m2, count, rows)
+        assert ours[2] == ref[2]
+        assert ours[0].tobytes() == ref[0].tobytes()
+        assert ours[1].tobytes() == ref[1].tobytes()
+        for stats in (ours, (mean, m2, count)):
+            assert (
+                kernels.std(*stats).tobytes() == _std_reference(*stats).tobytes()
+            )
 
     def test_normal_solve_matches_reference(self, rng):
         order, k = 3, 50

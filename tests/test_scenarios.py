@@ -187,15 +187,27 @@ class TestRunner:
             # Mode 33 of 32 nodes aliases to zero.
             ("heat-diffusion", {"modes": ((33, 1.0),)}, r"wavenumber.*\[1, 32\]"),
             ("heat-diffusion", {"modes": ((1, 0.0), (3, 0))}, "nonzero amplitude"),
+            ("advection-front", {"speed": "abc"}, "speed must be a finite real"),
+            ("oscillator-ringdown", {"gamma": "abc"}, "gamma must be a finite real"),
+            ("heat-diffusion", {"n_iterations": "abc"}, "n_iterations must be an int"),
+            ("advection-front", {"n_iterations": "abc"}, "n_iterations must be an int"),
+            ("oscillator-ringdown", {"n_iterations": "abc"}, "n_iterations must"),
+            ("heat-diffusion", {"modes": 5}, "modes must be a non-empty list"),
+            ("heat-diffusion", {"modes": ((1, 1.0), (1, -1.0))}, "cancels"),
+            ("lulesh-sedov", {"size": "abc"}, "size must be an integer"),
+            ("wdmerger-detonation", {"resolution": 7.5}, "resolution must be an int"),
         ],
     )
     def test_malformed_params_rejected_before_any_step(
         self, name, params, message, n_ranks
     ):
+        # Two ranks run on mp, which spawns workers, where the scenario
+        # supports it (wdmerger-detonation runs on simcomm only).
+        mp = n_ranks > 1 and "multiprocessing" in scenarios.get(name).backends
         config = scenarios.RunConfig(
             quick=True,
             n_ranks=n_ranks,
-            backend="mp" if n_ranks > 1 else "simcomm",
+            backend="mp" if mp else "simcomm",
             params=params,
         )
         with pytest.raises(ConfigurationError, match=message):
