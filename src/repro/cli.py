@@ -63,17 +63,25 @@ from repro import scenarios
 from repro.errors import ReproError, ScenarioError
 
 
+def _parse_value(raw: str) -> object:
+    """JSON (``true``, ``[8,263]``), then a Python literal (``(1,40)``),
+    then the string itself; the scenario schema checks the result."""
+    for parse in (json.loads, ast.literal_eval):
+        try:
+            return parse(raw)
+        except (ValueError, SyntaxError):
+            pass
+    return raw
+
+
 def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
-    """Parse repeated ``--param key=value`` flags (literals or strings)."""
+    """Parse repeated ``--param key=value`` flags."""
     params: Dict[str, object] = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ScenarioError(f"--param expects key=value, got {pair!r}")
-        try:
-            params[key] = ast.literal_eval(raw)
-        except (ValueError, SyntaxError):
-            params[key] = raw
+        params[key] = _parse_value(raw)
     return params
 
 
@@ -94,17 +102,11 @@ def _cmd_list(args) -> int:
     width = max(len(spec.name) for spec in specs)
     print(f"{len(specs)} registered scenarios:\n")
     for spec in specs:
-        # Spell out where each scenario can run so callers pick a
-        # supported --backend up front instead of discovering the
-        # limit by failure (wdmerger, for one, is simcomm-only).
-        # Serial (--ranks 1) always works and needs no backend flag.
-        backends = ",".join(spec.backends)
         adaptive = "yes" if spec.adaptive_supported else "no"
         print(f"  {spec.name.ljust(width)}  {spec.physics}")
         print(f"  {' ' * width}  ground truth: {spec.ground_truth}")
         print(
             f"  {' ' * width}  policy={spec.policy} "
-            f"distributed-backends={backends} "
             f"adaptive={adaptive} tolerance={spec.tolerance:g}"
         )
     print(
@@ -214,8 +216,7 @@ def _cmd_bench(args) -> int:
         serial = scenarios.run_scenario(
             name, config=scenarios.RunConfig(quick=args.quick)
         )
-        spec = scenarios.get(name)
-        if args.ranks > 1 and backend in spec.backends:
+        if args.ranks > 1:
             dist = scenarios.run_scenario(
                 name,
                 config=scenarios.RunConfig(

@@ -193,31 +193,36 @@ class ARModel:
         max_coefficient_sum: Optional[float] = 1.05,
         seed: int = 0,
     ) -> None:
-        if order <= 0:
+        # Every check fails on NaN.  A NaN learning rate or l2 would
+        # leave each coefficient NaN, and a NaN clip or coefficient-sum
+        # bound would turn clipping or the projection off, all silently.
+        if not order > 0:
             raise ConfigurationError(f"order must be positive, got {order}")
-        if lag <= 0:
+        if not lag > 0:
             raise ConfigurationError(f"lag must be positive, got {lag}")
-        if learning_rate <= 0:
+        if not 0 < learning_rate < np.inf:
             raise ConfigurationError(
-                f"learning_rate must be positive, got {learning_rate}"
+                f"learning_rate must be positive and finite, got {learning_rate}"
             )
-        if epochs_per_batch <= 0:
+        if not epochs_per_batch > 0:
             raise ConfigurationError(
                 f"epochs_per_batch must be positive, got {epochs_per_batch}"
             )
-        if l2 < 0:
-            raise ConfigurationError(f"l2 must be >= 0, got {l2}")
+        if not 0 <= l2 < np.inf:
+            raise ConfigurationError(f"l2 must be finite and >= 0, got {l2}")
+        if not clip > 0:
+            raise ConfigurationError(f"clip must be positive, got {clip}")
+        if max_coefficient_sum is not None and not max_coefficient_sum > 0:
+            raise ConfigurationError(
+                "max_coefficient_sum must be positive or None, got "
+                f"{max_coefficient_sum}"
+            )
         self.order = order
         self.lag = lag
         self.learning_rate = learning_rate
         self.epochs_per_batch = epochs_per_batch
         self.l2 = l2
         self.clip = clip
-        if max_coefficient_sum is not None and max_coefficient_sum <= 0:
-            raise ConfigurationError(
-                "max_coefficient_sum must be positive or None, got "
-                f"{max_coefficient_sum}"
-            )
         self.max_coefficient_sum = max_coefficient_sum
         rng = np.random.default_rng(seed)
         # Persistence initialisation: start at "predict the nearest

@@ -33,6 +33,7 @@ can group analyses by the *underlying* provider identity (see
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Protocol, Sequence
 
@@ -268,24 +269,29 @@ class HarmonicProvider:
         )
 
 
+def _scalar(attribute: str, domain: object, location: int) -> float:
+    return float(getattr(domain, attribute))
+
+
+def _scalar_batch(attribute: str, domain: object, locations: np.ndarray) -> np.ndarray:
+    return np.full(
+        np.asarray(locations).shape,
+        float(getattr(domain, attribute)),
+        dtype=np.float64,
+    )
+
+
 def scalar_provider(attribute: str) -> ProviderFn:
     """Provider reading a domain-global scalar, ignoring the location.
 
     The wdmerger diagnostics (total mass, total energy, ...) are
     domain-global reductions rather than per-location values; spatial
     windows over them use a single location 0.  The batch path reads
-    the attribute once and broadcasts it over the window.
+    the attribute once and broadcasts it over the window.  Both paths
+    are module-level functions bound with :func:`functools.partial`,
+    so the provider pickles and the multiprocessing backend can ship
+    it to worker ranks.
     """
-
-    def _provider(domain: object, location: int) -> float:
-        return float(getattr(domain, attribute))
-
-    def _batch(domain: object, locations: np.ndarray) -> np.ndarray:
-        return np.full(
-            np.asarray(locations).shape,
-            float(getattr(domain, attribute)),
-            dtype=np.float64,
-        )
-
-    _provider.batch = _batch
-    return _provider
+    provider = functools.partial(_scalar, attribute)
+    provider.batch = functools.partial(_scalar_batch, attribute)
+    return provider

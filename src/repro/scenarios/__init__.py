@@ -14,9 +14,9 @@ repro``), the experiment drivers and CI all resolve workloads through:
 >>> run.ok
 True
 
-See :mod:`repro.scenarios.spec` for the :class:`ScenarioSpec` contract,
-the :class:`RunConfig` request object and :func:`run_scenario`
-semantics.
+See :mod:`repro.scenarios.spec` for the :class:`ScenarioSpec` contract
+and its :class:`Param` schema, the :class:`RunConfig` request object
+and :func:`run_scenario` semantics.
 """
 
 from repro.scenarios.spec import (
@@ -24,6 +24,7 @@ from repro.scenarios.spec import (
     CROSSCHECK_OVERRIDES,
     DIVERGENCE_TOL,
     SCHEMA_VERSION,
+    Param,
     RunConfig,
     ScenarioRun,
     ScenarioSpec,
@@ -54,6 +55,7 @@ __all__ = [
     "CROSSCHECK_OVERRIDES",
     "DIVERGENCE_TOL",
     "SCHEMA_VERSION",
+    "Param",
     "RunConfig",
     "ScenarioRun",
     "ScenarioSpec",

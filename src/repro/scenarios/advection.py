@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam
-from repro.errors import ConfigurationError, NotTrainedError
-from repro.scenarios.spec import ScenarioSpec, register, require_number
+from repro.errors import NotTrainedError
+from repro.scenarios.spec import Param, ScenarioSpec, check_window, register
 
 
 class AdvectionFrontApp:
@@ -36,28 +36,25 @@ class AdvectionFrontApp:
     ``u = 1`` far behind the front, ``0`` far ahead; ``width`` sets the
     smoothing length in cells.  The update is an exact translation —
     re-evaluating the closed form keeps worker-rank replicas
-    bit-identical to the engine-visible app.
+    bit-identical to the engine-visible app.  The scenario schema
+    checks the arguments.
     """
 
     def __init__(
         self,
         *,
-        n_cells: int = 64,
-        speed: float = 0.5,
-        width: float = 1.5,
-        front0: float = 6.0,
-        n_iterations: int = 96,
+        n_cells: int,
+        speed: float,
+        width: float,
+        front0: float,
+        n_iterations: int,
         **_,
     ) -> None:
-        self.n_cells = require_number("n_cells", n_cells, int, 4)
-        self.speed = require_number("speed", speed, float)
-        self.width = require_number("width", width, float)
-        if self.speed <= 0:
-            raise ConfigurationError(f"speed must be positive, got {speed}")
-        if self.width <= 0:
-            raise ConfigurationError(f"width must be positive, got {width}")
-        self.front0 = require_number("front0", front0, float)
-        self.n_iterations = require_number("n_iterations", n_iterations, int, 1)
+        self.n_cells = n_cells
+        self.speed = speed
+        self.width = width
+        self.front0 = front0
+        self.n_iterations = n_iterations
         self.iteration = 0
         self._x = np.arange(self.n_cells, dtype=np.float64)
         self.u = self.profile(self._x, 0)
@@ -104,28 +101,18 @@ def _front_batch(domain: object, locations: np.ndarray) -> np.ndarray:
 front_provider.batch = _front_batch
 
 
-def make_app(**params) -> AdvectionFrontApp:
-    return AdvectionFrontApp(**params)
-
-
 def make_analyses(
     *,
-    window=(0, 47),
-    train_iterations: int = 80,
-    order: int = 2,
-    lag: int = 2,
-    batch_size: int = 16,
-    learning_rate: float = 0.3,
-    epochs_per_batch: int = 48,
-    threshold: float = 0.5,
-    n_cells: int = 64,
+    window,
+    train_iterations,
+    order,
+    lag,
+    batch_size,
+    learning_rate,
+    epochs_per_batch,
+    threshold,
     **_,
 ):
-    if window[1] >= n_cells:
-        raise ConfigurationError(
-            f"window {list(window)} runs past the domain: n_cells is "
-            f"{n_cells}, so locations must be in [0, {n_cells - 1}]"
-        )
     # order=2 captures the exact shift relation u(l,t) = u(l-1,t-lag);
     # a third (collinear) feature only destabilises the SGD fit here.
     return [
@@ -147,7 +134,7 @@ def make_analyses(
     ]
 
 
-def validate(app, analyses, result, *, threshold=0.5, **params) -> dict:
+def validate(app, analyses, result, **_) -> dict:
     """Fitted predictions and tracked front vs the closed form."""
     analysis = analyses[0]
     try:
@@ -185,36 +172,36 @@ def validate(app, analyses, result, *, threshold=0.5, **params) -> dict:
     return metrics
 
 
+def check(params) -> None:
+    """The window must lie inside the cell array."""
+    check_window(params["window"], params["n_cells"], "n_cells")
+
+
 register(
     ScenarioSpec(
         name="advection-front",
         physics="linear advection of a smoothed shock front, exact translation",
         ground_truth="u(l,t) = u(l - c*lag, t - lag); front at x0 + c*t",
         providers=("front_provider",),
-        app_factory=make_app,
+        app_factory=AdvectionFrontApp,
         analysis_factory=make_analyses,
         validator=validate,
-        defaults={
-            "n_cells": 64,
-            "speed": 0.5,
-            "width": 1.5,
-            "front0": 6.0,
-            "n_iterations": 96,
-            "window": (0, 47),
-            "train_iterations": 80,
-            "order": 2,
-            "lag": 2,
-            "batch_size": 16,
-            "learning_rate": 0.3,
-            "epochs_per_batch": 48,
-            "threshold": 0.5,
+        schema={
+            "n_cells": Param(int, 64, quick=48, low=4),
+            "speed": Param(float, 0.5, low=0, strict=True),
+            "width": Param(float, 1.5, low=0, strict=True),
+            "front0": Param(float, 6.0),
+            "n_iterations": Param(int, 96, quick=72, low=1),
+            "window": Param((int, int), (0, 47), quick=(0, 35), low=0),
+            "train_iterations": Param(int, 80, quick=56, low=1),
+            "order": Param(int, 2, low=1),
+            "lag": Param(int, 2, low=1),
+            "batch_size": Param(int, 16, low=1),
+            "learning_rate": Param(float, 0.3, low=0, strict=True),
+            "epochs_per_batch": Param(int, 48, low=1),
+            "threshold": Param(float, 0.5),
         },
-        quick={
-            "n_cells": 48,
-            "n_iterations": 72,
-            "window": (0, 35),
-            "train_iterations": 56,
-        },
+        check=check,
         policy="all",
         tolerance=2.0,
         # Full cadence only: the early-stop monitor converges well

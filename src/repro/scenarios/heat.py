@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.scenarios.spec import ScenarioSpec, register, require_number
+from repro.scenarios.spec import Param, ScenarioSpec, check_window, register
 
 
 #: Nodes one pass of the step covers before the next pass starts.  The
@@ -38,8 +38,10 @@ class HeatDiffusionApp:
     ``n_nodes`` interior nodes on the unit interval; ``r`` is the
     diffusion number ``alpha dt / h^2`` (stable for ``r <= 0.5``).
     ``modes`` is a tuple of ``(wavenumber, amplitude)`` pairs summed
-    into the initial condition.  It can be block-sharded: see the
-    optional members ``stencil_radius``, ``state`` and ``shard`` in
+    into the initial condition.  The scenario schema checks every
+    argument; the app itself rejects only modes that cancel to a zero
+    state.  It can be block-sharded: see the optional members
+    ``stencil_radius``, ``state`` and ``shard`` in
     :mod:`repro.engine.workload`.  The step runs in :data:`TILE`-node
     tiles, bit-identical to one pass over the whole range.
     """
@@ -47,40 +49,12 @@ class HeatDiffusionApp:
     stencil_radius = 1
 
     def __init__(
-        self,
-        *,
-        n_nodes: int = 48,
-        r: float = 0.4,
-        modes: tuple = ((1, 1.0), (3, 0.4)),
-        n_iterations: int = 260,
-        **_,
+        self, *, n_nodes: int, r: float, modes: tuple, n_iterations: int, **_
     ) -> None:
-        self.n_nodes = require_number("n_nodes", n_nodes, int, 3)
-        self.r = require_number("r", r, float)
-        if not 0.0 < self.r <= 0.5:
-            raise ConfigurationError(
-                f"diffusion number r must be in (0, 0.5] for stability, "
-                f"got {r}"
-            )
-        pairs = isinstance(modes, (list, tuple)) and all(
-            isinstance(mode, (list, tuple)) and len(mode) == 2 for mode in modes
-        )
-        if not pairs or not modes:
-            raise ConfigurationError(
-                "modes must be a non-empty list of [wavenumber, amplitude] "
-                f"pairs, got {modes!r}"
-            )
-        # A wavenumber past n_nodes aliases onto a lower mode, or onto
-        # zero; with no nonzero amplitude the state is zero throughout,
-        # and so it is when the amplitudes of one wavenumber cancel.
-        self.modes = tuple(
-            (
-                require_number("modes wavenumber", k, int, 1, self.n_nodes),
-                require_number("modes amplitude", a, float),
-            )
-            for k, a in modes
-        )
-        self.n_iterations = require_number("n_iterations", n_iterations, int, 1)
+        self.n_nodes = n_nodes
+        self.r = r
+        self.modes = modes
+        self.n_iterations = n_iterations
         self.iteration = 0
         j = np.arange(1, self.n_nodes + 1, dtype=np.float64)
         self._shapes = np.stack(
@@ -90,6 +64,8 @@ class HeatDiffusionApp:
             ]
         )
         self.u = self._shapes.sum(axis=0)
+        # With no nonzero amplitude the state is zero throughout, and
+        # so it is when the amplitudes of one wavenumber cancel.
         if not self.u.any():
             raise ConfigurationError(
                 f"modes {list(modes)} need at least one nonzero amplitude "
@@ -182,25 +158,7 @@ def _temperature_batch(domain: object, locations: np.ndarray) -> np.ndarray:
 temperature_provider.batch = _temperature_batch
 
 
-def make_app(**params) -> HeatDiffusionApp:
-    return HeatDiffusionApp(**params)
-
-
-def make_analyses(
-    *,
-    window=(8, 31),
-    train_iterations: int = 220,
-    order: int = 3,
-    lag: int = 1,
-    batch_size: int = 16,
-    n_nodes: int = 48,
-    **_,
-):
-    if window[1] >= n_nodes:
-        raise ConfigurationError(
-            f"window {list(window)} runs past the domain: n_nodes is "
-            f"{n_nodes}, so locations must be in [0, {n_nodes - 1}]"
-        )
+def make_analyses(*, window, train_iterations, order, lag, batch_size, **_):
     return [
         CurveFitting(
             temperature_provider,
@@ -247,32 +205,40 @@ def validate(app, analyses, result, **params) -> dict:
     }
 
 
+def check(params) -> None:
+    """The window and every wavenumber must lie inside the domain: past
+    ``n_nodes``, a mode aliases onto a lower one, or onto zero."""
+    n_nodes = params["n_nodes"]
+    check_window(params["window"], n_nodes, "n_nodes")
+    for k, _ in params["modes"]:
+        if not 1 <= k <= n_nodes:
+            raise ConfigurationError(
+                f"modes wavenumber must be an integer in [1, {n_nodes}], "
+                f"got {k}"
+            )
+
+
 register(
     ScenarioSpec(
         name="heat-diffusion",
         physics="1-D heat equation, explicit FD, Dirichlet boundaries",
         ground_truth="exact discrete sine-mode decay u = sum A_k mu_k^t",
         providers=("temperature_provider",),
-        app_factory=make_app,
+        app_factory=HeatDiffusionApp,
         analysis_factory=make_analyses,
         validator=validate,
-        defaults={
-            "n_nodes": 48,
-            "r": 0.4,
-            "modes": ((1, 1.0), (3, 0.4)),
-            "n_iterations": 260,
-            "train_iterations": 220,
-            "window": (8, 31),
-            "order": 3,
-            "lag": 1,
-            "batch_size": 16,
+        schema={
+            "n_nodes": Param(int, 48, quick=32, low=3),
+            "r": Param(float, 0.4, low=0, high=0.5, strict=True),
+            "modes": Param([(int, float)], ((1, 1.0), (3, 0.4))),
+            "n_iterations": Param(int, 260, quick=150, low=1),
+            "train_iterations": Param(int, 220, quick=128, low=1),
+            "window": Param((int, int), (8, 31), quick=(6, 21), low=0),
+            "order": Param(int, 3, low=1),
+            "lag": Param(int, 1, low=1),
+            "batch_size": Param(int, 16, low=1),
         },
-        quick={
-            "n_nodes": 32,
-            "n_iterations": 150,
-            "train_iterations": 128,
-            "window": (6, 21),
-        },
+        check=check,
         policy="all",
         tolerance=2.0,
         # The discrete scheme IS an exact AR process per location, so a

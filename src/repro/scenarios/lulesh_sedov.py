@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.params import IterParam
-from repro.scenarios.spec import ScenarioSpec, register, require_number
+from repro.scenarios.spec import Param, ScenarioSpec, register
 
 
 def velocity_provider(domain: object, location: int) -> float:
@@ -29,7 +29,7 @@ def _velocity_batch(domain: object, locations: np.ndarray) -> np.ndarray:
 velocity_provider.batch = _velocity_batch
 
 
-def make_app(*, size: int = 30, maintain_field: bool = False, **extra):
+def make_app(*, size: int, maintain_field: bool, **extra):
     """Raw simulation — the engine wraps it via the adapter registry."""
     from repro.lulesh import LuleshSimulation
 
@@ -38,20 +38,11 @@ def make_app(*, size: int = 30, maintain_field: bool = False, **extra):
         for key in ("record_locations", "stop_time", "blast_energy")
         if key in extra
     }
-    size = require_number("size", size, int, 2)
     return LuleshSimulation(size, maintain_field=maintain_field, **factory_kwargs)
 
 
 def make_analyses(
-    *,
-    size: int = 30,
-    thresholds=(0.05, 0.1, 0.2),
-    spatial_window=(1, 10),
-    train_begin: int = 50,
-    train_fraction: float = 0.4,
-    lag: int = 10,
-    order: int = 3,
-    **_,
+    *, size, thresholds, spatial_window, train_begin, train_fraction, lag, order, **_
 ):
     from repro.experiments.common import lulesh_reference
     from repro.lulesh.insitu import BreakPointAnalysis
@@ -73,9 +64,7 @@ def make_analyses(
     ]
 
 
-def validate(
-    app, analyses, result, *, size: int = 30, thresholds=(0.05, 0.1, 0.2), **_
-) -> dict:
+def validate(app, analyses, result, *, size: int, thresholds, **_) -> dict:
     """Extracted break radii vs the reference run's peak-velocity truth."""
     from repro.experiments.common import lulesh_reference
 
@@ -109,24 +98,20 @@ register(
         app_factory=make_app,
         analysis_factory=make_analyses,
         validator=validate,
-        defaults={
-            "size": 30,
-            "maintain_field": False,
-            "thresholds": (0.05, 0.1, 0.2),
-            "spatial_window": (1, 10),
-            "train_begin": 50,
-            "train_fraction": 0.4,
-            "lag": 10,
-            "order": 3,
-        },
-        quick={
-            "size": 16,
+        schema={
+            "size": Param(int, 30, quick=16, low=2),
+            "maintain_field": Param(bool, False),
             # The size-16 window (1, 8) is too short to extrapolate the
             # 5% radius; smoke runs validate the exactly-matching
             # thresholds (Table II's 10/20% rows).
-            "thresholds": (0.1, 0.2),
-            "spatial_window": (1, 8),
-            "train_begin": 30,
+            "thresholds": Param(
+                [float], (0.05, 0.1, 0.2), quick=(0.1, 0.2), low=0, strict=True
+            ),
+            "spatial_window": Param((int, int), (1, 10), quick=(1, 8), low=0),
+            "train_begin": Param(int, 50, quick=30, low=0),
+            "train_fraction": Param(float, 0.4, low=0, high=1, strict=True),
+            "lag": Param(int, 10, low=1),
+            "order": Param(int, 3, low=1),
         },
         policy="all",
         # Table II's own accuracy bound: 5% threshold within 3 elements,

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.curve_fitting import CurveFitting
 from repro.core.params import IterParam
 from repro.errors import NotTrainedError
-from repro.scenarios.spec import ScenarioSpec, register, require_number
+from repro.scenarios.spec import Param, ScenarioSpec, register
 
 
 class RingdownApp:
@@ -36,22 +36,16 @@ class RingdownApp:
     Channel ``j`` has amplitude ``1 + j/2`` and phase ``j * golden
     angle`` — deterministic, spread around the circle, and exactly
     reproducible on worker-rank replicas (the state is re-evaluated in
-    closed form each step).
+    closed form each step).  The scenario schema checks the arguments.
     """
 
     def __init__(
-        self,
-        *,
-        n_channels: int = 12,
-        omega: float = 0.35,
-        gamma: float = 0.01,
-        n_iterations: int = 240,
-        **_,
+        self, *, n_channels: int, omega: float, gamma: float, n_iterations: int, **_
     ) -> None:
-        self.n_channels = require_number("n_channels", n_channels, int, 1)
-        self.omega = require_number("omega", omega, float)
-        self.gamma = require_number("gamma", gamma, float, 0)
-        self.n_iterations = require_number("n_iterations", n_iterations, int, 1)
+        self.n_channels = n_channels
+        self.omega = omega
+        self.gamma = gamma
+        self.n_iterations = n_iterations
         self.iteration = 0
         j = np.arange(self.n_channels, dtype=np.float64)
         self.amplitudes = 1.0 + 0.5 * j
@@ -105,19 +99,7 @@ def _ringdown_batch(domain: object, locations: np.ndarray) -> np.ndarray:
 ringdown_provider.batch = _ringdown_batch
 
 
-def make_app(**params) -> RingdownApp:
-    return RingdownApp(**params)
-
-
-def make_analyses(
-    *,
-    n_channels: int = 12,
-    train_iterations: int = 200,
-    lags=(1, 2, 4),
-    order: int = 2,
-    batch_size: int = 16,
-    **_,
-):
+def make_analyses(*, n_channels, train_iterations, lags, order, batch_size, **_):
     """One analysis per candidate lag, all sharing one collection group."""
     return [
         CurveFitting(
@@ -169,23 +151,18 @@ register(
         physics="damped-cosine channel bank (post-event ringdown diagnostic)",
         ground_truth="x_j(t) = A_j exp(-gamma t) cos(omega t + phi_j)",
         providers=("ringdown_provider",),
-        app_factory=make_app,
+        app_factory=RingdownApp,
         analysis_factory=make_analyses,
         validator=validate,
-        defaults={
-            "n_channels": 12,
-            "omega": 0.35,
-            "gamma": 0.01,
-            "n_iterations": 240,
-            "train_iterations": 200,
-            "lags": (1, 2, 4),
-            "order": 2,
-            "batch_size": 16,
-        },
-        quick={
-            "n_channels": 8,
-            "n_iterations": 150,
-            "train_iterations": 128,
+        schema={
+            "n_channels": Param(int, 12, quick=8, low=1),
+            "omega": Param(float, 0.35),
+            "gamma": Param(float, 0.01, low=0),
+            "n_iterations": Param(int, 240, quick=150, low=1),
+            "train_iterations": Param(int, 200, quick=128, low=1),
+            "lags": Param([int], (1, 2, 4), low=1),
+            "order": Param(int, 2, low=1),
+            "batch_size": Param(int, 16, low=1),
         },
         policy="all",
         tolerance=5.0,

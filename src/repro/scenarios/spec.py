@@ -30,6 +30,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -50,7 +51,6 @@ from repro.core.curve_fitting import Analysis
 from repro.engine import (
     BACKEND_MULTIPROCESSING,
     BACKEND_SIMCOMM,
-    BACKENDS,
     POLICIES,
     CadenceController,
     CadencePolicy,
@@ -98,26 +98,103 @@ def json_safe(value):
     return value
 
 
-def require_number(name: str, value, kind: type = int, low=None, high=None):
-    """``value`` as ``kind``, or a :class:`ConfigurationError` naming it.
+_NOUNS = {int: "integer", float: "finite real number", bool: "bool", str: "string"}
 
-    ``kind`` is ``int`` for sizes and wavenumbers: an app would truncate
-    ``40.5`` but its window check would not, so only integers pass.
-    ``float`` takes any finite real.  A bool is neither.  ``low`` and
-    ``high`` bound the value, inclusive.
+
+def _noun(kind) -> str:
+    if isinstance(kind, list):
+        return f"non-empty list of {_noun(kind[0])}s"
+    if isinstance(kind, tuple):
+        return "[" + ", ".join(map(_noun, kind)) + "] pair"
+    return _NOUNS[kind]
+
+
+@dataclass(frozen=True)
+class Param:
+    """One scenario parameter: its kind, bounds, default and quick value.
+
+    ``kind`` is ``int``, ``float`` (finite only), ``bool`` or ``str``,
+    and a bool is neither an int nor a float.  A pair of kinds, such as
+    ``(int, int)`` for a window, takes a value of exactly two items; a
+    one-item list, such as ``[float]`` for thresholds or
+    ``[(int, float)]`` for wavenumber/amplitude modes, takes a
+    non-empty sequence of that kind.  ``low`` and ``high`` bound every
+    number in the value, inclusive, except that ``strict`` makes ``low``
+    exclusive; ``choices`` lists the values a ``str`` may take.
+    ``quick`` is the ``--quick`` value; None keeps ``default``.
     """
-    if kind is int:
-        ok = isinstance(value, numbers.Integral)
-    else:
-        ok = isinstance(value, numbers.Real) and np.isfinite(value)
-    ok = ok and not isinstance(value, bool)
-    ok = ok and (low is None or value >= low) and (high is None or value <= high)
-    if not ok:
-        what = "an integer" if kind is int else "a finite real number"
-        if low is not None:
-            what += f" >= {low}" if high is None else f" in [{low}, {high}]"
+
+    kind: object
+    default: object
+    quick: object = None
+    low: Optional[float] = None
+    high: Optional[float] = None
+    strict: bool = False
+    choices: Tuple[str, ...] = ()
+
+    def check(self, name: str, value) -> object:
+        """``value`` in canonical form, or a ConfigurationError naming it.
+
+        Sequences come back as tuples and float params as floats, so
+        equal requests hash to equal cache keys.
+        """
+        try:
+            return self._cast(self.kind, value)
+        except (ValueError, OverflowError):
+            pass
+        noun = _noun(self.kind)
+        what = ("an " if noun[0] in "aeiou" else "a ") + noun
+        low, high = self.low, self.high
+        if self.choices:
+            what += f" in {list(self.choices)}"
+        elif low is not None and high is not None:
+            what += f" in {'(' if self.strict else '['}{low}, {high}]"
+        elif low is not None:
+            what += f" {'>' if self.strict else '>='} {low}"
         raise ConfigurationError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
+
+    def _cast(self, kind, value):
+        """``value`` as ``kind``, sequences as tuples; ValueError if not."""
+        if isinstance(kind, (tuple, list)):
+            if not isinstance(value, (tuple, list)) or not value:
+                raise ValueError(value)
+            kinds = kind if isinstance(kind, tuple) else kind * len(value)
+            if len(kinds) != len(value):
+                raise ValueError(value)
+            return tuple(map(self._cast, kinds, value))
+        if kind is bool or kind is str:
+            ok = isinstance(value, kind) and (not self.choices or value in self.choices)
+        elif kind is int or kind is float:
+            number = numbers.Integral if kind is int else numbers.Real
+            low, high = self.low, self.high
+            ok = (
+                isinstance(value, number)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (low is None or value > low or (value == low and not self.strict))
+                and (high is None or value <= high)
+            )
+        else:
+            raise ScenarioError(f"unknown param kind {kind!r}")
+        if not ok:
+            raise ValueError(value)
+        return kind(value)
+
+    def describe(self) -> Dict[str, object]:
+        """JSON-ready entry of ``ScenarioSpec.describe()``."""
+        quick = self.default if self.quick is None else self.quick
+        return dict(dataclasses.asdict(self), kind=_noun(self.kind), quick=quick)
+
+
+def check_window(window, size: int, size_name: str) -> None:
+    """Raise unless ``window`` (``[begin, end]``) lies inside ``[0, size)``."""
+    if window[0] > window[1]:
+        raise ConfigurationError(f"window {list(window)} ends before it begins")
+    if window[1] >= size:
+        raise ConfigurationError(
+            f"window {list(window)} runs past the domain: {size_name} is "
+            f"{size}, so locations must be in [0, {size - 1}]"
+        )
 
 
 def resolve_backend(name: str) -> str:
@@ -162,17 +239,16 @@ class ScenarioSpec:
         accuracy metrics.  Must include key ``"error"`` — the headline
         prediction-vs-ground-truth error (percent); the run passes when
         ``error <= tolerance``.
-    defaults:
-        Full parameter set the factories and validator accept.
-    quick:
-        Overrides applied on top of ``defaults`` for smoke runs
-        (``--quick``): smaller grids, shorter windows.
+    schema:
+        Every parameter the factories and validator take, each declared
+        once as a :class:`Param`: kind, bounds, default and the value
+        smoke runs (``--quick``) use.
+    check:
+        ``check(params)`` raises :class:`~repro.errors.ConfigurationError`
+        when params that pass their own :class:`Param` do not fit
+        together (a window past the domain's end), or None.
     policy, quorum:
         Scheduler termination policy for the scenario's analysis set.
-    backends:
-        Execution backends the scenario supports distributed runs on
-        (a provider captured in a closure, for example, cannot be
-        shipped to multiprocessing workers).
     tolerance:
         Bound on the validator's ``"error"`` metric, in percent.
     cadence:
@@ -191,11 +267,10 @@ class ScenarioSpec:
     app_factory: Callable[..., object]
     analysis_factory: Callable[..., Sequence[Analysis]]
     validator: Callable[..., Mapping]
-    defaults: Mapping[str, object] = field(default_factory=dict)
-    quick: Mapping[str, object] = field(default_factory=dict)
+    schema: Mapping[str, Param] = field(default_factory=dict)
+    check: Optional[Callable[[Mapping[str, object]], None]] = None
     policy: str = "all"
     quorum: Optional[Union[int, float]] = None
-    backends: Tuple[str, ...] = (BACKEND_SIMCOMM, BACKEND_MULTIPROCESSING)
     tolerance: float = 5.0
     cadence: Optional[Mapping[str, object]] = None
 
@@ -215,18 +290,26 @@ class ScenarioSpec:
     def params(
         self, *, quick: bool = False, overrides: Optional[Mapping] = None
     ) -> Dict[str, object]:
-        """Effective parameter dict: defaults, quick overrides, user overrides."""
-        merged = dict(self.defaults)
-        if quick:
-            merged.update(self.quick)
-        if overrides:
-            unknown = sorted(set(overrides) - set(self.defaults))
-            if unknown:
-                raise ScenarioError(
-                    f"scenario {self.name!r} has no parameter(s) {unknown}; "
-                    f"available: {sorted(self.defaults)}"
-                )
-            merged.update(overrides)
+        """Checked parameter dict: defaults, quick values, user overrides.
+
+        Each value passes its :class:`Param` and comes back canonical,
+        then the merged set passes the spec's ``check``.  The first bad
+        value raises :class:`~repro.errors.ConfigurationError`, before
+        any factory runs.
+        """
+        overrides = overrides or {}
+        unknown = sorted(set(overrides) - set(self.schema))
+        if unknown:
+            raise ScenarioError(
+                f"scenario {self.name!r} has no parameter(s) {unknown}; "
+                f"available: {sorted(self.schema)}"
+            )
+        merged = {}
+        for name, param in self.schema.items():
+            base = param.quick if quick and param.quick is not None else param.default
+            merged[name] = param.check(name, overrides.get(name, base))
+        if self.check is not None:
+            self.check(merged)
         return merged
 
     def describe(self) -> Dict[str, object]:
@@ -237,11 +320,10 @@ class ScenarioSpec:
             "ground_truth": self.ground_truth,
             "providers": list(self.providers),
             "policy": self.policy,
-            "backends": list(self.backends),
             "tolerance": self.tolerance,
             "adaptive": self.adaptive_supported,
             "cadence": dict(self.cadence) if self.cadence is not None else None,
-            "defaults": {k: repr(v) for k, v in sorted(self.defaults.items())},
+            "params": {name: p.describe() for name, p in self.schema.items()},
         }
 
 
@@ -265,27 +347,22 @@ def _validate_spec(spec: ScenarioSpec) -> None:
             f"scenario {spec.name!r}: policy must be one of {POLICIES}, "
             f"got {spec.policy!r}"
         )
-    if not spec.backends:
-        raise ScenarioError(f"scenario {spec.name!r}: needs at least one backend")
-    for backend in spec.backends:
-        if backend not in BACKENDS:
-            raise ScenarioError(
-                f"scenario {spec.name!r}: unknown backend {backend!r} "
-                f"(valid: {BACKENDS})"
-            )
-    for label, mapping in (("defaults", spec.defaults), ("quick", spec.quick)):
-        if not isinstance(mapping, Mapping) or not all(
-            isinstance(k, str) for k in mapping
-        ):
-            raise ScenarioError(
-                f"scenario {spec.name!r}: {label} must be a str-keyed mapping",
-            )
-    stray = sorted(set(spec.quick) - set(spec.defaults))
-    if stray:
+    if not isinstance(spec.schema, Mapping) or not all(
+        isinstance(k, str) and isinstance(p, Param) for k, p in spec.schema.items()
+    ):
         raise ScenarioError(
-            f"scenario {spec.name!r}: quick overrides {stray} name no "
-            f"default parameter (have {sorted(spec.defaults)})"
+            f"scenario {spec.name!r}: schema must map each param name to a Param"
         )
+    # Defaults and quick values must pass their own checks and the hook
+    # (a TypeError: the hook is not callable).
+    for quick in (False, True):
+        try:
+            spec.params(quick=quick)
+        except (ConfigurationError, TypeError) as exc:
+            label = "quick" if quick else "default"
+            raise ScenarioError(
+                f"scenario {spec.name!r}: {label} params are invalid: {exc}"
+            ) from exc
     if not (
         isinstance(spec.tolerance, (int, float))
         and not isinstance(spec.tolerance, bool)
@@ -367,12 +444,15 @@ def specs() -> List[ScenarioSpec]:
 def build_sim(name: str, **overrides) -> object:
     """Build the scenario's simulation with default params + ``overrides``.
 
-    Unlike :meth:`ScenarioSpec.params`, overrides here may add keys the
-    defaults do not name (e.g. the experiment drivers' recording
-    arguments), because they go straight to the factory.
+    Overrides the schema names are checked like any param.  Unlike
+    :meth:`ScenarioSpec.params`, overrides here may add keys the schema
+    does not name (e.g. the experiment drivers' recording arguments),
+    which go straight to the factory.
     """
     spec = get(name)
-    return spec.app_factory(**{**spec.defaults, **overrides})
+    known = {k: v for k, v in overrides.items() if k in spec.schema}
+    extra = {k: v for k, v in overrides.items() if k not in spec.schema}
+    return spec.app_factory(**spec.params(overrides=known), **extra)
 
 
 # ----------------------------------------------------------------------
@@ -439,8 +519,9 @@ class RunConfig:
       ``n_ranks`` (determinism makes the *fits* identical across rank
       counts, but the report is not).
     * ``params`` are hashed **after** resolution against the scenario's
-      defaults (plus ``quick`` overrides), so explicitly passing a
-      parameter at its default value hashes the same as omitting it.
+      schema (defaults or ``quick`` values, canonical form), so
+      explicitly passing a parameter at its default value, even as an
+      int where the param is a float, hashes the same as omitting it.
     * ``faults`` forces a cache **bypass** (:attr:`cacheable` is
       False): fault injection exists to exercise recovery machinery,
       and timing-dependent recovery/rebalance events make the report
@@ -584,24 +665,43 @@ class RunConfig:
             )
         return cls(**dict(data))
 
-    # -- content addressing ----------------------------------------------
+    # -- resolution and content addressing --------------------------------
 
-    def cache_key(self, scenario: str) -> str:
+    def resolve(self, scenario: str) -> Tuple[ScenarioSpec, Dict[str, object]]:
+        """The spec this request runs and its checked params.
+
+        Raises before any factory call, worker spawn or serve submit:
+        on an unknown scenario, on ``adaptive`` for a spec that runs at
+        full cadence only, and on a param that fails the spec's schema
+        or its ``check``.
+        """
+        spec = get(scenario)
+        if self.adaptive and not spec.adaptive_supported:
+            raise ScenarioError(
+                f"scenario {scenario!r} does not support adaptive cadence "
+                "(its analyses need full-cadence collection); scenarios "
+                "opting in declare ScenarioSpec.cadence"
+            )
+        return spec, spec.params(quick=self.quick, overrides=self.params)
+
+    def cache_key(
+        self, scenario: str, resolved: Optional[Mapping[str, object]] = None
+    ) -> str:
         """Canonical content hash of (resolved scenario request).
 
         SHA-256 over the scenario name, the **resolved** parameter set
-        (spec defaults + ``quick`` overrides + this config's
-        ``params``) and every engine knob (see the class docstring for
-        what participates and why).  Stable across processes and
-        Python versions — the serving layer's content-addressed result
-        cache is keyed by this.
+        (``resolved``, the params :meth:`resolve` returns, resolved
+        here when not given) and every engine knob (see the class
+        docstring for what participates and why).  Stable across
+        processes and Python versions — the serving layer's
+        content-addressed result cache is keyed by this.
         """
-        spec = get(scenario)
-        resolved = spec.params(quick=self.quick, overrides=self.params)
+        if resolved is None:
+            resolved = self.resolve(scenario)[1]
         knobs = self.to_json()
         knobs.pop("params", None)
         payload = {
-            "scenario": spec.name,
+            "scenario": scenario,
             "params": {k: repr(v) for k, v in sorted(resolved.items())},
             "config": knobs,
         }
@@ -903,19 +1003,7 @@ def run_scenario(
     elif not isinstance(config, RunConfig):
         raise ScenarioError(f"config must be a RunConfig, got {type(config).__name__}")
 
-    spec = get(name)
-    if config.n_ranks > 1 and config.backend not in spec.backends:
-        raise ScenarioError(
-            f"scenario {name!r} supports backends {spec.backends}, "
-            f"not {config.backend!r}"
-        )
-    if config.adaptive and not spec.adaptive_supported:
-        raise ScenarioError(
-            f"scenario {name!r} does not support adaptive cadence (its "
-            "analyses need full-cadence collection); scenarios opting in "
-            "declare ScenarioSpec.cadence"
-        )
-    merged = spec.params(quick=config.quick, overrides=config.params)
+    spec, merged = config.resolve(name)
 
     start = time.perf_counter()
     engine, analyses, result = _execute_leg(

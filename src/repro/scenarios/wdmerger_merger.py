@@ -8,24 +8,19 @@ extracted delay time is validated against the simulation's own
 recorded detonation event — the reference quantity the paper's Table
 VI compares against.  The headline ``error`` metric is the relative
 delay-time deviation in percent.
-
-The diagnostic providers close over the variable name, so distributed
-runs are limited to the in-process ``simcomm`` backend (the
-multiprocessing backend would need to pickle them).
 """
 
 from __future__ import annotations
 
 from repro.core.params import IterParam
-from repro.scenarios.spec import ScenarioSpec, register, require_number
+from repro.scenarios.spec import Param, ScenarioSpec, register
+
+#: ``repro.wdmerger.DIAGNOSTIC_NAMES``, spelled out so that importing the
+#: registry does not import the simulator.
+DIAGNOSTICS = ("temperature", "angular_momentum", "mass", "energy")
 
 
-def total_iterations(resolution: int, end_time: float = 100.0) -> int:
-    """Iteration count of a full run (dt scales as 32/resolution)."""
-    return int(end_time / (32.0 / resolution))
-
-
-def make_app(*, resolution: int = 16, maintain_grid: bool = False, **extra):
+def make_app(*, resolution: int, maintain_grid: bool, **extra):
     """Raw simulation — the engine wraps it via the adapter registry."""
     from repro.wdmerger import WdMergerSimulation
 
@@ -34,22 +29,14 @@ def make_app(*, resolution: int = 16, maintain_grid: bool = False, **extra):
         for key in ("initial_separation", "m_primary", "m_secondary")
         if key in extra
     }
-    resolution = require_number("resolution", resolution, int, 4)
     return WdMergerSimulation(resolution, maintain_grid=maintain_grid, **factory_kwargs)
 
 
-def make_analyses(
-    *,
-    resolution: int = 16,
-    variable: str = "temperature",
-    order: int = 3,
-    batch_size: int = 4,
-    learning_rate: float = 0.03,
-    **_,
-):
+def make_analyses(*, resolution, variable, order, batch_size, learning_rate, **_):
     from repro.wdmerger.insitu import DetonationAnalysis
 
-    total = total_iterations(resolution)
+    # A full run's iteration count: dt scales as 32/resolution.
+    total = int(100.0 / (32.0 / resolution))
     return [
         DetonationAnalysis(
             IterParam(0, 0, 1),
@@ -97,20 +84,16 @@ register(
         app_factory=make_app,
         analysis_factory=make_analyses,
         validator=validate,
-        defaults={
-            "resolution": 24,
-            "maintain_grid": False,
-            "initial_separation": 2.65,
-            "variable": "temperature",
-            "order": 3,
-            "batch_size": 4,
-            "learning_rate": 0.03,
-        },
-        quick={
-            "resolution": 16,
+        schema={
+            "resolution": Param(int, 24, quick=16, low=4),
+            "maintain_grid": Param(bool, False),
+            "initial_separation": Param(float, 2.65, low=0, strict=True),
+            "variable": Param(str, "temperature", choices=DIAGNOSTICS),
+            "order": Param(int, 3, low=1),
+            "batch_size": Param(int, 4, low=1),
+            "learning_rate": Param(float, 0.03, low=0, strict=True),
         },
         policy="any",
-        backends=("simcomm",),
         tolerance=15.0,
         # Full cadence only: the detonation inflection is detected from
         # the collected diagnostic's curvature, which needs every

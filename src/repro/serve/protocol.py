@@ -73,8 +73,9 @@ def parse_run_request(body: bytes) -> ServeRequest:
 
     Raises :class:`ServeError` (→ HTTP 400) on malformed JSON, unknown
     keys, a missing/unknown-field config, a non-boolean ``stream`` or
-    ``no_cache``, or a bad ``inject`` spec — the same eager-validation
-    posture as :class:`RunConfig` itself.
+    ``no_cache``, a ``stream_every`` that is not a positive integer (a
+    bool is not one), or a bad ``inject`` spec — the same
+    eager-validation posture as :class:`RunConfig` itself.
     """
     try:
         data = json.loads(body.decode("utf-8"))
@@ -109,7 +110,7 @@ def parse_run_request(body: bytes) -> ServeRequest:
         if not isinstance(value, bool):
             raise ServeError(f"{key} must be a JSON boolean, got {value!r}")
     stream_every = data.get("stream_every", 1)
-    if not isinstance(stream_every, int) or stream_every <= 0:
+    if type(stream_every) is not int or stream_every <= 0:
         raise ServeError(
             f"stream_every must be a positive integer, got {stream_every!r}"
         )

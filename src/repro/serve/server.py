@@ -18,7 +18,7 @@ path      method   meaning
 ========  =======  ====================================================
 /healthz  GET      liveness + pool readiness
 /stats    GET      cache hits/misses/bytes, pool jobs/restarts, uptime
-/scenarios GET     registered scenario names and summaries
+/scenarios GET     registered scenarios, as ``repro list --json``
 /run      POST     run (or answer from cache) one scenario request
 ========  =======  ====================================================
 
@@ -37,7 +37,7 @@ import time
 from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ReproError, ServeError
-from repro.scenarios import get, specs
+from repro.scenarios import specs
 from repro.serve.cache import DEFAULT_CACHE_BYTES, ResultCache
 from repro.serve.pool import WorkerPool
 from repro.serve.protocol import (
@@ -173,15 +173,7 @@ class AnalysisServer:
                 writer.write(_json_response(200, self._stats()))
             elif path == "/scenarios":
                 writer.write(_json_response(200, {
-                    "scenarios": [
-                        {
-                            "name": s.name,
-                            "physics": s.physics,
-                            "backends": list(s.backends),
-                            "adaptive": s.adaptive_supported,
-                        }
-                        for s in specs()
-                    ]
+                    "scenarios": [spec.describe() for spec in specs()]
                 }))
             else:
                 writer.write(_json_response(404, {"error": f"no route {path!r}"}))
@@ -200,9 +192,12 @@ class AnalysisServer:
     async def _handle_run(self, body: bytes, writer: asyncio.StreamWriter) -> None:
         try:
             request = parse_run_request(body)
-            get(request.scenario)  # unknown names fail before any bytes
+            # Resolved once, for every request: an unknown name or a
+            # param that fails its schema is a 400 before any worker
+            # sees it, faulted or not.
+            _, params = request.config.resolve(request.scenario)
             key = (
-                request.config.cache_key(request.scenario)
+                request.config.cache_key(request.scenario, params)
                 if request.config.cacheable
                 else None
             )

@@ -165,6 +165,28 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ARModel(order, **kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("order", float("nan")),
+            ("lag", float("nan")),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("epochs_per_batch", float("nan")),
+            ("l2", float("nan")),
+            ("l2", float("inf")),
+            ("clip", float("nan")),
+            ("clip", 0.0),
+            ("max_coefficient_sum", float("nan")),
+        ],
+    )
+    def test_nan_and_inf_hyperparameters_rejected(self, name, value):
+        # Each would otherwise leave every coefficient NaN, or turn
+        # clipping or the stationarity projection off, without an error.
+        kwargs = {"order": 3, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            ARModel(kwargs.pop("order"), **kwargs)
+
     def test_predict_before_training_raises(self):
         with pytest.raises(NotTrainedError):
             ARModel(2).predict([1.0, 2.0])

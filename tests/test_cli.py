@@ -1,15 +1,29 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro import scenarios
+from repro.cli import _parse_params, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: ``(scenario, --param flag)`` pairs the schema rejects: ``abc`` for
+#: every param of every scenario, then structured values of the wrong
+#: shape and flags that are not booleans.
+BAD_FLAGS = [
+    *((spec.name, f"{name}=abc") for spec in scenarios.specs() for name in spec.schema),
+    ("lulesh-sedov", "maintain_field=1"),
+    ("wdmerger-detonation", "maintain_grid=1"),
+    ("lulesh-sedov", "thresholds=()"),
+    ("oscillator-ringdown", "lags=()"),
+    ("heat-diffusion", "window=(1,2,3)"),
+]
 
 
 class TestList:
@@ -31,8 +45,12 @@ class TestList:
         payload = json.loads(capsys.readouterr().out)
         rows = {row["name"]: row for row in payload["scenarios"]}
         assert rows["heat-diffusion"]["providers"] == ["temperature_provider"]
-        assert rows["wdmerger-detonation"]["backends"] == ["simcomm"]
         assert rows["oscillator-ringdown"]["tolerance"] == 5.0
+        window = rows["heat-diffusion"]["params"]["window"]
+        assert window["kind"] == "[integer, integer] pair"
+        assert window["default"] == [8, 31] and window["quick"] == [6, 21]
+        lags = rows["oscillator-ringdown"]["params"]["lags"]
+        assert lags["kind"] == "non-empty list of integers" and lags["low"] == 1
 
 
 class TestRun:
@@ -157,6 +175,40 @@ class TestRun:
         assert main(["run", scenario, "--quick", "--param", param]) == 2
         err = capsys.readouterr().err
         assert "error: " in err and message in err
+
+
+    @pytest.mark.parametrize("ranks", ["1", "2"])
+    @pytest.mark.parametrize("scenario, flag", BAD_FLAGS)
+    def test_bad_param_exits_2_before_any_step(self, capsys, scenario, flag, ranks):
+        argv = ["run", scenario, "--quick", "--ranks", ranks, "--backend", "mp"]
+        assert main(argv + ["--param", flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag.partition('=')[0]} must be")
+        assert multiprocessing.active_children() == []
+
+
+class TestParamParsing:
+    @pytest.mark.parametrize(
+        "raw, value",
+        [
+            ("false", False),
+            ("true", True),
+            ("True", True),
+            ("[8,263]", [8, 263]),
+            ("(1,40)", (1, 40)),
+            ("0.25", 0.25),
+            ("abc", "abc"),
+        ],
+    )
+    def test_json_first_then_literal_then_string(self, raw, value):
+        parsed = _parse_params([f"key={raw}"])["key"]
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("raw, on", [("false", False), ("true", True)])
+    def test_booleans_reach_the_field(self, raw, on):
+        params = _parse_params([f"maintain_field={raw}", "size=8"])
+        sim = scenarios.build_sim("lulesh-sedov", **params)
+        assert sim.domain.maintain_field is on
 
 
 class TestBench:

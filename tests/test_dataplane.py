@@ -7,6 +7,8 @@ emitted samples, identical fits (within 1e-9), identical error
 behaviour.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,15 @@ class TestBatchSample:
             np.testing.assert_array_equal(
                 provider.batch(domain, locations), expected
             )
+
+    def test_scalar_provider_pickles(self):
+        # The multiprocessing backend ships it to worker ranks.
+        domain = _ArrayDomain(np.zeros(3))
+        provider = pickle.loads(pickle.dumps(scalar_provider("pressure")))
+        assert provider(domain, 0) == 3.5
+        np.testing.assert_array_equal(
+            provider.batch(domain, np.array([0, 0])), [3.5, 3.5]
+        )
 
     def test_checked_batch_flags_offending_location(self):
         values = np.array([1.0, np.inf, 2.0])

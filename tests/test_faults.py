@@ -385,15 +385,11 @@ class TestMultiprocessElasticity:
 
 
 # ----------------------------------------------------------------------
-# acceptance: every mp-capable scenario survives losing 1 of 4 ranks
+# acceptance: every scenario survives losing 1 of 4 mp ranks
 # ----------------------------------------------------------------------
 
 
-MP_SCENARIOS = [
-    spec.name
-    for spec in scenarios.specs()
-    if "multiprocessing" in spec.backends
-]
+MP_SCENARIOS = scenarios.names()
 
 
 class TestScenarioRecoveryAcceptance:

@@ -27,6 +27,16 @@ SIZES = [pytest.param(n, heat.TILE, id=str(n)) for n in (3, 32, 48, 4000)] + [
 ]
 
 
+def _app(n_nodes, n_iterations):
+    """The scenario's default diffusion number and modes."""
+    return HeatDiffusionApp(
+        n_nodes=n_nodes,
+        r=0.4,
+        modes=((1, 1.0), (3, 0.4)),
+        n_iterations=n_iterations,
+    )
+
+
 def _reference_step(u, r):
     lap = np.empty_like(u)
     lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
@@ -38,7 +48,7 @@ def _reference_step(u, r):
 @pytest.mark.parametrize("n_nodes, tile", SIZES)
 def test_step_bit_identical_to_reference(n_nodes, tile, monkeypatch):
     monkeypatch.setattr(heat, "TILE", tile)
-    app = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=200)
+    app = _app(n_nodes, 200)
     reference = app.u.copy()
     for step in range(200):
         reference = _reference_step(reference, app.r)
@@ -50,7 +60,7 @@ def test_step_bit_identical_to_reference(n_nodes, tile, monkeypatch):
 
 
 def test_step_allocates_no_state_sized_temporaries():
-    app = HeatDiffusionApp(n_nodes=100_000, n_iterations=20)
+    app = _app(100_000, 20)
     app.step()
     tracemalloc.start()
     try:
@@ -82,12 +92,12 @@ def test_sharded_step_matches_unsharded(
 ):
     monkeypatch.setattr(heat, "TILE", tile)
     steps = 40
-    whole = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+    whole = _app(n_nodes, steps)
     blocks = _blocks(n_nodes, n_ranks, layout)
     ghost = HeatDiffusionApp.stencil_radius * chunk
     shards = []
     for lo, hi in blocks:
-        app = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+        app = _app(n_nodes, steps)
         app.shard(max(0, lo - ghost), min(n_nodes, hi + ghost))
         shards.append(app)
     for step in range(steps):
@@ -114,14 +124,14 @@ def test_real_tiles_bit_identical_to_reference():
     # puts the block edge mid-tile, and each shard's tiles start at its
     # own ghost edge.  Ghost cells come from the reference state.
     n_nodes, steps, chunk = 3 * heat.TILE + 5, 40, 8
-    whole = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+    whole = _app(n_nodes, steps)
     reference = whole.u.copy()
     blocks = _blocks(n_nodes, 2, "even")
     assert all(lo % heat.TILE for lo, _ in blocks[1:])
     ghost = HeatDiffusionApp.stencil_radius * chunk
     shards = []
     for lo, hi in blocks:
-        app = HeatDiffusionApp(n_nodes=n_nodes, n_iterations=steps)
+        app = _app(n_nodes, steps)
         app.shard(max(0, lo - ghost), min(n_nodes, hi + ghost))
         shards.append(app)
     for step in range(steps):

@@ -24,7 +24,7 @@ from repro.engine import (
 )
 from repro.engine.workload import _ADAPTERS
 from repro.errors import ConfigurationError, ScenarioError
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import Param, ScenarioSpec
 from repro.scenarios.spec import DIVERGENCE_TOL
 
 BUILTINS = (
@@ -34,6 +34,81 @@ BUILTINS = (
     "oscillator-ringdown",
     "wdmerger-detonation",
 )
+
+#: Params that crashed with a traceback on ``abc`` before the schema.
+UNCHECKED_BEFORE_SCHEMA = {
+    "advection-front": (
+        "window",
+        "train_iterations",
+        "order",
+        "lag",
+        "batch_size",
+        "learning_rate",
+        "epochs_per_batch",
+        "threshold",
+    ),
+    "heat-diffusion": ("train_iterations", "window", "order", "lag", "batch_size"),
+    "lulesh-sedov": (
+        "thresholds",
+        "spatial_window",
+        "train_begin",
+        "train_fraction",
+        "lag",
+        "order",
+    ),
+    "oscillator-ringdown": ("train_iterations", "lags", "order", "batch_size"),
+    "wdmerger-detonation": (
+        "initial_separation",
+        "order",
+        "batch_size",
+        "learning_rate",
+    ),
+}
+
+#: ``(scenario, params, message)``: each must be rejected with a
+#: ConfigurationError matching ``message`` before any step or spawn.
+MALFORMED_PARAMS = [
+    ("heat-diffusion", {"n_nodes": 40.5, "window": (6, 40)}, "n_nodes"),
+    ("advection-front", {"n_cells": 40.5, "window": (0, 40)}, "n_cells"),
+    ("oscillator-ringdown", {"n_channels": 4.5}, "n_channels"),
+    ("heat-diffusion", {"n_nodes": "abc"}, "n_nodes"),
+    ("oscillator-ringdown", {"n_channels": True}, "n_channels"),
+    ("heat-diffusion", {"r": "abc"}, "r must be a finite real"),
+    ("advection-front", {"n_cells": "abc"}, "n_cells"),
+    ("oscillator-ringdown", {"n_channels": "abc"}, "n_channels"),
+    ("heat-diffusion", {"modes": ((0, 1.0),)}, r"wavenumber.*\[1, 32\]"),
+    # Mode 33 of 32 nodes aliases to zero.
+    ("heat-diffusion", {"modes": ((33, 1.0),)}, r"wavenumber.*\[1, 32\]"),
+    ("heat-diffusion", {"modes": ((1, 0.0), (3, 0))}, "nonzero amplitude"),
+    ("advection-front", {"speed": "abc"}, "speed must be a finite real"),
+    ("oscillator-ringdown", {"gamma": "abc"}, "gamma must be a finite real"),
+    ("heat-diffusion", {"n_iterations": "abc"}, "n_iterations must be an int"),
+    ("advection-front", {"n_iterations": "abc"}, "n_iterations must be an int"),
+    ("oscillator-ringdown", {"n_iterations": "abc"}, "n_iterations must"),
+    ("heat-diffusion", {"modes": 5}, "modes must be a non-empty list"),
+    ("heat-diffusion", {"modes": ((1, 1.0), (1, -1.0))}, "cancels"),
+    ("lulesh-sedov", {"size": "abc"}, "size must be an integer"),
+    ("wdmerger-detonation", {"resolution": 7.5}, "resolution must be an int"),
+    *(
+        (name, {param: "abc"}, f"{param} must be")
+        for name, names in UNCHECKED_BEFORE_SCHEMA.items()
+        for param in names
+    ),
+    ("lulesh-sedov", {"maintain_field": "abc"}, r"maintain_field .* bool"),
+    ("wdmerger-detonation", {"maintain_grid": 1}, r"maintain_grid .* bool"),
+    ("lulesh-sedov", {"thresholds": ()}, "thresholds must be a non-empty"),
+    ("oscillator-ringdown", {"lags": ()}, "lags must be a non-empty"),
+    ("heat-diffusion", {"window": (1, 2, 3)}, "window must be a .* pair"),
+    ("heat-diffusion", {"window": (9, 8)}, "ends before it begins"),
+    ("heat-diffusion", {"r": 0.0}, r"r must be .* in \(0, 0.5\]"),
+    ("heat-diffusion", {"order": float("nan")}, "order must be an integer"),
+    ("advection-front", {"speed": 0}, "speed must be .* > 0"),
+    ("advection-front", {"learning_rate": float("inf")}, "learning_rate"),
+    ("lulesh-sedov", {"thresholds": (0.1, -0.2)}, "thresholds must be"),
+    ("lulesh-sedov", {"train_fraction": 1.5}, r"train_fraction .* \(0, 1\]"),
+    ("oscillator-ringdown", {"lags": (1, 0)}, "lags must be .* >= 1"),
+    ("wdmerger-detonation", {"variable": "entropy"}, "variable must be"),
+]
 
 #: perfbench's tiny ``bigsim-mp`` request, as ``RunConfig`` fields.
 TINY_BIGSIM_RUN = {
@@ -56,11 +131,20 @@ def _dummy_spec(**overrides):
         app_factory=lambda **_: ReplayApp(np.ones((4, 2))),
         analysis_factory=lambda **_: [],
         validator=lambda app, analyses, result, **_: {"error": 0.0},
-        defaults={"a": 1},
-        quick={},
+        schema={"a": Param(int, 1, quick=2, low=1)},
     )
     fields.update(overrides)
     return ScenarioSpec(**fields)
+
+
+def _reject(value):
+    """A spec ``check`` hook that rejects ``a == value``."""
+
+    def check(params):
+        if params["a"] == value:
+            raise ConfigurationError(f"a={value} does not fit")
+
+    return check
 
 
 # ----------------------------------------------------------------------
@@ -104,12 +188,16 @@ class TestRegistry:
             ({"analysis_factory": 3}, "callable"),
             ({"validator": "nope"}, "callable"),
             ({"policy": "sometimes"}, "policy"),
-            ({"backends": ()}, "backend"),
-            ({"backends": ("mpi",)}, "unknown backend"),
-            ({"quick": {"b": 2}}, "quick overrides"),
-            ({"defaults": [1, 2]}, "mapping"),
+            ({"schema": {"a": 1}}, "Param"),
+            ({"schema": {"a": Param(int, 1.5)}}, "default params.*a must be"),
+            ({"schema": {"a": Param(int, 1, quick=0, low=1)}}, "quick params"),
+            ({"check": _reject(2)}, "quick params.*does not fit"),
             ({"tolerance": -1.0}, "tolerance"),
             ({"tolerance": True}, "tolerance"),
+            ({"schema": [1, 2]}, "Param"),
+            ({"schema": {"a": Param(dict, {})}}, "unknown param kind"),
+            ({"check": 3}, "not callable"),
+            ({"check": _reject(1)}, "default params.*does not fit"),
         ],
     )
     def test_malformed_spec_rejected(self, overrides, match):
@@ -129,10 +217,48 @@ class TestRegistry:
         spec = scenarios.get("heat-diffusion")
         base = spec.params()
         quick = spec.params(quick=True)
-        custom = spec.params(quick=True, overrides={"n_nodes": 5})
-        assert base["n_nodes"] == spec.defaults["n_nodes"]
-        assert quick["n_nodes"] == spec.quick["n_nodes"]
-        assert custom["n_nodes"] == 5
+        custom = spec.params(quick=True, overrides={"n_nodes": 25})
+        assert base["n_nodes"] == spec.schema["n_nodes"].default == 48
+        assert quick["n_nodes"] == spec.schema["n_nodes"].quick == 32
+        assert custom["n_nodes"] == 25
+
+    def test_params_come_back_canonical(self):
+        # Lists from JSON, numpy ints and ints for float params resolve
+        # to one form, so equal requests share one cache key.
+        spec = scenarios.get("heat-diffusion")
+        params = spec.params(
+            overrides={
+                "n_nodes": np.int64(40),
+                "window": [6, 21],
+                "modes": [[1, 1], [3, 0.4]],
+            }
+        )
+        assert params["window"] == (6, 21)
+        assert params["modes"] == ((1, 1.0), (3, 0.4))
+        assert type(params["modes"][0][1]) is float
+        assert type(params["n_nodes"]) is int
+        ints = scenarios.RunConfig(quick=True, params={"modes": [[1, 1], [3, 0.4]]})
+        default = scenarios.RunConfig(quick=True)
+        assert ints.cache_key("heat-diffusion") == default.cache_key("heat-diffusion")
+        speed = scenarios.get("advection-front").params(overrides={"speed": 1})["speed"]
+        assert speed == 1.0 and type(speed) is float
+
+    def test_every_param_declared_once(self):
+        # The factories and validators declare no defaults of their own.
+        import inspect
+
+        for spec in scenarios.specs():
+            for fn in (spec.app_factory, spec.analysis_factory, spec.validator):
+                for arg in inspect.signature(fn).parameters.values():
+                    if arg.kind is arg.KEYWORD_ONLY:
+                        assert arg.default is arg.empty, (spec.name, arg.name)
+                        assert arg.name in spec.schema, (spec.name, arg.name)
+
+    def test_wdmerger_variable_choices_match_the_simulator(self):
+        from repro.wdmerger import DIAGNOSTIC_NAMES
+
+        schema = scenarios.get("wdmerger-detonation").schema
+        assert schema["variable"].choices == DIAGNOSTIC_NAMES
 
     def test_describe_is_json_ready(self):
         import json
@@ -142,6 +268,17 @@ class TestRegistry:
             json.dumps(payload)
             assert payload["name"] == spec.name
             assert payload["providers"]
+            assert list(payload["params"]) == list(spec.schema)
+        n_nodes = scenarios.get("heat-diffusion").describe()["params"]["n_nodes"]
+        assert json.loads(json.dumps(n_nodes)) == {
+            "kind": "integer",
+            "low": 3,
+            "high": None,
+            "strict": False,
+            "choices": [],
+            "default": 48,
+            "quick": 32,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -156,15 +293,6 @@ class TestRunner:
         with pytest.raises(ScenarioError, match="unknown backend"):
             scenarios.resolve_backend("mpi")
 
-    def test_unsupported_backend_rejected(self):
-        # wdmerger's diagnostic providers close over the variable name,
-        # so the spec declares simcomm only.
-        with pytest.raises(ScenarioError, match="supports backends"):
-            scenarios.run_scenario(
-                "wdmerger-detonation",
-                config=scenarios.RunConfig(n_ranks=2, backend="mp", quick=True),
-            )
-
     def test_nonpositive_ranks_rejected(self):
         with pytest.raises(ScenarioError, match="n_ranks"):
             scenarios.run_scenario(
@@ -172,42 +300,15 @@ class TestRunner:
             )
 
     @pytest.mark.parametrize("n_ranks", [1, 2])
-    @pytest.mark.parametrize(
-        "name, params, message",
-        [
-            ("heat-diffusion", {"n_nodes": 40.5, "window": (6, 40)}, "n_nodes"),
-            ("advection-front", {"n_cells": 40.5, "window": (0, 40)}, "n_cells"),
-            ("oscillator-ringdown", {"n_channels": 4.5}, "n_channels"),
-            ("heat-diffusion", {"n_nodes": "abc"}, "n_nodes"),
-            ("oscillator-ringdown", {"n_channels": True}, "n_channels"),
-            ("heat-diffusion", {"r": "abc"}, "r must be a finite real"),
-            ("advection-front", {"n_cells": "abc"}, "n_cells"),
-            ("oscillator-ringdown", {"n_channels": "abc"}, "n_channels"),
-            ("heat-diffusion", {"modes": ((0, 1.0),)}, r"wavenumber.*\[1, 32\]"),
-            # Mode 33 of 32 nodes aliases to zero.
-            ("heat-diffusion", {"modes": ((33, 1.0),)}, r"wavenumber.*\[1, 32\]"),
-            ("heat-diffusion", {"modes": ((1, 0.0), (3, 0))}, "nonzero amplitude"),
-            ("advection-front", {"speed": "abc"}, "speed must be a finite real"),
-            ("oscillator-ringdown", {"gamma": "abc"}, "gamma must be a finite real"),
-            ("heat-diffusion", {"n_iterations": "abc"}, "n_iterations must be an int"),
-            ("advection-front", {"n_iterations": "abc"}, "n_iterations must be an int"),
-            ("oscillator-ringdown", {"n_iterations": "abc"}, "n_iterations must"),
-            ("heat-diffusion", {"modes": 5}, "modes must be a non-empty list"),
-            ("heat-diffusion", {"modes": ((1, 1.0), (1, -1.0))}, "cancels"),
-            ("lulesh-sedov", {"size": "abc"}, "size must be an integer"),
-            ("wdmerger-detonation", {"resolution": 7.5}, "resolution must be an int"),
-        ],
-    )
+    @pytest.mark.parametrize("name, params, message", MALFORMED_PARAMS)
     def test_malformed_params_rejected_before_any_step(
         self, name, params, message, n_ranks
     ):
-        # Two ranks run on mp, which spawns workers, where the scenario
-        # supports it (wdmerger-detonation runs on simcomm only).
-        mp = n_ranks > 1 and "multiprocessing" in scenarios.get(name).backends
+        # Two ranks run on mp, which spawns workers.
         config = scenarios.RunConfig(
             quick=True,
             n_ranks=n_ranks,
-            backend="mp" if mp else "simcomm",
+            backend="mp" if n_ranks > 1 else "simcomm",
             params=params,
         )
         with pytest.raises(ConfigurationError, match=message):
@@ -314,6 +415,17 @@ class TestRoundTrip:
         payload = run.to_json()
         assert payload["backend"] == "multiprocessing"
         assert "transport" not in payload
+        assert run.ok
+
+    def test_wdmerger_runs_on_multiprocessing(self):
+        # Its diagnostic provider pickles, so worker ranks can gather it.
+        run = scenarios.run_scenario(
+            "wdmerger-detonation",
+            config=scenarios.RunConfig(n_ranks=2, backend="mp", quick=True),
+        )
+        assert run.to_json()["backend"] == "multiprocessing"
+        assert run.crosscheck["max_coefficient_delta"] == 0.0
+        assert run.crosscheck["compared"] == len(run.analyses) == 1
         assert run.ok
 
     def test_multiprocessing_pickle_transport_roundtrip(self):

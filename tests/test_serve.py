@@ -66,6 +66,7 @@ class TestProtocol:
         (b'{"scenario": "x", "bogus": 1}', "unknown key"),
         (b'{"scenario": "x", "config": {"warp": 9}}', "bad run config"),
         (b'{"scenario": "x", "stream_every": 0}', "stream_every"),
+        (b'{"scenario": "x", "stream_every": true}', "stream_every"),
         (b'{"scenario": "x", "inject": "slow:rank=0,per_iter=1"}', "kill"),
     ])
     def test_parse_rejects_malformed(self, body, match):
@@ -249,6 +250,41 @@ class TestServerRoundTrip:
         assert bad_flag[0] == 400
         assert client._request("GET", "/nope")[0] == 404
         assert client._request("GET", "/run")[0] == 405
+
+
+    def test_bad_params_rejected_before_any_worker(self, client):
+        # Every param of every scenario fails on "abc", as do structured
+        # values of the wrong shape and unknown names: each is a 400
+        # whether or not faults make the request uncacheable, and no
+        # worker sees one.
+        cases = [
+            (spec.name, {name: "abc"}) for spec in scenarios.specs()
+            for name in spec.schema
+        ] + [
+            ("heat-diffusion", {"n_nodez": 5}),
+            ("heat-diffusion", {"order": "abc"}),
+            ("lulesh-sedov", {"maintain_field": 1}),
+            ("lulesh-sedov", {"thresholds": []}),
+            ("oscillator-ringdown", {"lags": []}),
+            ("heat-diffusion", {"window": [1, 2, 3]}),
+            ("heat-diffusion", {"window": [6, 40]}),
+        ]
+        faulted = {
+            "n_ranks": 2,
+            "backend": "multiprocessing",
+            "faults": "kill:rank=1,iter=5",
+        }
+        jobs = client.get("/stats")["pool"]["jobs"]
+        for scenario, params in cases:
+            for knobs in ({}, faulted):
+                config = dict(knobs, quick=True, params=params)
+                status, body = client._request(
+                    "POST", "/run",
+                    json.dumps({"scenario": scenario, "config": config}).encode(),
+                )
+                assert status == 400, (scenario, config)
+                assert json.loads(body)["error"], (scenario, config)
+        assert client.get("/stats")["pool"]["jobs"] == jobs
 
 
 class TestServerCache:
