@@ -240,6 +240,8 @@ class ARModel:
         self._x_stats = RunningStats(order)
         self._y_stats = RunningStats(1)
         self._updates = 0
+        # Original-scale (coefficients, intercept), until a write clears it.
+        self._scaled: "tuple[np.ndarray, float] | None" = None
 
     # ------------------------------------------------------------------
     # training
@@ -255,8 +257,9 @@ class ARModel:
         """The feature normalisation aggregate (mergeable partial state).
 
         Exposed so distributed reductions can fold per-rank partials via
-        :meth:`RunningStats.merge`; mutate only through ``update``/
-        ``merge`` or the fitted coefficients lose their scale.
+        :meth:`RunningStats.merge` into an aggregate of their own; the
+        model's copy changes only in its training methods, which also
+        refresh the memoised :attr:`coefficients`.
         """
         return self._x_stats
 
@@ -271,21 +274,26 @@ class ARModel:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Trained coefficients ``b1..bn`` in the *original* data scale."""
-        self._require_trained()
-        x_std = self._x_stats.std
-        y_std = float(self._y_stats.std[0])
-        return self._w * (y_std / x_std)
+        """Trained coefficients ``b1..bn`` in the *original* data scale
+        (read-only: the array is reused until the model next changes)."""
+        return self._original_scale()[0]
 
     @property
     def intercept(self) -> float:
         """Trained intercept ``b0`` in the original data scale."""
-        self._require_trained()
-        x_mean = self._x_stats.mean
-        y_mean = float(self._y_stats.mean[0])
-        return y_mean + float(self._y_stats.std[0]) * self._b - float(
-            np.dot(self.coefficients, x_mean)
-        )
+        return self._original_scale()[1]
+
+    def _original_scale(self) -> "tuple[np.ndarray, float]":
+        if self._scaled is None:
+            self._require_trained()
+            y_std = float(self._y_stats.std[0])
+            coef = self._w * (y_std / self._x_stats.std)
+            coef.flags.writeable = False
+            intercept = float(self._y_stats.mean[0]) + y_std * self._b - float(
+                np.dot(coef, self._x_stats.mean)
+            )
+            self._scaled = (coef, intercept)
+        return self._scaled
 
     def partial_fit(self, x: np.ndarray, y: np.ndarray) -> float:
         """One mini-batch update; returns the pre-update batch MSE.
@@ -348,6 +356,7 @@ class ARModel:
         self._y_stats._m2 = y_m2
         self._y_stats.count = int(y_count)
         self._y_stats._std_cache = None
+        self._scaled = None
 
         self._updates += 1
         return float(pre_mse)
@@ -360,6 +369,8 @@ class ARModel:
         ratios), because the explosive amplification of a growth-locked
         fit lives in those scale ratios, not in the raw weights.
         """
+        # It may rewrite ``_w`` in place, with ``_updates`` unchanged.
+        self._scaled = None
         if self.max_coefficient_sum is None:
             return
         scale = float(self._y_stats.std[0]) / self._x_stats.std
@@ -397,6 +408,7 @@ class ARModel:
         coef = kernels.normal_solve(xs, ys, self._prior, self.l2)
         self._b = float(coef[0])
         self._w = np.asarray(coef[1:], dtype=np.float64)
+        self._scaled = None
         self._updates += 1
         residual = xs @ self._w + self._b - ys
         return float(np.mean(residual**2))

@@ -12,7 +12,7 @@ the paper's accuracy tables.
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -272,6 +272,11 @@ class CurveFitting(Analysis):
     def threshold_events(self) -> List[ThresholdEvent]:
         return list(self._threshold_events)
 
+    @property
+    def last_threshold_event(self) -> Optional[ThresholdEvent]:
+        """The newest of :attr:`threshold_events`, without the copy."""
+        return self._threshold_events[-1] if self._threshold_events else None
+
     def predicted_vs_real(self, location: Optional[int] = None):
         """One-step model predictions against collected values.
 
@@ -283,10 +288,6 @@ class CurveFitting(Analysis):
         """
         self._require_trained()
         store = self.collector.store
-        matrix = store.matrix()
-        order = self.model.order
-        step = self.collector.temporal.step
-        lag_rows = self.model.lag // step
         # Rows are paired positionally, which assumes uniform temporal
         # spacing; an adaptive-cadence snap-back can leave gaps in the
         # collected iterations, and a pair built across one would
@@ -297,16 +298,12 @@ class CurveFitting(Analysis):
         # pair).
         if self.axis == "time":
             loc = int(store.locations[0]) if location is None else location
-            iters, series = store.series(loc)
-            valid = store.lag_exact_rows(
-                lag_rows=lag_rows, order=order, step=step
-            )
-            if not valid.size:
-                raise NotTrainedError("not enough collected data to evaluate")
-            # Row i's features, most recent first, end lag_rows back.
-            features = series[(valid - lag_rows)[:, None] - np.arange(order)]
-            predicted = self.model.predict_many(features)
-            return iters[valid], predicted, series[valid]
+            iters, (predicted,), (real,) = self.time_pairs([loc])
+            return iters, predicted, real
+        matrix = store.matrix()
+        order = self.model.order
+        step = self.collector.temporal.step
+        lag_rows = self.model.lag // step
         # axis == "space".  Spatial features come from ONE lagged row, so
         # order=1.  The training emitter's windows (most recent first,
         # ending at the target's column, or the one before it without
@@ -334,6 +331,29 @@ class CurveFitting(Analysis):
             predicted = predicted[:, sel[0]]
             real = real[:, sel[0]]
         return kept_iters, predicted, real
+
+    def time_pairs(self, locations: Optional[Sequence[int]] = None):
+        """Time-axis :meth:`predicted_vs_real` at each of ``locations``
+        (every window location when None) as ``(iterations, [predicted],
+        [real])``, one array per location, from one lag-exact mask."""
+        self._require_trained()
+        store = self.collector.store
+        if locations is None:
+            columns = store.matrix().T
+        else:
+            columns = [store.series(location)[1] for location in locations]
+        order = self.model.order
+        step = self.collector.temporal.step
+        lag_rows = self.model.lag // step
+        valid = store.lag_exact_rows(lag_rows=lag_rows, order=order, step=step)
+        if not valid.size:
+            raise NotTrainedError("not enough collected data to evaluate")
+        # Row i's features, most recent first, end lag_rows back.
+        rows = (valid - lag_rows)[:, None] - np.arange(order)
+        # One call per location: a matvec's bits can depend on its shape.
+        predicted = [self.model.predict_many(series[rows]) for series in columns]
+        real = [series[valid] for series in columns]
+        return store.iterations[valid], predicted, real
 
     def fit_error(self, location: Optional[int] = None) -> float:
         """Curve-fit error rate (%) — the metric of Tables I and V.

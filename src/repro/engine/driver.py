@@ -308,14 +308,13 @@ def progress_snapshot(scheduler, iteration: int, terminated: bool) -> dict:
         }
         model = getattr(analysis, "model", None)
         if model is not None and model.is_trained:
-            entry["coefficients"] = [float(c) for c in model.coefficients]
+            entry["coefficients"] = model.coefficients.tolist()
             entry["intercept"] = float(model.intercept)
         trainer = getattr(analysis, "trainer", None)
         if trainer is not None:
             entry["updates"] = int(trainer.updates)
-        events = getattr(analysis, "threshold_events", None)
-        if events:
-            last = events[-1]
+        last = getattr(analysis, "last_threshold_event", None)
+        if last is not None:
             entry["wavefront"] = {
                 "iteration": int(last.iteration),
                 "location": int(last.location),

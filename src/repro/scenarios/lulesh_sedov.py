@@ -29,16 +29,26 @@ def _velocity_batch(domain: object, locations: np.ndarray) -> np.ndarray:
 velocity_provider.batch = _velocity_batch
 
 
-def make_app(*, size: int, maintain_field: bool, **extra):
-    """Raw simulation — the engine wraps it via the adapter registry."""
+def make_app(
+    *,
+    size: int,
+    maintain_field: bool,
+    record_locations=None,
+    stop_time=None,
+    blast_energy=None,
+    **_,
+):
+    """Raw simulation — the engine wraps it via the adapter registry.
+
+    ``None`` keeps the simulation's own value of a non-schema keyword.
+    """
     from repro.lulesh import LuleshSimulation
 
-    factory_kwargs = {
-        key: extra[key]
-        for key in ("record_locations", "stop_time", "blast_energy")
-        if key in extra
-    }
-    return LuleshSimulation(size, maintain_field=maintain_field, **factory_kwargs)
+    blast = {"stop_time": stop_time, "blast_energy": blast_energy}
+    blast = {key: value for key, value in blast.items() if value is not None}
+    return LuleshSimulation(
+        size, maintain_field=maintain_field, record_locations=record_locations, **blast
+    )
 
 
 def make_analyses(

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -445,13 +446,16 @@ def build_sim(name: str, **overrides) -> object:
     """Build the scenario's simulation with default params + ``overrides``.
 
     Overrides the schema names are checked like any param.  Unlike
-    :meth:`ScenarioSpec.params`, overrides here may add keys the schema
-    does not name (e.g. the experiment drivers' recording arguments),
-    which go straight to the factory.
+    :meth:`ScenarioSpec.params`, overrides here may also name a keyword
+    the app factory declares outside the schema (e.g. the experiment
+    drivers' recording arguments); any other key is rejected like an
+    unknown param.
     """
     spec = get(name)
-    known = {k: v for k, v in overrides.items() if k in spec.schema}
-    extra = {k: v for k, v in overrides.items() if k not in spec.schema}
+    factory = inspect.signature(spec.app_factory).parameters.values()
+    named = {p.name for p in factory if p.kind is p.KEYWORD_ONLY}
+    extra = {k: v for k, v in overrides.items() if k in named - set(spec.schema)}
+    known = {k: v for k, v in overrides.items() if k not in extra}
     return spec.app_factory(**spec.params(overrides=known), **extra)
 
 

@@ -20,16 +20,29 @@ from repro.scenarios.spec import Param, ScenarioSpec, register
 DIAGNOSTICS = ("temperature", "angular_momentum", "mass", "energy")
 
 
-def make_app(*, resolution: int, maintain_grid: bool, **extra):
-    """Raw simulation — the engine wraps it via the adapter registry."""
+def make_app(
+    *,
+    resolution: int,
+    maintain_grid: bool,
+    initial_separation: float,
+    m_primary=None,
+    m_secondary=None,
+    **_,
+):
+    """Raw simulation — the engine wraps it via the adapter registry.
+
+    ``None`` keeps the simulation's own value of a non-schema keyword.
+    """
     from repro.wdmerger import WdMergerSimulation
 
-    factory_kwargs = {
-        key: extra[key]
-        for key in ("initial_separation", "m_primary", "m_secondary")
-        if key in extra
-    }
-    return WdMergerSimulation(resolution, maintain_grid=maintain_grid, **factory_kwargs)
+    masses = {"m_primary": m_primary, "m_secondary": m_secondary}
+    masses = {key: value for key, value in masses.items() if value is not None}
+    return WdMergerSimulation(
+        resolution,
+        maintain_grid=maintain_grid,
+        initial_separation=initial_separation,
+        **masses,
+    )
 
 
 def make_analyses(*, resolution, variable, order, batch_size, learning_rate, **_):

@@ -14,12 +14,18 @@ Protocol (one pipe per worker, strictly request/response framed):
 * worker → parent zero or more ``("progress", snapshot)`` messages,
   then exactly one ``("result", report_bytes)`` or ``("error", msg)``.
 
+The parent reads every pipe on its event loop, with no thread per pipe
+or message: an asyncio read-pipe transport buffers what each wake-up
+reads, and the request takes every complete message from the buffer.
+A large report builds up across wake-ups while other streams move on.
+
 Supervision: a worker that dies mid-run (crash, OOM kill, or a
 deliberate ``inject`` spec — the same :class:`~repro.engine.faults`
 plans the distributed engine uses, aimed here at the worker process
 itself) surfaces as :class:`ServeError` on that one request, and the
 pool replaces the corpse with a fresh warm worker before accepting the
-next job.  The pool never loses capacity to a death.
+next job, as it does for a request whose client hangs up mid-run.
+The pool never loses capacity to a death.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
+import pickle
+import struct
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional
 
@@ -74,6 +82,9 @@ def _worker_main(conn) -> None:
                 if stream and (sent % every == 0 or snapshot["terminated"]):
                     conn.send(("progress", snapshot))
 
+            if not stream and kill is None:  # nothing reads a snapshot
+                hook = None
+
             run = run_scenario(job["scenario"], config=config, progress=hook)
             conn.send(("result", canonical_report_bytes(run.to_json())))
         except Exception as exc:  # keep the worker alive across bad jobs
@@ -89,6 +100,8 @@ class _Worker:
     index: int
     process: multiprocessing.process.BaseProcess
     conn: object
+    reader: asyncio.StreamReader
+    transport: asyncio.ReadTransport
     pid: int = 0
     jobs: int = 0
     generation: int = 0
@@ -125,7 +138,7 @@ class WorkerPool:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _spawn(self, index: int, generation: int = 0) -> _Worker:
+    async def _spawn(self, index: int, generation: int = 0) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
@@ -135,13 +148,25 @@ class WorkerPool:
         )
         process.start()
         child_conn.close()
+        reader = asyncio.StreamReader()
+        transport, _ = await asyncio.get_running_loop().connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(reader), parent_conn
+        )
+        # The transport made the pipe non-blocking, but a job larger than
+        # its buffer must not stop halfway; a read the loop found ready
+        # does not block either way.
+        os.set_blocking(parent_conn.fileno(), True)
         return _Worker(
-            index=index, process=process, conn=parent_conn, generation=generation
+            index, process, parent_conn, reader, transport, generation=generation
         )
 
     async def _recv(self, worker: _Worker):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, worker.conn.recv)
+        """The next ``Connection.send`` frame: length (4 bytes), pickle."""
+        try:
+            size = struct.unpack("!i", await worker.reader.readexactly(4))[0]
+            return pickle.loads(await worker.reader.readexactly(size))
+        except ConnectionResetError:  # it died with input unread
+            raise EOFError from None
 
     async def _wait_ready(self, worker: _Worker) -> None:
         kind, info = await self._recv(worker)
@@ -154,19 +179,21 @@ class WorkerPool:
     async def start(self) -> None:
         """Spawn and warm every worker; returns once all are ready."""
         self._free = asyncio.Queue()
-        self._workers = [self._spawn(i) for i in range(self.size)]
-        await asyncio.gather(*(self._wait_ready(w) for w in self._workers))
+        try:
+            for index in range(self.size):
+                self._workers.append(await self._spawn(index))
+            await asyncio.gather(*(self._wait_ready(w) for w in self._workers))
+        except BaseException:
+            await self.close()  # a failed start leaves no pipe to the GC
+            raise
         for worker in self._workers:
             self._free.put_nowait(worker)
 
     async def _replace(self, dead: _Worker) -> _Worker:
         """Reap a dead worker and warm a replacement in its slot."""
-        try:
-            dead.conn.close()
-        except OSError:
-            pass
+        dead.transport.close()  # takes the pipe off the loop, closes it
         dead.process.join(timeout=5)
-        fresh = self._spawn(dead.index, generation=dead.generation + 1)
+        fresh = await self._spawn(dead.index, generation=dead.generation + 1)
         await self._wait_ready(fresh)
         self._workers[dead.index] = fresh
         self._restarts += 1
@@ -187,11 +214,9 @@ class WorkerPool:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=5)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            worker.transport.close()
         self._workers = []
+        await asyncio.sleep(0)  # let the transports close their pipes
 
     # -- jobs --------------------------------------------------------------
 
@@ -212,7 +237,10 @@ class WorkerPool:
         self._busy += 1
         try:
             try:
-                worker.conn.send(job)
+                try:
+                    worker.conn.send(job)
+                except OSError:
+                    pass  # a dead worker: its EOF is on the way
                 while True:
                     kind, payload = await self._recv(worker)
                     if kind == "progress":
@@ -231,7 +259,7 @@ class WorkerPool:
                             f"worker {worker.index} sent unknown "
                             f"message kind {kind!r}"
                         )
-            except (EOFError, ConnectionResetError, BrokenPipeError):
+            except EOFError:
                 worker.process.join(timeout=5)
                 code = worker.process.exitcode
                 worker = await self._replace(worker)
@@ -239,11 +267,12 @@ class WorkerPool:
                     f"worker died mid-run (exit code {code}); "
                     "a fresh worker has replaced it"
                 ) from None
-            except asyncio.CancelledError:
-                # The request vanished mid-run (client hung up / server
-                # abort).  The worker is still crunching and its pipe
-                # framing is now ambiguous — replace it rather than
-                # risk pairing its late result with the next job.
+            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
+                # The request vanished mid-run (client hung up, so
+                # on_progress raised / server abort).  The worker is
+                # still crunching and its pipe framing is now ambiguous
+                # — replace it rather than risk pairing its late result
+                # with the next job.
                 worker.process.terminate()
                 worker = await self._replace(worker)
                 raise

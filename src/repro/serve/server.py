@@ -271,7 +271,8 @@ class AnalysisServer:
 def _say(message: str) -> None:
     # Shutdown must not depend on stdout: a daemonized server whose pipe
     # reader died would otherwise raise BrokenPipeError here, skip the
-    # pool drain, and hang at exit on the blocked recv threads.
+    # pool drain, and hang at exit joining workers still waiting for a
+    # job.
     try:
         print(message, flush=True)
     except OSError:

@@ -297,6 +297,72 @@ class TestTraining:
         assert model.updates == 1
 
 
+def _fresh_original_scale(model):
+    """Coefficients and intercept computed from the model's state now."""
+    y_std = float(model.y_stats.std[0])
+    coef = model._w * (y_std / model.x_stats.std)
+    intercept = (
+        float(model.y_stats.mean[0])
+        + y_std * model._b
+        - float(np.dot(coef, model.x_stats.mean))
+    )
+    return coef, intercept
+
+
+class TestOriginalScaleMemo:
+    """``coefficients`` and ``intercept`` are kept until the model
+    changes; each writer of its state must drop them."""
+
+    @staticmethod
+    def _trained():
+        rng = np.random.default_rng(11)
+        series = np.cumsum(rng.standard_normal(120)) + 40.0
+        x = np.stack([series[i - 3: i][::-1] for i in range(3, len(series))])
+        model = ARModel(3, learning_rate=0.1)
+        model.partial_fit(x[:16], series[3:19])
+        return model, x, series[3:]
+
+    @staticmethod
+    def _assert_current(model):
+        coef, intercept = _fresh_original_scale(model)
+        assert model.coefficients.tobytes() == coef.tobytes()
+        assert np.float64(model.intercept).tobytes() == np.float64(intercept).tobytes()
+
+    def test_reused_until_the_model_changes(self):
+        model, x, y = self._trained()
+        coefficients = model.coefficients
+        assert model.coefficients is coefficients
+        assert not coefficients.flags.writeable
+        model.partial_fit(x[16:32], y[16:32])
+        assert model.coefficients is not coefficients
+        self._assert_current(model)
+
+    def test_fit_exact_refreshes(self):
+        model, x, y = self._trained()
+        before = model.coefficients.copy()
+        model.fit_exact(x, y)
+        assert not np.array_equal(model.coefficients, before)
+        self._assert_current(model)
+
+    @pytest.mark.parametrize("bound", [0.5, 1.05], ids=["in-place", "shrink"])
+    def test_projection_refreshes(self, bound):
+        # _project_stationary rewrites _w (at bound 0.5 in place, since
+        # the persistence prior alone passes it) without counting an
+        # update, so a memo keyed on the update count would go stale.
+        model, _, _ = self._trained()
+        model.max_coefficient_sum = bound
+        model.coefficients
+        model._w = model._w * 3.0
+        model.coefficients
+        stale = model._w.copy()
+        updates = model.updates
+        model._project_stationary()
+        assert not np.array_equal(model._w, stale)
+        assert model.updates == updates
+        self._assert_current(model)
+        assert float(np.sum(model.coefficients)) == pytest.approx(bound)
+
+
 class TestPrediction:
     def test_predict_many_matches_predict(self):
         model = _trained_identity(order=3)

@@ -6,7 +6,8 @@ It must still produce exactly the states of the plain expression.
 A sharded step, with ghost cells refreshed once per chunk, must produce
 exactly the unsharded states on the cells it owns.  The step walks its
 range in ``heat.TILE``-node tiles; tests patch ``TILE`` down to a few
-nodes to put tile edges everywhere on small domains.
+nodes to put tile edges everywhere on small domains.  The validator
+must give the per-location loop's metrics bit for bit.
 """
 
 import tracemalloc
@@ -14,8 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.scenarios import heat
+from repro.scenarios import RunConfig, heat
 from repro.scenarios.heat import HeatDiffusionApp
+from repro.scenarios.spec import _execute_leg
 
 #: ``(n_nodes, TILE)`` cases.  Tiles of 1, 2 and 5 nodes put tile edges
 #: inside blocks, on block edges, inside ghost zones and at both domain
@@ -151,3 +153,52 @@ def test_real_tiles_bit_identical_to_reference():
                 app.state[lo:hi].view(np.uint64),
                 reference[lo:hi].view(np.uint64),
             ), f"block [{lo}, {hi}) diverged at step {step + 1}"
+
+
+def _validate_per_location(app, analysis):
+    """The validator's metrics, one location at a time (the reference)."""
+    store = analysis.collector.store
+    model = analysis.model
+    step = analysis.collector.temporal.step
+    lag_rows = model.lag // step
+    abs_errors, scales, delta = [], [], 0.0
+    for location in store.locations:
+        iters, series = store.series(int(location))
+        valid = store.lag_exact_rows(lag_rows=lag_rows, order=model.order, step=step)
+        features = series[(valid - lag_rows)[:, None] - np.arange(model.order)]
+        predicted = model.predict_many(features)
+        exact = app.exact([int(location)], iters[valid])[:, 0]
+        abs_errors.append(np.abs(predicted - exact))
+        scales.append(np.abs(exact))
+        delta = max(delta, float(np.max(np.abs(series[valid] - exact))))
+    scale = float(np.mean(np.concatenate(scales)))
+    return {
+        "error": 100.0 * float(np.mean(np.concatenate(abs_errors))) / scale,
+        "fit_error_vs_collected": analysis.fit_error(),
+        "simulation_vs_closed_form": delta,
+    }
+
+
+WIDE = {"n_nodes": 600, "window": (8, 263)}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(quick=True, crosscheck=False),
+        # Cadence gaps: 21 of its 30 rows are lag-exact.
+        RunConfig(quick=True, crosscheck=False, adaptive=True),
+        RunConfig(quick=True, crosscheck=False, adaptive=True, params=WIDE),
+        RunConfig(quick=True, crosscheck=False, n_ranks=2, backend="mp"),
+    ],
+    ids=["serial", "adaptive", "adaptive-wide", "mp2"],
+)
+def test_validator_matches_per_location_reference(config):
+    # One closed-form call and one lag-exact mask for the whole window
+    # must give the per-location loop's metrics bit for bit.
+    spec, params = config.resolve("heat-diffusion")
+    engine, analyses, result = _execute_leg(spec, config, params)
+    metrics = heat.validate(engine.app, analyses, result, **params)
+    reference = _validate_per_location(engine.app, analyses[0])
+    for key, value in reference.items():
+        assert np.float64(metrics[key]).tobytes() == np.float64(value).tobytes(), key

@@ -245,14 +245,53 @@ class TestRegistry:
 
     def test_every_param_declared_once(self):
         # The factories and validators declare no defaults of their own.
+        # Only an app factory may name a keyword outside the schema (for
+        # build_sim), and its None keeps the simulation's own value.
         import inspect
 
         for spec in scenarios.specs():
             for fn in (spec.app_factory, spec.analysis_factory, spec.validator):
                 for arg in inspect.signature(fn).parameters.values():
-                    if arg.kind is arg.KEYWORD_ONLY:
+                    if arg.kind is not arg.KEYWORD_ONLY:
+                        continue
+                    if arg.name in spec.schema:
                         assert arg.default is arg.empty, (spec.name, arg.name)
-                        assert arg.name in spec.schema, (spec.name, arg.name)
+                    else:
+                        assert fn is spec.app_factory, (spec.name, arg.name)
+                        assert arg.default is None, (spec.name, arg.name)
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("lulesh-sedov", {"size": 8, "stop_tme": 0.1}),
+            ("wdmerger-detonation", {"resolutoin": 8}),
+            ("heat-diffusion", {"n_node": 40}),
+        ],
+    )
+    def test_build_sim_rejects_unknown_keys(self, name, overrides):
+        # A misspelled key used to vanish into the factory's catch-all
+        # and build the default run.
+        typo = next(k for k in overrides if k not in scenarios.get(name).schema)
+        with pytest.raises(ConfigurationError, match=typo):
+            scenarios.build_sim(name, **overrides)
+
+    def test_build_sim_passes_the_factories_named_keywords(self):
+        from repro.experiments.common import lulesh_reference, wdmerger_reference
+
+        sim = scenarios.build_sim(
+            "lulesh-sedov", size=8, stop_time=0.1, record_locations=[0, 2]
+        )
+        assert sim.stop_time == 0.1
+        assert scenarios.build_sim("lulesh-sedov", size=8).stop_time == 0.65
+        wd = scenarios.build_sim(
+            "wdmerger-detonation", resolution=8, m_primary=1.0, m_secondary=0.5
+        )
+        assert (wd.binary.primary.mass, wd.binary.secondary.mass) == (1.0, 0.5)
+        default = scenarios.build_sim("wdmerger-detonation", resolution=8).binary
+        assert (default.primary.mass, default.secondary.mass) == (0.9, 0.6)
+        # The ground-truth runs pass their recording arguments this way.
+        assert lulesh_reference(8).history.shape == (201, 9)
+        assert wdmerger_reference(8).detonation_time is not None
 
     def test_wdmerger_variable_choices_match_the_simulator(self):
         from repro.wdmerger import DIAGNOSTIC_NAMES

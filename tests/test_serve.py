@@ -7,13 +7,22 @@ state (worker kills) assert on the *deltas* they cause.  Shutdown
 draining gets its own dedicated server.
 """
 
+import asyncio
 import json
+import logging
+import multiprocessing
+import os
+import pickle
+import socket
+import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import scenarios
+from repro.engine import driver
 from repro.engine.faults import KILL_EXIT_CODE
 from repro.errors import ServeError
 from repro.scenarios import RunConfig, replay_fingerprint, run_scenario
@@ -25,6 +34,7 @@ from repro.serve import (
     result_line,
     split_result_line,
 )
+from repro.serve import pool as pool_module
 
 QUICK = RunConfig(quick=True, crosscheck=False)
 
@@ -354,7 +364,8 @@ class TestServerConcurrency:
 
 
 class TestWorkerSupervision:
-    def test_pool_survives_worker_death(self, client):
+    def test_pool_survives_worker_death(self, server, client):
+        workers = _workers(server)
         before = client.get("/stats")["pool"]
         response = client.run(
             "heat-diffusion", QUICK, inject="kill:rank=0,iter=40"
@@ -368,9 +379,45 @@ class TestWorkerSupervision:
         after = client.get("/stats")["pool"]
         assert after["restarts"] == before["restarts"] + 1
         assert all(w["alive"] for w in after["workers"])
+        _assert_one_reader_per_worker(server, gone=workers)
         # The pool is immediately serviceable again.
         healthy = client.run("heat-diffusion", QUICK, no_cache=True)
         assert healthy.report["ok"] is True
+
+    def test_client_hang_up_replaces_worker(self, server, client):
+        before = _workers(server)
+        restarts = client.get("/stats")["pool"]["restarts"]
+        # Long enough to still be streaming when the client goes away.
+        config = RunConfig(
+            quick=True,
+            crosscheck=False,
+            params={"n_iterations": 4000, "train_iterations": 3900},
+        )
+        body = json.dumps({
+            "scenario": "heat-diffusion",
+            "config": config.to_json(),
+            "no_cache": True,
+        }).encode()
+        with socket.create_connection((server.host, server.port), timeout=60) as sock:
+            sock.sendall(
+                b"POST /run HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+                + body
+            )
+            with sock.makefile("rb") as stream:
+                line = stream.readline()
+                while line and b'"progress"' not in line:
+                    line = stream.readline()
+            assert line, "the stream ended before its first progress line"
+            # Reset rather than linger: the server's next write fails.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        deadline = time.monotonic() + 60
+        while client.get("/stats")["pool"]["restarts"] == restarts:
+            assert time.monotonic() < deadline, "hung-up request kept its worker"
+            time.sleep(0.05)
+        _assert_one_reader_per_worker(server, gone=before)
+        assert client.run("heat-diffusion", QUICK, no_cache=True).report["ok"]
 
 
 class TestGracefulShutdown:
@@ -395,3 +442,314 @@ class TestGracefulShutdown:
             assert response.status == 200
             assert response.events[-1]["event"] == "result"
             assert response.report["ok"] is True
+
+
+# ----------------------------------------------------------------------
+# the stream path: pipes read on the event loop, snapshots kept current
+# ----------------------------------------------------------------------
+
+
+def _on_loop(harness, fn):
+    """``fn()`` run on the server's event-loop thread."""
+
+    async def call():
+        return fn()
+
+    return asyncio.run_coroutine_threadsafe(call(), harness._loop).result(30)
+
+
+def _workers(harness):
+    return _on_loop(harness, lambda: list(harness._server.pool._workers))
+
+
+def _assert_one_reader_per_worker(harness, gone):
+    """Each live worker's pipe, and no pipe of the ``gone`` workers, has
+    a reader on the server loop; the replaced workers' pipes are closed."""
+    pool = harness._server.pool
+
+    def collect():
+        workers = list(pool._workers)
+        owners = {id(w.transport): w for w in workers + list(gone)}
+        readers = {}
+        for key in asyncio.get_running_loop()._selector.get_map().values():
+            owner = getattr(getattr(key.data[0], "_callback", None), "__self__", None)
+            if id(owner) in owners:
+                readers[key.fd] = owners[id(owner)]
+        return readers, workers
+
+    readers, workers = _on_loop(harness, collect)
+    assert sorted(readers) == sorted(w.conn.fileno() for w in workers)
+    assert all(readers[w.conn.fileno()] is w for w in workers)
+    replaced = [w for w in gone if w not in workers]
+    assert replaced, "no worker was replaced"
+    for worker in replaced:
+        assert worker.conn.closed
+        assert worker not in readers.values()
+
+
+def _write_all(fd, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _scripted_worker(conn) -> None:
+    """Pool worker stand-in: each job says what it sends back.
+
+    ``burst`` progress messages (``pause`` seconds apart), then a
+    ``result_bytes``-long result whose frame is written in two halves
+    ``stall`` seconds apart.
+    """
+    conn.send(("ready", {"pid": os.getpid()}))
+    while True:
+        job = conn.recv()
+        if job is None:
+            break
+        for i in range(job.get("burst", 0)):
+            conn.send(("progress", {"iteration": i + 1, "pad": "p" * 200}))
+            time.sleep(job.get("pause", 0.0))
+        result = pickle.dumps(("result", b"r" * job.get("result_bytes", 8)))
+        frame = struct.pack("!i", len(result)) + result
+        _write_all(conn.fileno(), frame[: len(frame) // 2])
+        time.sleep(job.get("stall", 0.0))
+        _write_all(conn.fileno(), frame[len(frame) // 2:])
+    conn.close()
+
+
+def _dying_worker(conn) -> None:
+    os._exit(3)
+
+
+@pytest.fixture(scope="module")
+def scripted():
+    """A server whose pool runs :func:`_scripted_worker` processes.
+
+    The pool picks its worker body when it spawns, so the patch spans
+    the start only and no other server inherits it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool_module, "_worker_main", _scripted_worker)
+        harness = ServerThread(workers=2).start()
+    try:
+        yield harness
+    finally:
+        harness.stop()
+
+
+def _submit_all(harness, jobs):
+    """Submit ``jobs`` at once on the server loop.
+
+    Returns, per job, its result bytes, the iterations its progress
+    carried and the ``time.monotonic()`` it finished at.
+    """
+
+    async def one(job):
+        seen = []
+
+        async def sink(snapshot):
+            seen.append(snapshot["iteration"])
+
+        payload = await harness._server.pool.submit(job, on_progress=sink)
+        return payload, seen, time.monotonic()
+
+    async def every():
+        return await asyncio.gather(*(one(job) for job in jobs))
+
+    return asyncio.run_coroutine_threadsafe(every(), harness._loop).result(120)
+
+
+def _slow_callbacks(caplog):
+    """What asyncio's debug mode logged as callbacks over 100 ms."""
+    return [
+        r.getMessage()
+        for r in caplog.records
+        if r.name == "asyncio" and r.getMessage().startswith("Executing")
+    ]
+
+
+class TestStreamPath:
+    def test_burst_arrives_complete_and_in_order(self, scripted, caplog):
+        # Under PYTHONASYNCIODEBUG=1 (a CI step) the loop logs any
+        # callback that holds it over slow_callback_duration (100 ms);
+        # a pipe read that waited out the result's 0.3 s stall would.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        assert scripted._loop.slow_callback_duration == 0.1
+        [(payload, seen, _)] = _submit_all(
+            scripted, [{"burst": 1500, "result_bytes": 64, "stall": 0.3}]
+        )
+        assert seen == list(range(1, 1501))
+        assert payload == b"r" * 64
+        assert _slow_callbacks(caplog) == []
+
+    def test_large_result_arrives_while_another_stream_moves(self, scripted):
+        big = {"result_bytes": 300_000, "stall": 1.0}
+        small = {"burst": 50, "pause": 0.002}
+        (payload, _, big_done), (small_payload, seen, small_done) = _submit_all(
+            scripted, [big, small]
+        )
+        assert payload == b"r" * 300_000
+        assert small_payload == b"r" * 8 and seen == list(range(1, 51))
+        # The small stream finished while half the big frame waited.
+        assert big_done - small_done > 0.5
+
+    def test_job_larger_than_the_pipe_buffer_arrives(self, scripted):
+        [(payload, _, _)] = _submit_all(
+            scripted, [{"pad": "j" * 1_000_000, "result_bytes": 5}]
+        )
+        assert payload == b"r" * 5
+
+    def test_failed_start_releases_its_workers(self, monkeypatch):
+        # Worker 0 dies before it is ready; worker 1 warms up and must
+        # be retired with it rather than left running.
+        pool = pool_module.WorkerPool(size=2)
+        spawned = []
+        spawn = pool._spawn
+
+        async def recording(index, **kwargs):
+            body = _scripted_worker if index else _dying_worker
+            monkeypatch.setattr(pool_module, "_worker_main", body)
+            spawned.append(await spawn(index, **kwargs))
+            return spawned[-1]
+
+        async def start():
+            pool._spawn = recording
+            with pytest.raises(EOFError):
+                await pool.start()
+
+        asyncio.run(start())
+        assert [w.process.exitcode for w in spawned] == [3, 0]
+        assert all(w.conn.closed and w.transport.is_closing() for w in spawned)
+
+    def test_stream_makes_no_executor_call(self, client, monkeypatch):
+        calls = []
+        real = asyncio.BaseEventLoop.run_in_executor
+
+        def counting(loop, *args, **kwargs):
+            calls.append(args)
+            return real(loop, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", counting)
+        response = client.run("heat-diffusion", QUICK, no_cache=True)
+        assert len(response.progress) > 100
+        assert calls == []
+
+
+def _drive_worker(job):
+    """Run ``job`` through ``_worker_main`` in this process; return
+    every message it sent."""
+    parent, child = multiprocessing.Pipe()
+    parent.send(job)
+    parent.send(None)
+    thread = threading.Thread(target=pool_module._worker_main, args=(child,))
+    thread.start()
+    messages = []
+    try:
+        while True:
+            messages.append(parent.recv())
+    except EOFError:
+        pass
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    parent.close()
+    return messages
+
+
+class TestWorkerHook:
+    def test_non_streaming_job_builds_no_snapshot(self, monkeypatch):
+        built = []
+        real = driver.progress_snapshot
+
+        def counting(*args):
+            built.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(driver, "progress_snapshot", counting)
+        # A frozen clock makes the report's timings, so its bytes, repeat.
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+        job = {
+            "scenario": "heat-diffusion",
+            "config": QUICK.to_json(),
+            "stream": False,
+            "stream_every": 1,
+            "inject": None,
+        }
+        quiet = _drive_worker(job)
+        assert [kind for kind, _ in quiet] == ["ready", "result"]
+        assert built == []
+        streamed = _drive_worker(dict(job, stream=True))
+        assert [kind for kind, _ in streamed[1:-1]] == ["progress"] * len(built)
+        assert len(built) > 100
+        assert quiet[-1] == streamed[-1]  # the same report bytes
+
+
+def _memo_free_snapshot(scheduler, iteration, terminated):
+    """``progress_snapshot`` computed afresh: every fit in the
+    original scale recomputed, every event list copied."""
+    analyses = []
+    for state in scheduler.states:
+        analysis = state.analysis
+        entry = {
+            "name": analysis.name,
+            "stopped_at": state.stopped_at,
+            "converged": bool(analysis.converged),
+        }
+        model = getattr(analysis, "model", None)
+        if model is not None and model.is_trained:
+            y_std = float(model.y_stats.std[0])
+            coef = model._w * (y_std / model.x_stats.std)
+            entry["coefficients"] = [float(c) for c in coef]
+            entry["intercept"] = float(
+                float(model.y_stats.mean[0])
+                + y_std * model._b
+                - float(np.dot(coef, model.x_stats.mean))
+            )
+        trainer = getattr(analysis, "trainer", None)
+        if trainer is not None:
+            entry["updates"] = int(trainer.updates)
+        events = getattr(analysis, "threshold_events", None)
+        if events:
+            last = events[-1]
+            entry["wavefront"] = {
+                "iteration": int(last.iteration),
+                "location": int(last.location),
+                "value": float(last.value),
+                "rank": analysis.wavefront_rank(last.location),
+            }
+        analyses.append(entry)
+    return {
+        "iteration": int(iteration),
+        "terminated": bool(terminated),
+        "analyses": analyses,
+    }
+
+
+STREAM_CASES = [
+    pytest.param(spec.name, config, id=f"{spec.name}-{label}")
+    for spec in scenarios.specs()
+    for label, config in (
+        ("serial", QUICK),
+        ("adaptive", QUICK.replace(adaptive=True) if spec.adaptive_supported else None),
+        ("mp2", QUICK.replace(n_ranks=2, backend="mp")),
+    )
+    if config is not None
+]
+
+
+@pytest.mark.parametrize("name, config", STREAM_CASES)
+def test_progress_lines_match_memo_free_rendering(name, config, monkeypatch):
+    real = driver.progress_snapshot
+    lines = []
+
+    def both(scheduler, iteration, terminated):
+        snapshot = real(scheduler, iteration, terminated)
+        fresh = _memo_free_snapshot(scheduler, iteration, terminated)
+        lines.append(
+            (event_line("progress", **snapshot), event_line("progress", **fresh))
+        )
+        return snapshot
+
+    monkeypatch.setattr(driver, "progress_snapshot", both)
+    run_scenario(name, config=config, progress=lambda snapshot: None)
+    assert lines
+    for memoised, fresh in lines:
+        assert memoised == fresh
