@@ -1,9 +1,8 @@
 """Make ``import repro`` work when benchmark scripts run directly.
 
-Mirrors ``examples/_bootstrap.py`` for the timing scripts
-(``perf_dataplane.py``, ``perf_distributed.py``) that are executed as
-plain scripts rather than through pytest (pytest runs get the path
-from the repository-root ``conftest.py``).
+Mirrors ``examples/_bootstrap.py`` for the timing script ``perf.py``,
+which is executed as a plain script rather than through pytest (pytest
+runs get the path from the repository-root ``conftest.py``).
 """
 
 import os

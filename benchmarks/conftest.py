@@ -8,8 +8,9 @@ heaviest sweeps so the whole suite finishes quickly.
 
 Path setup is centralised: pytest runs import ``repro`` through the
 repository-root ``conftest.py`` (which inserts ``src/``), and the
-directly-executed timing scripts go through ``benchmarks/_bootstrap.py``
-— no ``PYTHONPATH`` preparation needed anywhere.
+directly-executed timing script ``perf.py`` goes through
+``benchmarks/_bootstrap.py`` — no ``PYTHONPATH`` preparation needed
+anywhere.
 """
 
 import os

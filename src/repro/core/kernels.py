@@ -138,6 +138,11 @@ def ar_batch_update(
     residual = xs.dot(w) + b - ys
     pre_mse = float(np.add.reduce(residual * residual)) / k
 
+    # The projection sums the coefficients in the original data scale,
+    # where a growth-locked fit's amplification lives, and where it can
+    # shrinks their deviation from the persistence prior: scaling the
+    # whole vector would erode the persistence weight into a lagging
+    # moving average.
     project = max_coefficient_sum > 0.0
     if project:
         proj_scale = float(y_std[0]) / x_std

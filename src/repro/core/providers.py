@@ -243,7 +243,8 @@ class HarmonicProvider:
     The refinement is location-local, which makes shard gathers
     bit-identical to full-window sweeps; instances are picklable, so
     the multiprocessing backend can ship them to worker ranks.  Used by
-    ``benchmarks/perf_distributed.py`` and the scaling cross-check.
+    the scaling cross-check and by the ``distributed`` and ``elastic``
+    suites of ``benchmarks/perf.py``.
     """
 
     def __init__(self, n_harmonics: int = 256) -> None:

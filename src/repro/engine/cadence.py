@@ -41,8 +41,8 @@ Probe sweeps run centrally on the live domain (one full-window
 NOT charged to the distributed cost model — neither the SimComm ledger
 nor ``rank_sample_seconds`` sees them.  They are accounted where the
 cadence trade-off is studied: the ``report()`` totals count every
-probe, and ``benchmarks/perf_adaptive.py`` prices them against the
-full-cadence sweep count.  Routing probes through ``Executor.advance``
+probe, and ``tests/test_cadence.py`` counts them, with the collected
+rows, against the full-cadence sweep count.  Routing probes through ``Executor.advance``
 (sharded, ledger-charged) is the follow-up if a scaling experiment
 ever needs adaptive comm costs.
 """

@@ -2,7 +2,8 @@
 
 Provides the plain-text table container every driver returns (so
 benchmarks can both assert on rows and print paper-style output), the
-timing protocol of the overhead tables (:func:`interleaved_medians`),
+timing protocol of the overhead tables and ``benchmarks/perf.py``
+(:func:`interleaved_runs`, :func:`interleaved_medians`),
 the cached reference runs (full LULESH / wdmerger simulations reused
 across tables), and the replay helpers that train analyses from a
 recorded history without re-running the simulation.  Replay runs through the
@@ -70,16 +71,38 @@ def run_forked(leg: Callable[[], Run]) -> Run:
     return value
 
 
+def interleaved_runs(
+    legs: Sequence[Callable[[], Run]],
+    groups: int,
+    run: Callable[[Callable[[], Run]], Run] = run_forked,
+) -> List[List[Run]]:
+    """Run ``legs`` in interleaved groups; return every run, per leg.
+
+    A group runs every leg once through ``run``, by default each in its
+    own forked child (:func:`run_forked`).  The first group runs the
+    legs in the given order and each later group reverses the order of
+    the one before, so host drift over the minutes a table takes lands
+    on every leg alike.  ``runs[leg][group]`` is that leg's run in that
+    group.
+    """
+    if groups <= 0:
+        raise ConfigurationError(f"groups must be positive, got {groups}")
+    runs: List[List[Run]] = [[] for _ in legs]
+    order = list(range(len(legs)))
+    for _ in range(groups):
+        for leg in order:
+            runs[leg].append(run(legs[leg]))
+        order.reverse()
+    return runs
+
+
 def interleaved_medians(
     legs: Sequence[Callable[[], Run]], groups: int
 ) -> List[Run]:
     """Time ``legs`` in interleaved groups; return one median run per leg.
 
-    A group runs every leg once, each in its own forked child
-    (:func:`run_forked`).  The first group runs the legs in the given
-    order and each later group reverses the order of the one before, so
-    host drift over the minutes a table takes lands on every leg alike.
-    The first leg is the baseline (the uninstrumented run).  Its
+    The groups are :func:`interleaved_runs`'s, each leg in a forked
+    child.  The first leg is the baseline (the uninstrumented run).  Its
     reported ``seconds`` is its median over the groups; every other
     leg reports the baseline median times the median over the groups of
     its ratio to the baseline run of the same group.  Runs seconds
@@ -89,14 +112,7 @@ def interleaved_medians(
     returned run come from that leg's first run: they are
     deterministic.
     """
-    if groups <= 0:
-        raise ConfigurationError(f"groups must be positive, got {groups}")
-    runs: List[List[Run]] = [[] for _ in legs]
-    order = list(range(len(legs)))
-    for _ in range(groups):
-        for leg in order:
-            runs[leg].append(run_forked(legs[leg]))
-        order.reverse()
+    runs = interleaved_runs(legs, groups)
     base = [run.seconds for run in runs[0]]
     base_median = statistics.median(base)
     out = [replace(runs[0][0], seconds=base_median)]

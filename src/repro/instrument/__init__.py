@@ -1,17 +1,12 @@
-"""Timing and overhead instrumentation."""
+"""Overhead arithmetic for the performance tables."""
 
 from repro.instrument.overhead import (
-    OverheadReport,
     acceleration_percent,
     overhead_percent,
     share_percent,
 )
-from repro.instrument.timers import SectionTimer, Stopwatch
 
 __all__ = [
-    "OverheadReport",
-    "SectionTimer",
-    "Stopwatch",
     "acceleration_percent",
     "overhead_percent",
     "share_percent",

@@ -10,8 +10,6 @@ tables share one definition:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError
 
 
@@ -38,24 +36,3 @@ def share_percent(part: float, whole: float) -> float:
     if whole <= 0:
         raise ConfigurationError(f"whole must be positive, got {whole}")
     return 100.0 * part / whole
-
-
-@dataclass(frozen=True)
-class OverheadReport:
-    """One configuration's worth of Table III/VII numbers."""
-
-    original_seconds: float
-    instrumented_seconds: float
-    early_stop_seconds: float = float("nan")
-
-    @property
-    def overhead_seconds(self) -> float:
-        return self.instrumented_seconds - self.original_seconds
-
-    @property
-    def overhead_pct(self) -> float:
-        return overhead_percent(self.original_seconds, self.instrumented_seconds)
-
-    @property
-    def acceleration_pct(self) -> float:
-        return acceleration_percent(self.original_seconds, self.early_stop_seconds)

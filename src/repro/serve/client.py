@@ -6,7 +6,7 @@ benchmarks use it instead of pulling in an HTTP library.
 
 :class:`ServerThread` runs a full :class:`AnalysisServer` (real pool,
 real sockets, port 0) on a background event-loop thread, so tests and
-``benchmarks/perf_serve.py`` exercise the exact production code path
+``benchmarks/perf.py serve`` exercise the exact production code path
 without managing a subprocess.
 """
 

@@ -95,6 +95,18 @@ def _worker_main(conn) -> None:
     conn.close()
 
 
+async def _reap(process: multiprocessing.process.BaseProcess) -> None:
+    """Join ``process`` off the event loop, terminating it if it lingers.
+
+    A worker takes up to a few hundred milliseconds to exit, and a join
+    on the loop would hold every other stream that long.
+    """
+    await asyncio.to_thread(process.join, 5)
+    if process.is_alive():
+        process.terminate()
+        await asyncio.to_thread(process.join, 5)
+
+
 @dataclass
 class _Worker:
     index: int
@@ -192,7 +204,7 @@ class WorkerPool:
     async def _replace(self, dead: _Worker) -> _Worker:
         """Reap a dead worker and warm a replacement in its slot."""
         dead.transport.close()  # takes the pipe off the loop, closes it
-        dead.process.join(timeout=5)
+        await _reap(dead.process)
         fresh = await self._spawn(dead.index, generation=dead.generation + 1)
         await self._wait_ready(fresh)
         self._workers[dead.index] = fresh
@@ -210,10 +222,7 @@ class WorkerPool:
             except (BrokenPipeError, OSError):
                 pass
         for worker in self._workers:
-            worker.process.join(timeout=5)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5)
+            await _reap(worker.process)
             worker.transport.close()
         self._workers = []
         await asyncio.sleep(0)  # let the transports close their pipes
@@ -260,7 +269,7 @@ class WorkerPool:
                             f"message kind {kind!r}"
                         )
             except EOFError:
-                worker.process.join(timeout=5)
+                await asyncio.to_thread(worker.process.join, 5)
                 code = worker.process.exitcode
                 worker = await self._replace(worker)
                 raise ServeError(

@@ -1,7 +1,5 @@
 """Tests for repro.analysis (metrics, I/O model, post-hoc baseline) and
-repro.instrument (timers, overhead arithmetic)."""
-
-import time
+repro.instrument (overhead arithmetic)."""
 
 import numpy as np
 import pytest
@@ -18,9 +16,6 @@ from repro.analysis import (
 )
 from repro.errors import ConfigurationError
 from repro.instrument import (
-    OverheadReport,
-    SectionTimer,
-    Stopwatch,
     acceleration_percent,
     overhead_percent,
     share_percent,
@@ -130,52 +125,6 @@ class TestPostHoc:
         assert out["temperature"].delay_time == pytest.approx(25.0, abs=3.0)
 
 
-class TestTimers:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.01)
-        total = watch.stop()
-        assert total >= 0.009
-        assert watch.seconds == total
-
-    def test_stopwatch_misuse(self):
-        watch = Stopwatch()
-        with pytest.raises(ConfigurationError):
-            watch.stop()
-        watch.start()
-        with pytest.raises(ConfigurationError):
-            watch.start()
-
-    def test_stopwatch_reset(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.seconds == 0.0
-
-    def test_section_timer_accumulates_by_name(self):
-        timer = SectionTimer()
-        for _ in range(3):
-            with timer.section("a"):
-                time.sleep(0.002)
-        assert timer.count("a") == 3
-        assert timer.seconds("a") >= 0.005
-        assert timer.seconds("missing") == 0.0
-
-    def test_section_timer_add_models_external_cost(self):
-        timer = SectionTimer()
-        timer.add("comm", 1.5)
-        assert timer.seconds("comm") == 1.5
-        with pytest.raises(ConfigurationError):
-            timer.add("comm", -1.0)
-
-    def test_totals_snapshot(self):
-        timer = SectionTimer()
-        timer.add("x", 1.0)
-        assert timer.totals() == {"x": 1.0}
-
-
 class TestOverheadMath:
     def test_overhead_percent(self):
         assert overhead_percent(100.0, 103.0) == pytest.approx(3.0)
@@ -193,9 +142,3 @@ class TestOverheadMath:
             acceleration_percent(-1.0, 1.0)
         with pytest.raises(ConfigurationError):
             share_percent(1.0, 0.0)
-
-    def test_report_properties(self):
-        report = OverheadReport(100.0, 102.0, 40.0)
-        assert report.overhead_seconds == pytest.approx(2.0)
-        assert report.overhead_pct == pytest.approx(2.0)
-        assert report.acceleration_pct == pytest.approx(60.0)

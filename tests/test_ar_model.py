@@ -344,24 +344,6 @@ class TestOriginalScaleMemo:
         assert not np.array_equal(model.coefficients, before)
         self._assert_current(model)
 
-    @pytest.mark.parametrize("bound", [0.5, 1.05], ids=["in-place", "shrink"])
-    def test_projection_refreshes(self, bound):
-        # _project_stationary rewrites _w (at bound 0.5 in place, since
-        # the persistence prior alone passes it) without counting an
-        # update, so a memo keyed on the update count would go stale.
-        model, _, _ = self._trained()
-        model.max_coefficient_sum = bound
-        model.coefficients
-        model._w = model._w * 3.0
-        model.coefficients
-        stale = model._w.copy()
-        updates = model.updates
-        model._project_stationary()
-        assert not np.array_equal(model._w, stale)
-        assert model.updates == updates
-        self._assert_current(model)
-        assert float(np.sum(model.coefficients)) == pytest.approx(bound)
-
 
 class TestPrediction:
     def test_predict_many_matches_predict(self):

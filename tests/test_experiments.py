@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import (
     Table,
     interleaved_medians,
+    interleaved_runs,
     lulesh_reference,
     run_forked,
     train_from_history,
@@ -97,6 +98,20 @@ class TestInterleavedMedians:
         legs, _ = self._legs([1.0])
         with pytest.raises(ConfigurationError):
             interleaved_medians(legs, 0)
+
+    def test_runs_keeps_every_group_per_leg(self):
+        calls = []
+
+        def leg(name):
+            def call():
+                calls.append(name)
+                return name, calls.count(name)
+
+            return call
+
+        runs = interleaved_runs([leg("a"), leg("b")], 3, lambda call: call())
+        assert calls == ["a", "b", "b", "a", "a", "b"]
+        assert runs == [[("a", g) for g in (1, 2, 3)], [("b", g) for g in (1, 2, 3)]]
 
     def test_failing_run_raises_with_its_traceback(self):
         def boom():

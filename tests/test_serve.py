@@ -498,12 +498,19 @@ def _scripted_worker(conn) -> None:
 
     ``burst`` progress messages (``pause`` seconds apart), then a
     ``result_bytes``-long result whose frame is written in two halves
-    ``stall`` seconds apart.
+    ``stall`` seconds apart.  A ``die`` job ends the worker with exit
+    code 3.  Either way it closes its pipe and lingers 0.3 s before it
+    exits, as a worker freeing a large heap does, so a join on the
+    server loop would hold the loop that long.
     """
     conn.send(("ready", {"pid": os.getpid()}))
+    code = 0
     while True:
         job = conn.recv()
         if job is None:
+            break
+        if job.get("die"):
+            code = 3
             break
         for i in range(job.get("burst", 0)):
             conn.send(("progress", {"iteration": i + 1, "pad": "p" * 200}))
@@ -514,6 +521,8 @@ def _scripted_worker(conn) -> None:
         time.sleep(job.get("stall", 0.0))
         _write_all(conn.fileno(), frame[len(frame) // 2:])
     conn.close()
+    time.sleep(0.3)
+    os._exit(code)
 
 
 def _dying_worker(conn) -> None:
@@ -568,10 +577,13 @@ def _slow_callbacks(caplog):
 
 
 class TestStreamPath:
+    # Under PYTHONASYNCIODEBUG=1 (a CI step) the loop logs any callback
+    # that holds it over slow_callback_duration (100 ms), and the tests
+    # that check _slow_callbacks fail on it.
+
     def test_burst_arrives_complete_and_in_order(self, scripted, caplog):
-        # Under PYTHONASYNCIODEBUG=1 (a CI step) the loop logs any
-        # callback that holds it over slow_callback_duration (100 ms);
-        # a pipe read that waited out the result's 0.3 s stall would.
+        # A pipe read that waited out the result's 0.3 s stall would
+        # hold the loop.
         caplog.set_level(logging.WARNING, logger="asyncio")
         assert scripted._loop.slow_callback_duration == 0.1
         [(payload, seen, _)] = _submit_all(
@@ -598,9 +610,29 @@ class TestStreamPath:
         )
         assert payload == b"r" * 5
 
-    def test_failed_start_releases_its_workers(self, monkeypatch):
+    def test_replacement_and_close_keep_the_loop_free(self, caplog):
+        # A worker takes longer to exit than the loop may be held, so
+        # the pool joins its processes off the loop.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pool_module, "_worker_main", _scripted_worker)
+            harness = ServerThread(workers=1).start()
+            try:
+                [doomed] = _workers(harness)
+                with pytest.raises(ServeError, match="exit code 3"):
+                    _submit_all(harness, [{"die": True}])
+                [fresh] = _workers(harness)
+                assert fresh.generation == doomed.generation + 1
+                assert _submit_all(harness, [{}])[0][0] == b"r" * 8
+            finally:
+                harness.stop()
+        assert not doomed.process.is_alive() and not fresh.process.is_alive()
+        assert _slow_callbacks(caplog) == []
+
+    def test_failed_start_releases_its_workers(self, monkeypatch, caplog):
         # Worker 0 dies before it is ready; worker 1 warms up and must
         # be retired with it rather than left running.
+        caplog.set_level(logging.WARNING, logger="asyncio")
         pool = pool_module.WorkerPool(size=2)
         spawned = []
         spawn = pool._spawn
@@ -619,6 +651,7 @@ class TestStreamPath:
         asyncio.run(start())
         assert [w.process.exitcode for w in spawned] == [3, 0]
         assert all(w.conn.closed and w.transport.is_closing() for w in spawned)
+        assert _slow_callbacks(caplog) == []
 
     def test_stream_makes_no_executor_call(self, client, monkeypatch):
         calls = []
