@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`ARModel` — order-n linear AR model with streaming mini-batch
-  gradient descent, time/space forwarding.
+  gradient descent; :class:`Forecast` rolls it forward in time or space.
 * :class:`MiniBatch` / :class:`MiniBatchTrainer` — the fill → update →
   reset training loop embedded in simulation iterations.
 * :class:`IterParam` — (begin, end, step) temporal/spatial windows.
@@ -17,7 +17,7 @@ Public surface:
 * :mod:`repro.core.capi` — the paper's C-style ``td_*`` facade.
 """
 
-from repro.core.ar_model import ARModel, RunningStats
+from repro.core.ar_model import ARModel, Forecast, RunningStats
 from repro.core.collector import DataCollector, SeriesStore
 from repro.core.curve_fitting import Analysis, CurveFitting
 from repro.core.early_stop import EarlyStopMonitor
@@ -67,6 +67,7 @@ __all__ = [
     "DelayTimeFeature",
     "EarlyStopMonitor",
     "ExtractionSummary",
+    "Forecast",
     "IterParam",
     "MiniBatch",
     "MiniBatchTrainer",

@@ -59,12 +59,11 @@ class RunningStats:
         :func:`repro.core.kernels.chan_update`.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if rows.shape[0] == 0:
-            return
-        self._mean, self._m2, count = kernels.chan_update(
-            self._mean, self._m2, self.count, rows
-        )
-        self.count = int(count)
+        self._assign(*kernels.chan_update(self._mean, self._m2, self.count, rows))
+
+    def _assign(self, mean: np.ndarray, m2: np.ndarray, count: int) -> None:
+        """Replace the aggregate, and the std cached from it."""
+        self._mean, self._m2, self.count = mean, m2, int(count)
         self._std_cache = None
 
     def merge(self, other: "RunningStats") -> "RunningStats":
@@ -88,18 +87,12 @@ class RunningStats:
         if other.count == 0:
             return self
         if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean.copy()
-            self._m2 = other._m2.copy()
-            self._std_cache = None
-            return self
-        n, k = self.count, other.count
-        total = n + k
-        delta = other._mean - self._mean
-        self._mean = self._mean + delta * (k / total)
-        self._m2 = self._m2 + other._m2 + delta * delta * (n * k / total)
-        self.count = total
-        self._std_cache = None
+            self._assign(other._mean.copy(), other._m2.copy(), other.count)
+        else:
+            self._assign(*kernels.chan_merge(
+                self._mean, self._m2, self.count,
+                other._mean, other._m2, other.count,
+            ))
         return self
 
     @classmethod
@@ -132,13 +125,8 @@ class RunningStats:
         "signal" and let gradient descent destroy the persistence
         initialisation on data that carries no information.
         """
-        if self.count < 2:
-            return np.ones(self.width, dtype=np.float64)
         if self._std_cache is None:
-            std = np.sqrt(self._m2 / (self.count - 1))
-            floor = 1e-3 * np.abs(self._mean) + 1e-12
-            std = np.maximum(std, floor)
-            self._std_cache = np.where(std > 1e-12, std, 1.0)
+            self._std_cache = kernels.std(self._mean, self._m2, self.count)
         return self._std_cache
 
 
@@ -152,8 +140,9 @@ class ARModel:
     lag:
         Temporal lag, in iterations, between predictors and target.  The
         lag is *not* used inside the regression itself — it tells the
-        data collector how to pair samples — but it is stored here
-        because prediction forwarding must honour it.
+        data collector how to pair samples and a :class:`Forecast` how
+        far back its predictors sit — but it is stored with the model
+        that was trained on it.
     learning_rate:
         Gradient-descent step size in standardised space.
     epochs_per_batch:
@@ -317,19 +306,10 @@ class ARModel:
             raise ConfigurationError("cannot update on an empty batch")
         # The whole update — stats fold, standardisation, GD epochs with
         # clipping and the stationarity projection — is one fused call
-        # to kernels.ar_batch_update; the stats aggregates are written
-        # back so merge/serialisation semantics are unchanged.
-        (
-            self._w,
-            self._b,
-            pre_mse,
-            x_mean,
-            x_m2,
-            x_count,
-            y_mean,
-            y_m2,
-            y_count,
-        ) = kernels.ar_batch_update(
+        # to kernels.ar_batch_update; the stats aggregates (x's, then
+        # y's) are written back so merge/serialisation semantics are
+        # unchanged.
+        self._w, self._b, pre_mse, *stats = kernels.ar_batch_update(
             x,
             y,
             self._w,
@@ -348,14 +328,8 @@ class ARModel:
             -1.0 if self.max_coefficient_sum is None
             else self.max_coefficient_sum,
         )
-        self._x_stats._mean = x_mean
-        self._x_stats._m2 = x_m2
-        self._x_stats.count = int(x_count)
-        self._x_stats._std_cache = None
-        self._y_stats._mean = y_mean
-        self._y_stats._m2 = y_m2
-        self._y_stats.count = int(y_count)
-        self._y_stats._std_cache = None
+        self._x_stats._assign(*stats[:3])
+        self._y_stats._assign(*stats[3:])
         self._scaled = None
 
         self._updates += 1
@@ -368,7 +342,8 @@ class ARModel:
         solution over the given block and returns its MSE.  Used by the
         ablation benchmark comparing GD against exact fitting.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        # C order, as in predict_many: bits can depend on memory order.
+        x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
         y = np.ravel(np.asarray(y, dtype=np.float64))
         self._x_stats = RunningStats(self.order)
         self._y_stats = RunningStats(1)
@@ -393,22 +368,17 @@ class ARModel:
         """Predict ``V(l, t)`` from its ``order`` predecessors.
 
         ``past[0]`` is ``V(l-1, ·)`` — the most recent predecessor —
-        matching the coefficient layout of the paper's equation.
+        matching the coefficient layout of the paper's equation.  A
+        one-row :meth:`predict_many`.
         """
-        self._require_trained()
-        row = np.asarray(past, dtype=np.float64)
-        if row.shape != (self.order,):
-            raise ConfigurationError(
-                f"expected {self.order} past values, got shape {row.shape}"
-            )
-        xs = (row - self._x_stats.mean) / self._x_stats.std
-        ys = float(np.dot(xs, self._w) + self._b)
-        return ys * float(self._y_stats.std[0]) + float(self._y_stats.mean[0])
+        return float(self.predict_many(np.reshape(past, (1, -1)))[0])
 
     def predict_many(self, past: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`predict` over rows of ``past``."""
+        """:meth:`predict` for every row of ``past``, copied to C order
+        first: a matvec's bits can depend on its input's memory order
+        (and on its row count, which callers keep)."""
         self._require_trained()
-        rows = np.atleast_2d(np.asarray(past, dtype=np.float64))
+        rows = np.ascontiguousarray(np.atleast_2d(past), dtype=np.float64)
         if rows.shape[1] != self.order:
             raise ConfigurationError(
                 f"expected {self.order} past values per row, got {rows.shape[1]}"
@@ -416,38 +386,6 @@ class ARModel:
         xs = (rows - self._x_stats.mean) / self._x_stats.std
         ys = xs @ self._w + self._b
         return ys * float(self._y_stats.std[0]) + float(self._y_stats.mean[0])
-
-    def forward_time(self, history: Sequence[float], steps: int) -> np.ndarray:
-        """Roll the model forward in time from a trailing ``history``.
-
-        ``history`` must contain at least ``order`` values ordered oldest
-        to newest; each forecast feeds back as a predictor for the next,
-        mirroring the paper's "replace V(l, t) by V(l, t+1)".
-        """
-        self._require_trained()
-        if steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {steps}")
-        window = list(np.asarray(history, dtype=np.float64)[-self.order:])
-        if len(window) < self.order:
-            raise ConfigurationError(
-                f"history must hold at least order={self.order} values, "
-                f"got {len(window)}"
-            )
-        out = np.empty(steps, dtype=np.float64)
-        for i in range(steps):
-            # predictors ordered most-recent-first
-            out[i] = self.predict(window[::-1])
-            window.pop(0)
-            window.append(out[i])
-        return out
-
-    def forward_space(self, profile: Sequence[float], steps: int) -> np.ndarray:
-        """Extend a spatial ``profile`` outward by ``steps`` locations.
-
-        Identical recursion to :meth:`forward_time` along the location
-        axis — the paper's "replace V(l, t) by V(l+1, t)".
-        """
-        return self.forward_time(profile, steps)
 
     def one_step_series(
         self, series: Sequence[float], *, stride: int = 1
@@ -472,12 +410,8 @@ class ARModel:
                 f"series too short ({arr.size} strided samples) for "
                 f"order {self.order} and lag {self.lag}"
             )
-        features = np.stack(
-            [
-                arr[i - lag_rows - self.order + 1: i - lag_rows + 1][::-1]
-                for i in range(start, arr.size)
-            ]
-        )
+        # Point i's features end lag_rows back: window i - start.
+        features = kernels.windows(arr, self.order)[: arr.size - start]
         predicted = self.predict_many(features)
         indices = np.arange(start, arr.size) * stride
         return indices, predicted, arr[start:]
@@ -488,3 +422,88 @@ class ARModel:
                 "model has no completed updates; train on at least one "
                 "mini-batch before predicting"
             )
+
+
+class Forecast:
+    """Rolls a trained AR model forward, one row per temporal-grid step.
+
+    Each forecast row feeds back as a predictor for the next — the
+    paper's "replace V(l, t) by V(l, t+1)".  ``rows`` seeds it: trailing
+    series rows, oldest first, one step apart, the newest at
+    ``iteration``.  Predictors sit ``lag_rows`` back, paired along
+    ``axis`` as the collector pairs them; space-axis edge locations
+    without a full window hold their lagged value (behind a travelling
+    front the edge is saturated: persistence is exact there).
+    """
+
+    def __init__(
+        self,
+        model: ARModel,
+        rows: np.ndarray,
+        *,
+        axis: str = "time",
+        lag_rows: int = 1,
+        include_self: bool = True,
+        step: int = 1,
+        iteration: int = 0,
+    ) -> None:
+        if axis == "time":
+            self.first, reach = 0, lag_rows + model.order - 1
+        else:
+            self.first = model.order - 1 if include_self else model.order
+            reach = lag_rows
+        self._rows = np.array(rows, dtype=np.float64)
+        if self._rows.ndim != 2 or self._rows.shape[0] < reach:
+            raise ConfigurationError(
+                f"a forecast needs at least {reach} seed rows of a 2-D "
+                f"series, got shape {self._rows.shape}"
+            )
+        self.model = model
+        self.axis = axis
+        self.lag_rows = lag_rows
+        self.step = step
+        #: Iteration the newest row stands for.
+        self.iteration = iteration
+
+    def _step(self) -> np.ndarray:
+        rows = self._rows
+        order = self.model.order
+        if self.axis == "time":
+            anchor = rows.shape[0] - self.lag_rows
+            row = self.model.predict_many(
+                kernels.temporal_features(rows, anchor, order)
+            )
+        else:
+            lagged = rows[-self.lag_rows]
+            row = lagged.copy()
+            row[self.first:] = self.model.predict_many(
+                kernels.windows(lagged, order)[: row.shape[0] - self.first]
+            )
+        rows[:-1] = rows[1:]
+        rows[-1] = row
+        self.iteration += self.step
+        return row
+
+    def roll(self, steps: int) -> np.ndarray:
+        """The next ``steps`` forecast rows, shape ``(steps, locations)``."""
+        if steps < 0:
+            raise ConfigurationError(f"steps must be >= 0, got {steps}")
+        rows = [self._step() for _ in range(steps)]
+        return np.array(rows, dtype=np.float64).reshape(steps, self._rows.shape[1])
+
+    def advance_to(self, iteration: int) -> None:
+        """Roll forward until the newest row stands for ``iteration``."""
+        while self.iteration < iteration:
+            self._step()
+
+    def residual(self, sampled: np.ndarray) -> float:
+        """Mean |forecast - sample| of the newest row over the predicted
+        locations, relative to the sample's mean magnitude; ``inf`` for
+        a non-finite forecast (an explosive model rolled too far), so it
+        reads as drift rather than vanishing in a NaN comparison."""
+        forecast = self._rows[-1, self.first:]
+        sampled = sampled[self.first:]
+        diff = float(np.mean(np.abs(forecast - sampled)))
+        scale = float(np.mean(np.abs(sampled)))
+        value = diff if scale <= 1e-12 else diff / scale
+        return value if np.isfinite(value) else float("inf")

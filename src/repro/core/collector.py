@@ -238,15 +238,19 @@ class SeriesStore:
             return None
         return far_max.shape[0] - 1 - below
 
-    def series(self, location: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(iterations, values) time series of one location (views)."""
+    def column(self, location: int) -> int:
+        """Column of ``location`` in the collected window."""
         cols = np.where(self.locations == location)[0]
         if cols.size == 0:
             raise CollectionError(
                 f"location {location} is outside the collected window "
                 f"{self.locations.tolist()}"
             )
-        return self.iterations, _view(self._data[: self._n, cols[0]])
+        return int(cols[0])
+
+    def series(self, location: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(iterations, values) time series of one location (views)."""
+        return self.iterations, _view(self._data[: self._n, self.column(location)])
 
     def profile_at(self, iteration: int) -> np.ndarray:
         """Spatial profile (values over locations) at one collected step."""
@@ -534,12 +538,8 @@ class DataCollector:
         n_targets = row.shape[0] - first
         if n_targets <= 0:
             return [], 0
-        shift = 1 if self.include_self else 0
-        windows = np.lib.stride_tricks.sliding_window_view(lagged, self.order)
-        features = windows[first - self.order + shift: first - self.order
-                           + shift + n_targets, ::-1]
-        targets = row[first:]
-        return self.trainer.push_block(features, targets), n_targets
+        features = kernels.windows(lagged, self.order)[:n_targets]
+        return self.trainer.push_block(features, row[first:]), n_targets
 
     @property
     def first_target_offset(self) -> int:

@@ -16,7 +16,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.ar_model import ARModel
+from repro.core import kernels
+from repro.core.ar_model import ARModel, Forecast
 from repro.core.collector import DataCollector
 from repro.core.early_stop import EarlyStopMonitor
 from repro.core.events import (
@@ -26,7 +27,7 @@ from repro.core.events import (
 )
 from repro.core.features import ExtractionSummary, ThresholdEvent
 from repro.core.minibatch import MiniBatchTrainer
-from repro.core.params import IterParam, as_iter_param
+from repro.core.params import as_iter_param
 from repro.core.providers import ProviderFn
 from repro.core.thresholds import ThresholdDetector, peak_profile
 from repro.errors import ConfigurationError, NotTrainedError
@@ -223,8 +224,8 @@ class CurveFitting(Analysis):
         if self.model.is_trained and len(self.collector.store):
             last = self.collector.store.last_row()
             if last.size >= self.model.order:
-                predicted = float(
-                    self.model.predict(last[-self.model.order:][::-1])
+                predicted = self.model.predict(
+                    kernels.windows(last, self.model.order)[-1]
                 )
         return StatusBroadcast(
             iteration=iteration,
@@ -307,17 +308,15 @@ class CurveFitting(Analysis):
         # axis == "space".  Spatial features come from ONE lagged row, so
         # order=1.  The training emitter's windows (most recent first,
         # ending at the target's column, or the one before it without
-        # include_self) are gathered for every kept row at once; each
-        # row is still predicted by its own predict_many call of the
-        # same shape, since a matvec's bits can depend on it.
+        # include_self) are taken for every kept row at once; each row
+        # is still predicted by its own predict_many call of the same
+        # shape, since a matvec's bits can depend on it.
         first = self.collector.first_target_offset
         kept = store.lag_exact_rows(lag_rows=lag_rows, order=1, step=step)
         if not kept.size:
             raise NotTrainedError("not enough collected data to evaluate")
-        ends = np.arange(first, matrix.shape[1]) - (0 if self.include_self else 1)
-        features = matrix[
-            (kept - lag_rows)[:, None, None], ends[:, None] - np.arange(order)
-        ]
+        features = kernels.windows(matrix[kept - lag_rows], order)
+        features = features[:, : matrix.shape[1] - first]
         predicted = np.stack([self.model.predict_many(f) for f in features])
         real = matrix[kept, first:]
         kept_iters = store.iterations[kept]
@@ -348,10 +347,14 @@ class CurveFitting(Analysis):
         valid = store.lag_exact_rows(lag_rows=lag_rows, order=order, step=step)
         if not valid.size:
             raise NotTrainedError("not enough collected data to evaluate")
-        # Row i's features, most recent first, end lag_rows back.
-        rows = (valid - lag_rows)[:, None] - np.arange(order)
+        # Row i's features, most recent first, end lag_rows back: the
+        # window starting order - 1 rows before that.
+        starts = valid - lag_rows - order + 1
         # One call per location: a matvec's bits can depend on its shape.
-        predicted = [self.model.predict_many(series[rows]) for series in columns]
+        predicted = [
+            self.model.predict_many(kernels.windows(series, order)[starts])
+            for series in columns
+        ]
         real = [series[valid] for series in columns]
         return store.iterations[valid], predicted, real
 
@@ -369,11 +372,38 @@ class CurveFitting(Analysis):
             return 0.0
         return 100.0 * float(np.mean(np.abs(predicted - real))) / scale
 
-    def forecast(self, location: int, steps: int) -> np.ndarray:
-        """Roll the trained model forward in time at one location."""
+    def forecaster(self) -> Forecast:
+        """A :class:`~repro.core.ar_model.Forecast` seeded from the
+        newest rows: a time-axis training sample's span, or a spatial
+        one's lagged rows.  Raises :class:`~repro.errors.NotTrainedError`
+        until the model has trained and those rows are one temporal step
+        apart (after a cadence snap-back: once they are re-collected)."""
         self._require_trained()
-        _, series = self.collector.store.series(location)
-        return self.model.forward_time(series, steps)
+        collector = self.collector
+        store = collector.store
+        step = collector.temporal.step
+        lag_rows = collector.lag // step
+        depth = lag_rows + (collector.order if collector.axis == "time" else 0)
+        # The newest row and the one depth - 1 rows back, depth - 1 steps apart.
+        if not store.lag_exact(-1, lag_rows=depth - 1, order=1, step=step):
+            raise NotTrainedError(
+                "not enough contiguous collected history to forecast"
+            )
+        return Forecast(
+            self.model,
+            store.matrix()[-depth:],
+            axis=collector.axis,
+            lag_rows=lag_rows,
+            include_self=collector.include_self,
+            step=step,
+            iteration=store.last_iteration,
+        )
+
+    def forecast(self, location: int, steps: int) -> np.ndarray:
+        """The forecasts at ``location`` over the ``steps`` temporal-grid
+        steps after the newest collected row (see :meth:`forecaster`)."""
+        column = self.collector.store.column(location)
+        return self.forecaster().roll(steps)[:, column]
 
     def extrapolate_peak_profile(
         self, through_location: int, *, profile_order: int = 2
@@ -406,17 +436,14 @@ class CurveFitting(Analysis):
             raise ConfigurationError(
                 "peak profile too short to extrapolate"
             )
-        features = np.stack(
-            [
-                log_profile[i - order: i][::-1]
-                for i in range(order, log_profile.size)
-            ]
+        # Each location is predicted from the order before it: every
+        # window but the last, which ends at the profile's edge.
+        spatial_model = ARModel(order)
+        spatial_model.fit_exact(
+            kernels.windows(log_profile, order)[:-1], log_profile[order:]
         )
-        targets = log_profile[order:]
-        spatial_model = ARModel(order, lag=self.model.lag)
-        spatial_model.fit_exact(features, targets)
-        extension = np.exp(spatial_model.forward_space(log_profile, steps))
-        return np.concatenate([profile, extension])
+        extension = Forecast(spatial_model, log_profile[-order:, None])
+        return np.concatenate([profile, np.exp(extension.roll(steps)[:, 0])])
 
     def break_point(self, threshold: float, max_location: int) -> int:
         """Break-point radius from the extrapolated peak profile."""
@@ -493,26 +520,16 @@ def evaluate_spatial_history(
     order = model.order
     lag = model.lag
     first_loc = window.begin + (order - 1 if include_self else order)
-    locations = [
-        loc for loc in range(first_loc, window.end + 1) if loc < arr.shape[1]
-    ]
-    if not locations:
+    stop = min(window.end + 1, arr.shape[1])
+    if first_loc >= stop:
         raise ConfigurationError(
             f"window {window} leaves no evaluable locations for order {order}"
         )
-    preds, reals = [], []
-    for t in range(max(start_iteration, lag), arr.shape[0]):
-        lagged = arr[t - lag]
-        feats = np.stack(
-            [
-                (
-                    lagged[loc - order + 1: loc + 1][::-1]
-                    if include_self
-                    else lagged[loc - order: loc][::-1]
-                )
-                for loc in locations
-            ]
-        )
-        preds.append(model.predict_many(feats))
-        reals.append(arr[t, locations])
-    return np.concatenate(preds), np.concatenate(reals)
+    t0 = max(start_iteration, lag)
+    features = kernels.windows(arr[t0 - lag: arr.shape[0] - lag], order)
+    # first_loc's window, ending at it or (without include_self) just
+    # before it, is the one starting at window.begin.
+    features = features[:, window.begin: window.begin + stop - first_loc]
+    # One call per iteration: a matvec's bits can depend on its shape.
+    preds = [model.predict_many(f) for f in features]
+    return np.concatenate(preds), arr[t0:, first_loc:stop].ravel()

@@ -2,13 +2,13 @@
 
 The vectorized data plane removed the per-sample Python loops, but
 every matching iteration still crosses the interpreter a handful of
-times: the batch provider gather, the temporal feature-window
-construction feeding ``DataCollector._emit_temporal``, Chan's batched
-merge in :class:`~repro.core.ar_model.RunningStats`, and the AR model's
-mini-batch update / normal-equation solve.  Those loops live here as
-plain functions that :mod:`repro.core.providers`,
-:mod:`repro.core.collector` and :mod:`repro.core.ar_model` call
-directly; the golden driver-parity suite pins their numerics.
+times: the batch provider gather, the AR feature windows, Chan's
+batched merge in :class:`~repro.core.ar_model.RunningStats`, and the AR
+model's mini-batch update / normal-equation solve.  Those loops live
+here as plain functions that :mod:`repro.core.providers`,
+:mod:`repro.core.collector`, :mod:`repro.core.ar_model` and
+:mod:`repro.core.curve_fitting` call directly; the golden driver-parity
+suite pins their numerics.
 """
 
 from __future__ import annotations
@@ -39,10 +39,24 @@ def gather(values: np.ndarray, locations: np.ndarray) -> np.ndarray:
     return values[locations]
 
 
+def windows(values: np.ndarray, order: int) -> np.ndarray:
+    """Every ``order``-long window along the last axis, newest first.
+
+    Window ``j`` ends at ``values[..., j + order - 1]``: a read-only
+    ``(..., n - order + 1, order)`` strided view, no copy.
+    """
+    newest = values[..., order - 1:]
+    back = -values.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        newest, newest.shape + (order,), newest.strides + (back,), writeable=False
+    )
+
+
 def temporal_features(
     matrix: np.ndarray, anchor: int, order: int
 ) -> np.ndarray:
-    """Feature windows for ``DataCollector._emit_temporal``.
+    """Time-axis windows for ``DataCollector._emit_temporal`` and
+    ``ar_model.Forecast``.
 
     Rows ``anchor-order+1 .. anchor`` of the (iterations x locations)
     series matrix, most-recent-first, one feature row per location.
@@ -62,10 +76,18 @@ def chan_update(
     block_mean = np.add.reduce(rows, axis=0) / k
     centered = rows - block_mean
     block_m2 = np.einsum("ij,ij->j", centered, centered)
-    delta = block_mean - mean
-    total = count + k
-    mean = mean + delta * (k / total)
-    m2 = m2 + block_m2 + delta * delta * (count * k / total)
+    return chan_merge(mean, m2, count, block_mean, block_m2, k)
+
+
+def chan_merge(
+    mean: np.ndarray, m2: np.ndarray, count: int,
+    other_mean: np.ndarray, other_m2: np.ndarray, other_count: int,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Chan's merge of two (mean, M2, count) aggregates."""
+    delta = other_mean - mean
+    total = count + other_count
+    mean = mean + delta * (other_count / total)
+    m2 = m2 + other_m2 + delta * delta * (count * other_count / total)
     return mean, m2, total
 
 

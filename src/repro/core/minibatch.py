@@ -185,15 +185,6 @@ class MiniBatchTrainer:
             return None
         return self._train_and_reset()
 
-    def push_many(self, features: np.ndarray, targets: np.ndarray) -> List[float]:
-        """Push a block of samples, returning losses of any updates.
-
-        Alias of :meth:`push_block` kept for API compatibility — the
-        per-row loop it used to run is exactly what the block path
-        vectorises.
-        """
-        return self.push_block(features, targets)
-
     def push_block(self, features: np.ndarray, targets: np.ndarray) -> List[float]:
         """Vectorised push: copy a block straight into the batch buffer.
 

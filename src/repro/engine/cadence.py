@@ -49,14 +49,14 @@ ever needs adaptive comm costs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.ar_model import Forecast
 from repro.core.providers import batch_sample
-from repro.errors import CollectionError, ConfigurationError
+from repro.errors import CollectionError, ConfigurationError, NotTrainedError
 
 #: Per-iteration decisions for one (group, iteration).
 DECISION_COLLECT = "collect"
@@ -133,92 +133,6 @@ class CadencePolicy:
             )
 
 
-class _NotForecastable(Exception):
-    """Internal: this analysis cannot seed a forecast yet (stay full)."""
-
-
-class _ForecastState:
-    """Rolls one converged analysis's AR model along the temporal grid.
-
-    Seeds from the trailing rows of the (frozen) shared store and
-    produces one forecast row per temporal-grid step on demand, feeding
-    each forecast back as a predictor for the next — the model replaces
-    the simulation as the data source while the cadence is widened.
-    """
-
-    def __init__(self, analysis) -> None:
-        collector = analysis.collector
-        store = collector.store
-        self.model = analysis.model
-        self.axis = collector.axis
-        self.order = collector.order
-        self.include_self = collector.include_self
-        self.step = collector.temporal.step
-        self.lag_rows = collector.lag // self.step
-        self.first = collector.first_target_offset
-        if self.axis == "time":
-            depth = self.lag_rows + self.order
-        else:
-            depth = self.lag_rows
-            if store.locations.shape[0] <= self.first:
-                raise _NotForecastable("window too narrow to forecast")
-        if len(store) < depth:
-            raise _NotForecastable("not enough collected history")
-        tail = store.iterations[-depth:]
-        if depth > 1 and not np.all(np.diff(tail) == self.step):
-            # A snap-back gap sits inside the seed window; wait until
-            # contiguous history has been re-collected.
-            raise _NotForecastable("seed history is not contiguous")
-        self.rows: deque = deque(
-            (store.matrix()[-depth:]).copy(), maxlen=depth
-        )
-        self.iteration = int(store.iterations[-1])
-
-    def _next_row(self) -> np.ndarray:
-        rows = self.rows
-        if self.axis == "time":
-            # Features most-recent-first: V(t-lag), V(t-lag-step), ...
-            features = np.stack(
-                [rows[-(self.lag_rows + k)] for k in range(self.order)],
-                axis=1,
-            )
-            return self.model.predict_many(features)
-        lagged = rows[-self.lag_rows]
-        windows = np.lib.stride_tricks.sliding_window_view(lagged, self.order)
-        shift = 1 if self.include_self else 0
-        n_targets = lagged.shape[0] - self.first
-        features = windows[
-            self.first - self.order + shift:
-            self.first - self.order + shift + n_targets, ::-1
-        ]
-        # Edge locations have no spatial predecessors; hold them at the
-        # lagged value (behind a travelling front that edge is the
-        # saturated region, where persistence is the exact model).
-        row = np.array(lagged, dtype=np.float64, copy=True)
-        row[self.first:] = self.model.predict_many(features)
-        return row
-
-    def advance_to(self, iteration: int) -> None:
-        """Roll forecasts forward to ``iteration`` on the temporal grid."""
-        while self.iteration < iteration:
-            self.iteration += self.step
-            self.rows.append(self._next_row())
-
-    def residual(self, sampled: np.ndarray) -> float:
-        """Relative forecast error against a freshly sampled probe row.
-
-        A non-finite forecast (an explosive model rolled too far) comes
-        back as ``inf`` so the probe registers as drift rather than
-        vanishing inside a NaN comparison.
-        """
-        forecast = self.rows[-1]
-        compare = slice(self.first, None) if self.axis == "space" else slice(None)
-        diff = float(np.mean(np.abs(forecast[compare] - sampled[compare])))
-        scale = float(np.mean(np.abs(sampled[compare])))
-        value = diff if scale <= 1e-12 else diff / scale
-        return value if np.isfinite(value) else float("inf")
-
-
 class _GroupCadence:
     """Cadence state machine of one collection group."""
 
@@ -241,7 +155,7 @@ class _GroupCadence:
         #: Worst residual among probes that passed the drift bound —
         #: the accuracy the widened phases actually ran at.
         self.max_accepted_residual = 0.0
-        self._forecasts: List[_ForecastState] = []
+        self._forecasts: List[Forecast] = []
         self._rows_at_snapback: Optional[int] = None
         self._exhausted = False
         self._current: Tuple[Optional[int], str] = (None, DECISION_COLLECT)
@@ -348,12 +262,8 @@ class _GroupCadence:
         if anchor is None:
             return
         try:
-            forecasts = [
-                _ForecastState(state.analysis)
-                for state in self.states
-                if state.active
-            ]
-        except _NotForecastable:
+            forecasts = [s.analysis.forecaster() for s in self.states if s.active]
+        except NotTrainedError:  # no contiguous seed yet: stay full
             return
         if not forecasts:
             return

@@ -932,23 +932,11 @@ def _execute_leg(
             cadence=spec.cadence_controller() if config.adaptive else None,
             name=spec.name,
         )
-    elif config.backend == BACKEND_MULTIPROCESSING:
+    else:
         engine = DistributedEngine(
             backend=config.backend,
             n_ranks=config.n_ranks,
             app_factory=functools.partial(spec.app_factory, **merged),
-            policy=spec.policy,
-            quorum=spec.quorum,
-            cadence=spec.cadence_controller() if config.adaptive else None,
-            faults=config.faults,
-            rebalance=config.rebalance,
-            name=spec.name,
-        )
-    else:
-        engine = DistributedEngine(
-            spec.app_factory(**merged),
-            backend=config.backend,
-            n_ranks=config.n_ranks,
             policy=spec.policy,
             quorum=spec.quorum,
             cadence=spec.cadence_controller() if config.adaptive else None,

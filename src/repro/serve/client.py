@@ -194,6 +194,9 @@ class ServerThread:
         self._thread.start()
         self._ready.wait(timeout=120)
         if self._startup_error is not None:
+            self._thread.join(timeout=120)
+            self._loop.close()
+            self._loop = self._thread = None
             raise ServeError(f"server failed to start: {self._startup_error}")
         if not self._ready.is_set():
             raise ServeError("server did not start within 120s")

@@ -189,12 +189,36 @@ class WorkerPool:
         worker.pid = int(info["pid"])
 
     async def start(self) -> None:
-        """Spawn and warm every worker; returns once all are ready."""
+        """Spawn and warm every worker; returns once all are ready.
+
+        Every worker reports ready or dies before a failed start cleans
+        up, so no read outlives it; the :class:`ServeError` it raises
+        names each worker that failed, with its exit code.
+        """
         self._free = asyncio.Queue()
         try:
             for index in range(self.size):
                 self._workers.append(await self._spawn(index))
-            await asyncio.gather(*(self._wait_ready(w) for w in self._workers))
+            results = await asyncio.gather(
+                *(self._wait_ready(w) for w in self._workers),
+                return_exceptions=True,
+            )
+            failed = [
+                (worker, result)
+                for worker, result in zip(self._workers, results)
+                if result is not None
+            ]
+            if failed:
+                await self.close()  # joins every worker: exit codes are set
+                raise ServeError(
+                    "workers failed to start: "
+                    + "; ".join(
+                        f"worker {worker.index} exited with code "
+                        f"{worker.process.exitcode} ({type(error).__name__}: "
+                        f"{error})"
+                        for worker, error in failed
+                    )
+                )
         except BaseException:
             await self.close()  # a failed start leaves no pipe to the GC
             raise

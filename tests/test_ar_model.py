@@ -191,10 +191,6 @@ class TestValidation:
         with pytest.raises(NotTrainedError):
             ARModel(2).predict([1.0, 2.0])
 
-    def test_forward_before_training_raises(self):
-        with pytest.raises(NotTrainedError):
-            ARModel(2).forward_time([1.0, 2.0, 3.0], 2)
-
     def test_wrong_feature_count_rejected(self):
         model = _trained_identity(order=2)
         with pytest.raises(ConfigurationError):
@@ -353,32 +349,6 @@ class TestPrediction:
         single = [model.predict(row) for row in rows]
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
-    def test_forward_time_persistence_is_constant(self):
-        model = _trained_identity(order=2)
-        out = model.forward_time([3.0, 3.0], 5)
-        np.testing.assert_allclose(out, 3.0, atol=0.15)
-
-    def test_forward_time_step_count(self):
-        model = _trained_identity(order=2)
-        assert model.forward_time([1.0, 2.0], 7).shape == (7,)
-        assert model.forward_time([1.0, 2.0], 0).shape == (0,)
-
-    def test_forward_time_needs_enough_history(self):
-        model = _trained_identity(order=3)
-        with pytest.raises(ConfigurationError):
-            model.forward_time([1.0, 2.0], 3)
-
-    def test_forward_negative_steps_rejected(self):
-        model = _trained_identity(order=2)
-        with pytest.raises(ConfigurationError):
-            model.forward_time([1.0, 2.0], -1)
-
-    def test_forward_space_is_same_recursion(self):
-        model = _trained_identity(order=2)
-        profile = [5.0, 4.0, 3.0]
-        np.testing.assert_array_equal(
-            model.forward_space(profile, 4), model.forward_time(profile, 4)
-        )
 
 
 class TestOneStepSeries:

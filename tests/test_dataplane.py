@@ -333,22 +333,5 @@ class TestBlockTraining:
 
     def test_empty_push_is_a_noop(self):
         trainer = MiniBatchTrainer(_RecordingModel(), 4, 2)
-        assert trainer.push_many([], []) == []
         assert trainer.push_block([], []) == []
         assert trainer.samples_seen == 0
-
-    def test_push_many_routes_through_block_path(self):
-        model_block = _RecordingModel()
-        model_many = _RecordingModel()
-        trainer_block = MiniBatchTrainer(model_block, 4, 2)
-        trainer_many = MiniBatchTrainer(model_many, 4, 2)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((11, 2))
-        y = rng.standard_normal(11)
-        losses_block = trainer_block.push_block(x, y)
-        losses_many = trainer_many.push_many(x, y)
-        assert losses_block == losses_many
-        assert trainer_many.samples_seen == trainer_block.samples_seen == 11
-        for (fa, ta), (fb, tb) in zip(model_block.samples, model_many.samples):
-            np.testing.assert_array_equal(fa, fb)
-            assert ta == tb

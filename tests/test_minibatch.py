@@ -151,10 +151,10 @@ class TestMiniBatchTrainer:
         assert trainer.last_loss == 5.0
         assert trainer.samples_seen == 5
 
-    def test_push_many(self):
+    def test_push_block_trains_each_full_batch(self):
         model = _CountingModel()
         trainer = MiniBatchTrainer(model, capacity=2, n_features=1)
-        losses = trainer.push_many(
+        losses = trainer.push_block(
             np.array([[1], [2], [3], [4]]), np.array([1, 2, 3, 4])
         )
         assert losses == [1.0, 2.0]

@@ -645,13 +645,52 @@ class TestStreamPath:
 
         async def start():
             pool._spawn = recording
-            with pytest.raises(EOFError):
+            with pytest.raises(ServeError, match="worker 0 exited with code 3"):
                 await pool.start()
 
         asyncio.run(start())
         assert [w.process.exitcode for w in spawned] == [3, 0]
         assert all(w.conn.closed and w.transport.is_closing() for w in spawned)
         assert _slow_callbacks(caplog) == []
+
+    def test_start_with_every_worker_dead_names_each(
+        self, monkeypatch, caplog
+    ):
+        # Both workers die before they are ready: the start waits for
+        # both reads, names both exit codes in one error, leaves no task
+        # pending and logs nothing; the harness closes its loop.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        monkeypatch.setattr(pool_module, "_worker_main", _dying_worker)
+        pool = pool_module.WorkerPool(size=2)
+        pending = []
+
+        async def start():
+            with pytest.raises(ServeError) as info:
+                await pool.start()
+            pending.extend(
+                task
+                for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()
+            )
+            return str(info.value)
+
+        message = asyncio.run(start())
+        assert "worker 0 exited with code 3" in message
+        assert "worker 1 exited with code 3" in message
+        assert pending == []
+        assert [r.getMessage() for r in caplog.records] == []
+
+        loops = []
+        new_event_loop = asyncio.new_event_loop
+        monkeypatch.setattr(
+            asyncio,
+            "new_event_loop",
+            lambda: loops.append(new_event_loop()) or loops[-1],
+        )
+        with pytest.raises(ServeError, match="exited with code 3"):
+            ServerThread(workers=2).start()
+        assert [loop.is_closed() for loop in loops] == [True]
+        assert [r.getMessage() for r in caplog.records] == []
 
     def test_stream_makes_no_executor_call(self, client, monkeypatch):
         calls = []
