@@ -1,9 +1,9 @@
 """Ablation benchmarks for the design choices README.md calls out."""
 
-import numpy as np
-
 from repro.analysis import error_rate
+from repro.core import kernels
 from repro.core.ar_model import ARModel
+from repro.core.curve_fitting import evaluate_spatial_history
 from repro.core.params import IterParam
 from repro.core.tracking import detect_gradient_break
 from repro.experiments import (
@@ -56,14 +56,11 @@ def _gd_vs_exact():
     history = ref.history
     window_end = int(0.4 * ref.total_iterations)
     order, lag = 3, 10
-    x_rows, y_rows = [], []
-    for t in range(50 + lag, window_end):
-        lagged = history[t - lag]
-        for loc in range(order, 11):
-            x_rows.append(lagged[loc - order + 1: loc + 1][::-1])
-            y_rows.append(history[t, loc])
-    x = np.array(x_rows)
-    y = np.array(y_rows)
+    # The training pairs of a (1, 10, 1) window from iteration 50: each
+    # location 3..10 from its own and two inner neighbours lag back.
+    x = kernels.windows(history[50: window_end - lag], order)[:, 1:9]
+    x = x.reshape(-1, order)
+    y = history[50 + lag: window_end, order: 11].ravel()
 
     exact = ARModel(order, lag=lag)
     exact.fit_exact(x, y)
@@ -72,15 +69,11 @@ def _gd_vs_exact():
         gd.partial_fit(x[i: i + 16], y[i: i + 16])
 
     def evaluate(model):
-        preds, reals = [], []
-        for t in range(50 + lag, history.shape[0]):
-            lagged = history[t - lag]
-            feats = np.stack(
-                [lagged[loc - order + 1: loc + 1][::-1] for loc in range(order, 11)]
+        return error_rate(
+            *evaluate_spatial_history(
+                model, history, (1, 10, 1), start_iteration=50 + lag
             )
-            preds.append(model.predict_many(feats))
-            reals.append(history[t, order: 11])
-        return error_rate(np.concatenate(preds), np.concatenate(reals))
+        )
 
     return evaluate(gd), evaluate(exact)
 

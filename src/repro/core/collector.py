@@ -35,8 +35,8 @@ from repro.core.providers import ProviderFn, batch_sample
 from repro.errors import CollectionError, ConfigurationError
 
 
-def _view(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array`` (no copy)."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (no copy); its slices are too."""
     out = array.view()
     out.flags.writeable = False
     return out
@@ -55,10 +55,11 @@ class SeriesStore:
     :meth:`row_at`, :meth:`row` and :meth:`series` all return O(1)
     read-only views into the buffer instead of re-stacking history.
 
-    Threshold checks ask one question of the newest row, once per
-    threshold: :meth:`reach`.  The store scans the row once and answers
-    every threshold from that scan, so analyses sharing the store share
-    the scan too.
+    Threshold checks ask one question of the newest row:
+    :meth:`reach_many` answers every threshold of a cohort with one
+    binary search over one scan of the row, and analyses sharing the
+    store share the scan too.  Other per-row results are kept the same
+    way (:meth:`memo`): stores only grow, so the row count dates them.
     """
 
     def __init__(self, locations: np.ndarray, *, capacity: int = 64) -> None:
@@ -72,9 +73,10 @@ class SeriesStore:
             (capacity, self.locations.shape[0]), dtype=np.float64
         )
         self._iterations = np.empty(capacity, dtype=np.int64)
+        self._freeze()
         self._index: Dict[int, int] = {}
-        # (row count, running max of |newest row| from its far end)
-        self._reach: Tuple[int, Optional[np.ndarray]] = (0, None)
+        # (row count, results computed from the first that many rows)
+        self._memo: Tuple[int, Dict[object, object]] = (0, {})
 
     def __len__(self) -> int:
         return self._n
@@ -87,10 +89,17 @@ class SeriesStore:
         iterations[: self._n] = self._iterations[: self._n]
         self._data = data
         self._iterations = iterations
+        self._freeze()
+
+    def _freeze(self) -> None:
+        # Read-only views of the buffers: the accessors slice these, so
+        # each returns a read-only view without setting a flag.
+        self._rows = _read_only(self._data)
+        self._iters = _read_only(self._iterations)
 
     @property
     def iterations(self) -> np.ndarray:
-        return _view(self._iterations[: self._n])
+        return self._iters[: self._n]
 
     @property
     def last_iteration(self) -> Optional[int]:
@@ -125,7 +134,7 @@ class SeriesStore:
         so reducers over rank shards that never matched a temporal
         window can treat every shard uniformly.
         """
-        return _view(self._data[: self._n])
+        return self._rows[: self._n]
 
     @classmethod
     def merge_shards(cls, shards: "Sequence[SeriesStore]") -> "SeriesStore":
@@ -204,7 +213,7 @@ class SeriesStore:
         idx = self._index.get(int(iteration))
         if idx is None:
             return None
-        return _view(self._data[idx])
+        return self._rows[idx]
 
     def row(self, index: int) -> np.ndarray:
         """The ``index``-th collected row (supports negative indices)."""
@@ -212,31 +221,42 @@ class SeriesStore:
             index += self._n
         if not 0 <= index < self._n:
             raise IndexError(f"row index {index} out of range ({self._n} rows)")
-        return _view(self._data[index])
+        return self._rows[index]
 
     def last_row(self) -> Optional[np.ndarray]:
         """Most recently collected row, or None when empty."""
-        return _view(self._data[self._n - 1]) if self._n else None
+        return self._rows[self._n - 1] if self._n else None
 
-    def reach(self, cut: float) -> Optional[int]:
-        """Index of the farthest location in the newest row with |v| >= cut.
+    def memo(self, key: object, compute: Callable[[], object]) -> object:
+        """``compute()``, kept under ``key`` until the next row arrives.
 
-        None when no location of the newest row (or no row at all)
-        reaches ``cut``.  The first query after a row arrives takes the
-        running maximum of |row| from the far end, which never
-        decreases; every query then is one binary search over it, so
-        any number of thresholds cost one scan of the row.
+        For results that depend only on the rows collected so far:
+        analyses sharing the store then compute each one once per row.
+        """
+        count, values = self._memo
+        if count != self._n:
+            values = {}
+            self._memo = (self._n, values)
+        if key not in values:
+            values[key] = compute()
+        return values[key]
+
+    def _far_max(self) -> np.ndarray:
+        return np.maximum.accumulate(np.abs(self._data[self._n - 1, ::-1]))
+
+    def reach_many(self, cuts):
+        """Per cut, the index of the farthest location in the newest row
+        with |v| >= cut; -1 where none (or no row at all) reaches it.
+
+        The first query after a row arrives takes the running maximum
+        of |row| from the far end, which never decreases; every query
+        then is one binary search over it, so any number of thresholds
+        cost one scan of the row.  A scalar cut gives a scalar.
         """
         if not self._n:
-            return None
-        count, far_max = self._reach
-        if count != self._n:
-            far_max = np.maximum.accumulate(np.abs(self._data[self._n - 1, ::-1]))
-            self._reach = (self._n, far_max)
-        below = int(far_max.searchsorted(cut))
-        if below == far_max.shape[0]:
-            return None
-        return far_max.shape[0] - 1 - below
+            return np.full(np.shape(cuts), -1, dtype=np.intp)[()]
+        far_max = self.memo("far_max", self._far_max)
+        return np.subtract(far_max.shape[0] - 1, far_max.searchsorted(cuts))
 
     def column(self, location: int) -> int:
         """Column of ``location`` in the collected window."""
@@ -250,7 +270,7 @@ class SeriesStore:
 
     def series(self, location: int) -> Tuple[np.ndarray, np.ndarray]:
         """(iterations, values) time series of one location (views)."""
-        return self.iterations, _view(self._data[: self._n, self.column(location)])
+        return self.iterations, self._rows[: self._n, self.column(location)]
 
     def profile_at(self, iteration: int) -> np.ndarray:
         """Spatial profile (values over locations) at one collected step."""
@@ -258,6 +278,22 @@ class SeriesStore:
         if row is None:
             raise CollectionError(f"iteration {iteration} was not collected")
         return row
+
+
+@dataclass
+class Tally:
+    """What one collector has taken in, and the training it replayed.
+
+    ``rows`` counts the rows the collector processed (sampled or
+    reused), ``samples`` the training samples it emitted, and
+    ``replayed_seconds`` what the shared-trainer updates it replayed
+    took.  Twins stepped in one call share one tally (see
+    :meth:`repro.engine.collection.SharedCollector.join`).
+    """
+
+    rows: int = 0
+    samples: int = 0
+    replayed_seconds: float = 0.0
 
 
 @dataclass
@@ -316,7 +352,9 @@ class DataCollector:
         the collector owns a private store — the original per-analysis
         behaviour.  Collectors with identical training may share one
         trainer too (:meth:`rebind_trainer`): the first one to observe
-        an iteration trains it, and the rest replay that update.
+        an iteration trains it, and the rest replay that update.  Twins
+        the scheduler steps as one cohort observe once between them and
+        keep one :class:`Tally`.
     """
 
     def __init__(
@@ -363,11 +401,7 @@ class DataCollector:
                 f"but the spatial window is {spatial.indices().tolist()}"
             )
         self.store = store
-        self._samples_emitted = 0
-        self._rows_ingested = 0
-        #: Seconds of trainer updates this collector replayed from a
-        #: shared trainer instead of running them itself.
-        self.replayed_seconds = 0.0
+        self.tally = Tally()
         # Adaptive-cadence hooks (installed by the engine's cadence
         # layer; both default to "off" so standalone collectors behave
         # exactly as before).
@@ -419,7 +453,7 @@ class DataCollector:
     @property
     def samples_emitted(self) -> int:
         """Number of AR training samples pushed into the trainer."""
-        return self._samples_emitted
+        return self.tally.samples
 
     @property
     def rows_ingested(self) -> int:
@@ -430,7 +464,13 @@ class DataCollector:
         "did I just collect a sample?" must use this per-collector
         counter instead.
         """
-        return self._rows_ingested
+        return self.tally.rows
+
+    @property
+    def replayed_seconds(self) -> float:
+        """Seconds of trainer updates this collector replayed from a
+        shared trainer instead of running them itself."""
+        return self.tally.replayed_seconds
 
     @property
     def done(self) -> bool:
@@ -468,9 +508,10 @@ class DataCollector:
             # The cadence layer widened this window's stride: neither
             # sample nor train on this iteration.
             return []
+        tally = self.tally
         if (
             self.store.last_iteration == iteration
-            and self._rows_ingested < len(self.store)
+            and tally.rows < len(self.store)
         ):
             # A collector sharing this store already sampled this
             # iteration; reuse the row instead of re-running the
@@ -488,13 +529,13 @@ class DataCollector:
                     f"non-finite sample collected at iteration {iteration}"
                 )
             self.store.add_row(iteration, row)
-        self._rows_ingested += 1
+        tally.rows += 1
         feed = self.trainer.last_feed
         if feed is not None and feed.iteration == iteration:
             # A collector sharing this trainer already pushed this
             # iteration's samples (they are identical here); replay the
             # update's outcome instead of training twice.
-            self.replayed_seconds += feed.seconds
+            tally.replayed_seconds += feed.seconds
         else:
             tick = time.perf_counter()
             if self.axis == "space":
@@ -503,7 +544,7 @@ class DataCollector:
                 losses, samples = self._emit_temporal(iteration)
             feed = Feed(iteration, losses, samples, time.perf_counter() - tick)
             self.trainer.last_feed = feed
-        self._samples_emitted += feed.samples
+        tally.samples += feed.samples
         return list(feed.losses)
 
     def finalize(self) -> Optional[float]:
@@ -520,7 +561,7 @@ class DataCollector:
             loss = self.trainer.finalize()
             feed.flush = (loss, time.perf_counter() - tick)
         else:
-            self.replayed_seconds += feed.flush[1]
+            self.tally.replayed_seconds += feed.flush[1]
         return feed.flush[0]
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ the paper's accuracy tables.
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Sequence
+import time
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +68,17 @@ class Analysis(abc.ABC):
         collection cadence unless it opts in.
         """
         return False
+
+    def cohort_key(self) -> Optional[tuple]:
+        """Key of the analyses this one can be stepped with in one call.
+
+        The scheduler steps the active analyses whose keys are equal
+        with one ``step_cohort(members, domain, iteration, own)`` call
+        on the first of them (see :meth:`CurveFitting.step_cohort`).
+        None, the default, dispatches this analysis alone through
+        :meth:`on_iteration`.
+        """
+        return None
 
     @abc.abstractmethod
     def on_iteration(self, domain: object, iteration: int) -> Optional[StatusBroadcast]:
@@ -172,6 +184,9 @@ class CurveFitting(Analysis):
         self._threshold_events: List[ThresholdEvent] = []
         self._finalized = False
         self._converged_at: Optional[int] = None
+        # The members on_iteration steps, and step_cohort's cut cache.
+        self._alone = [self]
+        self._cut_cache: Optional[tuple] = None
 
     @property
     def trainer(self) -> MiniBatchTrainer:
@@ -198,23 +213,138 @@ class CurveFitting(Analysis):
     # ------------------------------------------------------------------
 
     def on_iteration(self, domain: object, iteration: int) -> Optional[StatusBroadcast]:
-        losses = self.collector.observe(domain, iteration)
-        for loss in losses:
-            if self.monitor.observe(loss) and self._converged_at is None:
-                self._converged_at = iteration
-        event: Optional[StatusBroadcast] = None
-        if self.collector.done and not self._finalized:
-            final_loss = self.collector.finalize()
-            if final_loss is not None and self.monitor.observe(final_loss):
+        """:meth:`step_cohort` applied to this analysis alone."""
+        for _, event in self.step_cohort(self._alone, domain, iteration):
+            return event
+        return None
+
+    def cohort_key(self) -> Optional[tuple]:
+        """Twins of one class step together while their shared state agrees.
+
+        Twins train through one trainer (see
+        :class:`repro.engine.collection.SharedCollector`), so they read
+        one store and one update per iteration.  The key also holds the
+        state :meth:`step_cohort` keeps once for all members: the
+        collector's tally, the early-stop monitor and the conclusion.
+        A subclass that overrides :meth:`on_iteration` is dispatched
+        alone, so its override runs.
+        """
+        if type(self).on_iteration is not CurveFitting.on_iteration:
+            return None
+        collector = self.collector
+        tally = collector.tally
+        return (
+            type(self),
+            id(collector.trainer),
+            id(collector.store),
+            (tally.rows, tally.samples, tally.replayed_seconds),
+            self.monitor.state(),
+            self._finalized,
+            self._converged_at,
+        )
+
+    def step_cohort(
+        self,
+        members: Sequence["CurveFitting"],
+        domain: object,
+        iteration: int,
+        own: Optional[List[float]] = None,
+    ) -> List[Tuple[int, Optional[StatusBroadcast]]]:
+        """One iteration of ``members``: this analysis and its twins.
+
+        ``members[0]`` is this analysis and every member's
+        :meth:`cohort_key` equals its own, so they share the collector's
+        tally and the monitor
+        (:meth:`repro.engine.collection.SharedCollector.join`).  The
+        shared work runs once: observe (sample, push, train), the loss
+        feed, the window-end flush, and one binary search of the newest
+        row for every member's threshold.  A member is visited only to
+        record its own crossing or its conclusion.
+
+        Returns ``(position, event)`` for the visited members, in member
+        order.  When ``own`` is a list, each visit's seconds are added
+        to ``own[position]``.
+        """
+        collector = self.collector
+        monitor = self.monitor
+        for loss in collector.observe(domain, iteration):
+            if monitor.observe(loss) and self._converged_at is None:
+                self._share(members, "_converged_at", iteration)
+        if self._finalized:
+            return []
+        if collector.done:
+            final_loss = collector.finalize()
+            if final_loss is not None and monitor.observe(final_loss):
                 if self._converged_at is None:
-                    self._converged_at = iteration
-            self._finalized = True
-            event = self._conclude(iteration)
-        if self.threshold is not None and not self._finalized:
-            crossing = self._check_threshold(iteration)
-            if crossing is not None:
-                event = crossing
-        return event
+                    self._share(members, "_converged_at", iteration)
+            self._share(members, "_finalized", True)
+            return [
+                (j, self._visit(own, j, member._conclude, iteration))
+                for j, member in enumerate(members)
+            ]
+        store = collector.store
+        if store.last_iteration != iteration:
+            return []
+        which, cuts, cut_array = self._cuts(members)
+        if not which:
+            return []
+        visited = []
+        newest = None
+        reached = store.reach_many(cut_array).tolist()
+        for j, index, cut in zip(which, reached, cuts):
+            if index < 0:
+                continue
+            if newest is None:
+                newest = store.last_row().tolist()
+                locations = store.locations.tolist()
+            event = self._visit(
+                own, j, members[j]._record_crossing,
+                iteration, locations[index], newest[index], cut,
+            )
+            if event is not None:
+                visited.append((j, event))
+        return visited
+
+    @staticmethod
+    def _share(members, name: str, value) -> None:
+        """Set state the members of a cohort keep alike on every member."""
+        for member in members:
+            setattr(member, name, value)
+
+    @staticmethod
+    def _visit(own: Optional[List[float]], position: int, method, *args):
+        """``method(*args)``, a visit to one member; with ``own`` a list,
+        its seconds are added to ``own[position]``."""
+        if own is None:
+            return method(*args)
+        tick = time.perf_counter()
+        result = method(*args)
+        own[position] += time.perf_counter() - tick
+        return result
+
+    def _cuts(self, members):
+        """Positions of the ``members`` with a threshold and their cuts,
+        as numbers and as one array; kept while the members and this
+        analysis's reference (twins move theirs together) stay."""
+        cached = self._cut_cache
+        if (
+            cached is None
+            or cached[0] is not members
+            or cached[1] != self.reference_value
+        ):
+            which = [j for j, m in enumerate(members) if m.threshold is not None]
+            cuts = [
+                members[j].threshold * members[j].reference_value
+                for j in which
+            ]
+            cached = self._cut_cache = (
+                members,
+                self.reference_value,
+                which,
+                cuts,
+                np.array(cuts, dtype=np.float64),
+            )
+        return cached[2:]
 
     def _conclude(self, iteration: int) -> StatusBroadcast:
         """Collection finished: decide termination, build the broadcast."""
@@ -234,22 +364,16 @@ class CurveFitting(Analysis):
             action=ACTION_TERMINATE if stop else ACTION_CONTINUE,
         )
 
-    def _check_threshold(self, iteration: int) -> Optional[StatusBroadcast]:
-        """Emit an event when the newest collected row crosses threshold."""
-        store = self.collector.store
-        if store.last_iteration != iteration:
-            return None
+    def _record_crossing(
+        self, iteration: int, location: int, value: float, cut: float
+    ) -> Optional[StatusBroadcast]:
+        """The newest row reaches ``cut`` out to ``location``, where it
+        reads ``value``: record the threshold event, build its broadcast."""
         # Events are appended at most once per iteration, in increasing
         # order, so only the newest one can already cover this one.
         events = self._threshold_events
         if events and events[-1].iteration == iteration:
             return None
-        cut = self.threshold * self.reference_value
-        loc_index = store.reach(cut)
-        if loc_index is None:
-            return None
-        location = int(store.locations[loc_index])
-        value = float(store.last_row()[loc_index])
         events.append(
             ThresholdEvent(
                 iteration=iteration,
@@ -420,30 +544,18 @@ class CurveFitting(Analysis):
         profile's decay ratio flattens with distance, the extension
         saturates at very small thresholds, which is exactly how the
         paper's low-threshold rows overshoot to the domain edge.
+
+        The result depends only on the store's rows and the two
+        arguments, so it is computed once per store row for every
+        analysis reading the store (:meth:`SeriesStore.memo`).
         """
         self._require_trained()
         store = self.collector.store
-        profile = peak_profile(store.matrix())
-        last = int(store.locations[-1])
-        if through_location <= last:
-            keep = store.locations <= through_location
-            return profile[keep]
-        steps = through_location - last
-        positive = np.maximum(profile, 1e-12)
-        log_profile = np.log(positive)
-        order = min(profile_order, log_profile.size - 1)
-        if order < 1:
-            raise ConfigurationError(
-                "peak profile too short to extrapolate"
-            )
-        # Each location is predicted from the order before it: every
-        # window but the last, which ends at the profile's edge.
-        spatial_model = ARModel(order)
-        spatial_model.fit_exact(
-            kernels.windows(log_profile, order)[:-1], log_profile[order:]
+        profile = store.memo(
+            ("peak_profile", through_location, profile_order),
+            lambda: _extrapolate(store, through_location, profile_order),
         )
-        extension = Forecast(spatial_model, log_profile[-order:, None])
-        return np.concatenate([profile, np.exp(extension.roll(steps)[:, 0])])
+        return profile.copy()
 
     def break_point(self, threshold: float, max_location: int) -> int:
         """Break-point radius from the extrapolated peak profile."""
@@ -474,6 +586,31 @@ class CurveFitting(Analysis):
             )
 
 
+def _extrapolate(
+    store, through_location: int, profile_order: int
+) -> np.ndarray:
+    """:meth:`CurveFitting.extrapolate_peak_profile` of ``store``'s rows."""
+    profile = peak_profile(store.matrix())
+    last = int(store.locations[-1])
+    if through_location <= last:
+        keep = store.locations <= through_location
+        return profile[keep]
+    steps = through_location - last
+    positive = np.maximum(profile, 1e-12)
+    log_profile = np.log(positive)
+    order = min(profile_order, log_profile.size - 1)
+    if order < 1:
+        raise ConfigurationError("peak profile too short to extrapolate")
+    # Each location is predicted from the order before it: every
+    # window but the last, which ends at the profile's edge.
+    spatial_model = ARModel(order)
+    spatial_model.fit_exact(
+        kernels.windows(log_profile, order)[:-1], log_profile[order:]
+    )
+    extension = Forecast(spatial_model, log_profile[-order:, None])
+    return np.concatenate([profile, np.exp(extension.roll(steps)[:, 0])])
+
+
 def evaluate_spatial_history(
     model,
     history: np.ndarray,
@@ -501,7 +638,11 @@ def evaluate_spatial_history(
         index is the location id (e.g. the recorded velocity history of
         :class:`~repro.lulesh.simulation.LuleshSimulation`).
     window:
-        Spatial window (IterParam or 3-tuple) to evaluate over.
+        Spatial window (IterParam or 3-tuple) to evaluate over.  Its
+        locations (clipped to the history's width) are the columns a
+        collector over the same window stores, and the feature windows
+        run over them, so a strided window pairs locations ``step``
+        apart exactly as training did.
     include_self:
         Must match the collector configuration the model was trained
         with.
@@ -519,17 +660,20 @@ def evaluate_spatial_history(
         raise ConfigurationError("history must be 2-D (iterations x locations)")
     order = model.order
     lag = model.lag
-    first_loc = window.begin + (order - 1 if include_self else order)
-    stop = min(window.end + 1, arr.shape[1])
-    if first_loc >= stop:
+    columns = window.indices()
+    columns = columns[columns < arr.shape[1]]
+    # The first target, as in DataCollector.first_target_offset.
+    first = order - 1 if include_self else order
+    if columns.size <= first:
         raise ConfigurationError(
             f"window {window} leaves no evaluable locations for order {order}"
         )
     t0 = max(start_iteration, lag)
-    features = kernels.windows(arr[t0 - lag: arr.shape[0] - lag], order)
-    # first_loc's window, ending at it or (without include_self) just
-    # before it, is the one starting at window.begin.
-    features = features[:, window.begin: window.begin + stop - first_loc]
+    # The windows over the window's columns that end at each target or
+    # (without include_self) just before it, as _emit_spatial builds
+    # them on a store row.
+    features = kernels.windows(arr[t0 - lag: arr.shape[0] - lag, columns], order)
+    features = features[:, : columns.size - first]
     # One call per iteration: a matvec's bits can depend on its shape.
     preds = [model.predict_many(f) for f in features]
-    return np.concatenate(preds), arr[t0:, first_loc:stop].ravel()
+    return np.concatenate(preds), arr[t0:, columns[first:]].ravel()

@@ -13,12 +13,16 @@ later one reuses the stored row.
 Within a group, subscribers whose training is also identical (same
 pairing, batch and model hyperparameters, same initial weights) share
 one :class:`~repro.core.minibatch.MiniBatchTrainer` and its
-:class:`~repro.core.ar_model.ARModel`: the first one to observe an
-iteration runs the update and the rest replay it.  When one of them
-completes while others still train, :meth:`SharedCollector.fork` gives
-it a private copy frozen at its stop iteration.  Identical inputs give
-identical updates, so fit results are bit-identical to independent
-runs.  Early-stop monitors stay per analysis.
+:class:`~repro.core.ar_model.ARModel`.  The scheduler steps such twins
+of one class as a cohort: one call observes the iteration, trains and
+feeds the loss to one early-stop monitor, and the members also keep
+one collector tally (:meth:`SharedCollector.join`).  Twins stepped
+apart (a subclass overriding ``on_iteration``, or twins of two
+classes) take turns: the first one to observe an iteration runs the
+update and the rest replay it.  When one of them completes while
+others still train, :meth:`SharedCollector.fork` gives it private
+copies frozen at its stop iteration.  Identical inputs give identical
+updates, so fit results are bit-identical to independent runs.
 
 Grouping is by provider *identity*: two textually identical lambdas are
 distinct providers and will not share.  Pass the same callable object
@@ -32,7 +36,7 @@ a bare view of one provider still share a sweep.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.ar_model import ARModel
@@ -164,22 +168,50 @@ class SharedCollector:
         group.collectors.append(collector)
         return True
 
+    @staticmethod
+    def join(analyses) -> None:
+        """Let twins stepped in one call keep one tally and one monitor.
+
+        The scheduler joins the members of a cohort, analyses whose
+        ``cohort_key`` agrees (see
+        :meth:`repro.core.curve_fitting.CurveFitting.step_cohort`): they
+        already share a trainer, and their collector tallies and
+        early-stop monitors are equal, so from here on they are the
+        first member's.  :meth:`fork` undoes it for a member that stops.
+        """
+        first = analyses[0]
+        for other in analyses[1:]:
+            other.collector.tally = first.collector.tally
+            other.monitor = first.monitor
+
     def fork(self, analysis, active) -> bool:
-        """Give a completed analysis a private copy of a shared trainer.
+        """Give a completed analysis private copies of what it shares.
 
         The scheduler calls this after dispatching the iteration in
-        which ``analysis`` stopped: if one of the ``active`` analyses
+        which ``analysis`` stopped.  If one of the ``active`` analyses
         still trains through its trainer, the analysis gets a deep copy
-        of trainer and model, frozen at this iteration.  Twins that
-        stop together share no later update, so they need no copy.
-        Returns True when a copy was made.
+        of trainer and model, frozen at this iteration; twins that stop
+        together share no later update, so they need no copy.  The
+        collector's tally and the monitor a cohort shared
+        (:meth:`join`) are copied the same way.  Returns True when the
+        trainer was copied.
         """
         collector = getattr(analysis, "collector", None)
-        if not isinstance(collector, DataCollector) or not any(
-            getattr(getattr(other, "collector", None), "trainer", None)
-            is collector.trainer
+        if not isinstance(collector, DataCollector):
+            return False
+        others = [
+            other.collector
             for other in active
+            if isinstance(getattr(other, "collector", None), DataCollector)
+        ]
+        if any(other.tally is collector.tally for other in others):
+            collector.tally = replace(collector.tally)
+        monitor = getattr(analysis, "monitor", None)
+        if monitor is not None and any(
+            getattr(other, "monitor", None) is monitor for other in active
         ):
+            analysis.monitor = copy.deepcopy(monitor)
+        if not any(other.trainer is collector.trainer for other in others):
             return False
         collector.trainer = copy.deepcopy(collector.trainer)
         return True

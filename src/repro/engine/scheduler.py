@@ -17,11 +17,21 @@ early-stop state, and decides — under a configurable termination policy
     Stop once a given count (int) or fraction (float in (0, 1]) of the
     analyses have requested termination.
 
+Dispatch walks *cohorts*: the active analyses whose
+``Analysis.cohort_key`` agrees, such as the nine thresholds of a Table
+IV sweep, which share one trainer.  One ``step_cohort`` call does the
+work they share once per iteration (observe, train, the loss feed, the
+window-end flush, one binary search for every threshold) and visits a
+member only for its own crossing, confirmation or stop.  An analysis
+without a key, or alone in its cohort, gets its own ``on_iteration``
+call.  Events are published in the order the analyses were attached,
+as if each had been dispatched in turn.
+
 An analysis that requests termination is *completed*: it is never
-dispatched again, and if it shared its trainer with analyses that still
-train it gets a private copy (:meth:`SharedCollector.fork`), so its
-model/trainer state is bit-identical to an independent run that
-terminated the simulation at that iteration.
+dispatched again, and if it shared its trainer, tally or monitor with
+analyses that go on it gets private copies (:meth:`SharedCollector.fork`),
+so its state is bit-identical to an independent run that terminated
+the simulation at that iteration.
 
 :class:`InSituEngine` couples a scheduler with a
 :class:`~repro.engine.workload.SimulationApp`.  It is a thin façade
@@ -41,7 +51,11 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.collector import DataCollector
 from repro.core.curve_fitting import Analysis
-from repro.core.events import ACTION_TERMINATE, StatusBroadcaster
+from repro.core.events import (
+    ACTION_TERMINATE,
+    StatusBroadcast,
+    StatusBroadcaster,
+)
 from repro.core.features import ExtractionSummary
 from repro.engine.cadence import as_cadence_controller
 from repro.engine.collection import SharedCollector
@@ -80,6 +94,45 @@ class AnalysisState:
         return self.stopped_at is None
 
 
+class _Cohort:
+    """Active analyses stepped in one call: those with one
+    ``cohort_key``, or one analysis alone, stepped by its own
+    ``on_iteration``."""
+
+    def __init__(self, states: List[AnalysisState], indexes: List[int]) -> None:
+        self.indexes = indexes
+        self.states = [states[i] for i in indexes]
+        self.analyses = [state.analysis for state in self.states]
+
+    def step(
+        self,
+        domain: object,
+        iteration: int,
+        timed: bool,
+        visited: List[Tuple[int, Optional[StatusBroadcast]]],
+    ) -> None:
+        """Step the members; append ``(index, event)`` for every member
+        the step visited (a lone analysis always) to ``visited``."""
+        if len(self.states) == 1:
+            state = self.states[0]
+            tick = time.perf_counter() if timed else 0.0
+            event = state.analysis.on_iteration(domain, iteration)
+            if timed:
+                state.seconds += time.perf_counter() - tick
+            visited.append((self.indexes[0], event))
+            return
+        own = [0.0] * len(self.states) if timed else None
+        tick = time.perf_counter() if timed else 0.0
+        events = self.analyses[0].step_cohort(
+            self.analyses, domain, iteration, own
+        )
+        if timed:
+            shared = time.perf_counter() - tick - sum(own)
+            for state, seconds in zip(self.states, own):
+                state.seconds += shared + seconds
+        visited.extend((self.indexes[j], event) for j, event in events)
+
+
 class AnalysisScheduler:
     """Multi-analysis dispatch with shared collection and stop policies.
 
@@ -96,19 +149,19 @@ class AnalysisScheduler:
         Optional :class:`SharedCollector` to register analyses with; a
         private one is created by default.
     record_timings:
-        Accumulate per-analysis dispatch wall time (how long each
-        analysis's ``on_iteration`` hooks cost this run).  An analysis
-        stops accumulating once it completes, so its total approximates
-        the analysis-side cost an independent run terminating at the
-        same iteration would have paid.  Subscribers sharing a trainer
-        run each update once, inside whichever of them is dispatched
-        first; every other one is charged the seconds that update took
-        (``DataCollector.replayed_seconds``), so each still carries
-        its full training cost.  The provider sweep is not shared out
-        that way: under the engines' driver it runs in the executor's
-        collection phase, and a scheduler dispatched directly samples
-        inside the first subscriber (one provider call per window
-        location).
+        Accumulate per-analysis dispatch wall time (how long stepping
+        each analysis cost this run).  An analysis stops accumulating
+        once it completes, so its total approximates the analysis-side
+        cost an independent run terminating at the same iteration
+        would have paid.  Each member of a cohort is charged the
+        seconds of the work the cohort shares, training included, plus
+        its own visits, so each carries its full training cost.  An
+        analysis that replays an update another cohort ran is charged
+        what the update took (``DataCollector.replayed_seconds``).  The
+        provider sweep is not shared out that way: under the engines'
+        driver it runs in the executor's collection phase, and a
+        scheduler dispatched directly samples inside the first cohort
+        (one provider call per window location).
     stop_reducer:
         Optional collective agreement hook for the termination
         decision.  When set, every dispatch passes its local
@@ -159,6 +212,8 @@ class AnalysisScheduler:
         self.shared = shared if shared is not None else SharedCollector()
         self._states: List[AnalysisState] = []
         self._stop_requested = False
+        # Rebuilt when an analysis is attached or stops.
+        self._cohorts: Optional[List[_Cohort]] = None
 
     # ------------------------------------------------------------------
     # registration / introspection
@@ -183,6 +238,7 @@ class AnalysisScheduler:
             )
         self.shared.subscribe(analysis)
         self._states.append(AnalysisState(analysis))
+        self._cohorts = None
         return analysis
 
     @property
@@ -214,8 +270,9 @@ class AnalysisScheduler:
     def analysis_seconds(self) -> Dict[str, float]:
         """Accumulated dispatch seconds per analysis, keyed by name.
 
-        With ``record_timings``, each includes the seconds of the
-        shared-trainer updates the analysis replayed.
+        With ``record_timings``, each includes its cohort's shared
+        seconds and the seconds of the shared-trainer updates it
+        replayed.
         """
         seconds = {}
         for state in self._states:
@@ -237,19 +294,23 @@ class AnalysisScheduler:
     def dispatch(self, domain: object, iteration: int) -> bool:
         """Feed one completed iteration to every active analysis.
 
-        Returns False once the termination policy is satisfied (and
-        keeps returning False thereafter — the stop decision latches).
+        Walks the cohorts (:meth:`_form_cohorts`) in registration
+        order and publishes their events in the order the analyses were
+        attached.  Returns False once the termination policy is
+        satisfied (and keeps returning False thereafter — the stop
+        decision latches).
         """
+        cohorts = self._cohorts
+        if cohorts is None:
+            cohorts = self._cohorts = self._form_cohorts()
+        visited: List[Tuple[int, Optional[StatusBroadcast]]] = []
+        for cohort in cohorts:
+            cohort.step(domain, iteration, self.record_timings, visited)
+        if len(cohorts) > 1:
+            visited.sort(key=lambda entry: entry[0])
         stopped = []
-        for state in self._states:
-            if not state.active:
-                continue
-            if self.record_timings:
-                tick = time.perf_counter()
-                event = state.analysis.on_iteration(domain, iteration)
-                state.seconds += time.perf_counter() - tick
-            else:
-                event = state.analysis.on_iteration(domain, iteration)
+        for index, event in visited:
+            state = self._states[index]
             if event is not None:
                 self.broadcaster.publish(event)
                 if event.action == ACTION_TERMINATE:
@@ -261,18 +322,42 @@ class AnalysisScheduler:
         if stopped:
             # Freeze each completed analysis's training where a twin
             # sharing its trainer trains on.  Forking here, not at the
-            # stop, is the same state: a twin dispatched after the stop
+            # stop, is the same state: a twin stepped after the stop
             # replays this iteration's feed and flush from the trainer
             # (DataCollector.observe, .finalize) instead of training it.
             active = [s.analysis for s in self._states if s.active]
             for analysis in stopped:
                 self.shared.fork(analysis, active)
+            self._cohorts = None
         satisfied = self._policy_satisfied()
         if self.stop_reducer is not None and not self._stop_requested:
             satisfied = bool(self.stop_reducer(satisfied))
         if satisfied:
             self._stop_requested = True
         return not self._stop_requested
+
+    def _form_cohorts(self) -> List[_Cohort]:
+        """Group the active analyses by ``cohort_key``, in registration
+        order of each group's first member; a None key stands alone.
+        Members of one cohort keep one tally and one monitor
+        (:meth:`SharedCollector.join`)."""
+        groups: List[List[int]] = []
+        keyed: Dict[tuple, List[int]] = {}
+        for index, state in enumerate(self._states):
+            if not state.active:
+                continue
+            key = state.analysis.cohort_key()
+            if key is not None and key in keyed:
+                keyed[key].append(index)
+                continue
+            groups.append([index])
+            if key is not None:
+                keyed[key] = groups[-1]
+        cohorts = [_Cohort(self._states, indexes) for indexes in groups]
+        for cohort in cohorts:
+            if len(cohort.analyses) > 1:
+                self.shared.join(cohort.analyses)
+        return cohorts
 
     def _required_stops(self) -> int:
         n = len(self._states)

@@ -61,67 +61,99 @@ class BreakPointAnalysis(CurveFitting):
         self.break_point_feature: Optional[BreakPointFeature] = None
         self._confirmed = False
 
-    def on_iteration(self, domain, iteration):
-        before = self.collector.rows_ingested
-        event = super().on_iteration(domain, iteration)
+    def cohort_key(self) -> Optional[tuple]:
+        """:meth:`CurveFitting.cohort_key` plus the confirmation cadence
+        and the reference velocity, which the cohort keeps alike."""
+        key = super().cohort_key()
+        if key is None:
+            return None
+        dynamic = self._reference_dynamic
+        return key + (
+            self.check_every,
+            dynamic,
+            self.reference_value if dynamic else None,
+        )
+
+    def step_cohort(self, members, domain, iteration, own=None):
+        """:meth:`CurveFitting.step_cohort` plus the break-point stop rule.
+
+        Shared: the reference-velocity update and the "confirmation
+        due" test.  A member is visited to run a due confirmation and,
+        at the window end, to stop.
+        """
+        rows = self.collector.rows_ingested
+        finalized = self._finalized
+        visited = super().step_cohort(members, domain, iteration, own)
         # Track the blast reference velocity as the run's peak so far
         # when the caller did not pin one; the simulation step published
         # this step's peak on the domain.
         if self._reference_dynamic:
-            self.reference_value = max(self.reference_value, domain.peak_speed)
+            reference = max(self.reference_value, domain.peak_speed)
+            if reference != self.reference_value:
+                self._share(members, "reference_value", reference)
         n = self.collector.rows_ingested
         # Confirmation is due only on iterations that actually collected
         # a sample — the stale count would otherwise retrigger the
         # (fit + extrapolate) pass every iteration after the window.
-        due = n > before and n % self.check_every == 0
         if (
-            not self._confirmed
-            and due
+            n > rows
+            and n % self.check_every == 0
             and self.monitor.converged
             and self.model.is_trained
         ):
-            if self._confirm(domain, iteration):
-                event = StatusBroadcast(
-                    iteration=iteration,
-                    predicted_value=float(self.break_point_feature.radius),
-                    wavefront_rank=self.wavefront_rank(
-                        domain.wavefront_location()
-                    ),
-                    action=ACTION_TERMINATE if self.terminate_when_trained else 0,
-                )
-        if self._finalized and self.terminate_when_trained:
+            pending = [j for j, m in enumerate(members) if not m._confirmed]
+            wavefront = domain.wavefront_location() if pending else 0
+            # The peak profile at a location is final only once the
+            # shock has passed it; require the whole collection window
+            # swept (plus one element of margin) before trusting
+            # extrapolation.
+            if wavefront >= self.collector.spatial.end + 1:
+                confirmed = {}
+                for j in pending:
+                    event = self._visit(
+                        own, j, members[j]._confirm, wavefront, iteration
+                    )
+                    if event is not None:
+                        confirmed[j] = event
+                if confirmed:
+                    # A confirmation's broadcast replaces the member's
+                    # crossing broadcast of this iteration.
+                    visited = sorted({**dict(visited), **confirmed}.items())
+        if self._finalized and not finalized:
             # Window exhausted: stop regardless of confirmation (the
             # paper's low-threshold rows stop at the window end).
-            self.wants_stop = True
-        return event
+            for member in members:
+                if member.terminate_when_trained:
+                    member.wants_stop = True
+        return visited
 
-    def _confirm(self, domain, iteration: int) -> bool:
-        """Check whether the wavefront has passed the predicted radius.
+    def _confirm(
+        self, wavefront: int, iteration: int
+    ) -> Optional[StatusBroadcast]:
+        """Confirm the break point once the wavefront has passed it.
 
-        Two conditions gate confirmation: the shock must already have
-        swept the entire collection window (otherwise the window's peak
-        profile — the extrapolation base — is still growing), and the
-        wavefront must have reached the predicted break radius so the
-        prediction is validated by real motion there.
+        The wavefront has already swept the whole collection window
+        (:meth:`step_cohort` checks that); confirmation also needs it
+        at the predicted break radius, so the prediction is validated by
+        real motion there.  Returns the confirmation broadcast, or None.
         """
-        wavefront = domain.wavefront_location()
-        # The peak profile at a location is final only once the shock
-        # has passed it; require the whole collection window swept
-        # (plus one element of margin) before trusting extrapolation.
-        if wavefront < self.collector.spatial.end + 1:
-            return False
         radius = self.break_point(self.threshold, self.max_location)
-        if wavefront >= radius:
-            self.break_point_feature = BreakPointFeature(
-                radius=radius,
-                threshold=self.threshold,
-                detected_at_iteration=iteration,
-            )
-            self._confirmed = True
-            if self.terminate_when_trained:
-                self.wants_stop = True
-            return True
-        return False
+        if wavefront < radius:
+            return None
+        self.break_point_feature = BreakPointFeature(
+            radius=radius,
+            threshold=self.threshold,
+            detected_at_iteration=iteration,
+        )
+        self._confirmed = True
+        if self.terminate_when_trained:
+            self.wants_stop = True
+        return StatusBroadcast(
+            iteration=iteration,
+            predicted_value=float(radius),
+            wavefront_rank=self.wavefront_rank(wavefront),
+            action=ACTION_TERMINATE if self.terminate_when_trained else 0,
+        )
 
     def final_feature(self) -> BreakPointFeature:
         """The extracted break point (computed at window end if never

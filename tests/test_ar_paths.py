@@ -17,7 +17,7 @@ from repro.core import kernels
 from repro.core.ar_model import ARModel, Forecast, RunningStats
 from repro.core.curve_fitting import CurveFitting, evaluate_spatial_history
 from repro.core.thresholds import peak_profile
-from repro.engine import ReplayApp
+from repro.engine import InSituEngine, ReplayApp
 from repro.errors import CollectionError, ConfigurationError, NotTrainedError
 from tests.test_ar_model import _trained_identity
 
@@ -334,6 +334,37 @@ class TestWindows:
             np.concatenate([_frozen_predict_many(model, w) for w in windows]),
         )
         _assert_bits(real, np.concatenate(reals))
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("window", [(0, 28, 2), (1, 27, 3), (2, 29, 3)])
+    def test_evaluate_spatial_history_strided(self, include_self, window):
+        # A travelling Gaussian; the collector samples every step-th
+        # location, and history row r is iteration r + 1.
+        t = np.arange(120, dtype=np.float64)[:, None]
+        x = np.arange(30, dtype=np.float64)[None, :]
+        history = np.exp(-0.5 * ((x - 0.2 * t) / 3.0) ** 2)
+        temporal, lag = (20, 100, 1), 2
+        engine = InSituEngine(ReplayApp(history), policy="all")
+        analysis = engine.add_analysis(
+            CurveFitting(
+                ReplayApp.provider, window, temporal, order=3, lag=lag,
+                include_self=include_self, batch_size=8,
+            )
+        )
+        engine.run()
+        iterations, predicted, real = analysis.predicted_vs_real()
+        # Restricted to the collected iterations, the full-history
+        # evaluation is the store's, pair for pair.
+        ours, theirs = evaluate_spatial_history(
+            analysis.model, history, window, include_self=include_self,
+            start_iteration=int(iterations[0]) - 1,
+        )
+        n = predicted.size
+        _assert_bits(ours[:n], predicted.ravel())
+        _assert_bits(theirs[:n], real.ravel())
+        # ... and runs on to the history's end.
+        rows = history.shape[0] - int(iterations[0]) + 1
+        assert ours.size == predicted.shape[1] * rows
 
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("lag", [1, 2, 3, 6])

@@ -107,20 +107,44 @@ class TestSeriesStore:
         assert store.last_row() is None
         store.add_row(1, np.array([]))
         assert store.matrix().shape == (1, 0)
-        assert store.reach(0.0) is None
+        assert store.reach_many(0.0) == -1
 
     def test_reach_matches_brute_force(self):
         rng = np.random.default_rng(3)
         store = SeriesStore(np.arange(7), capacity=1)
-        assert store.reach(0.5) is None
+        assert store.reach_many(0.5) == -1
         for iteration in range(1, 20):
             row = rng.normal(0.0, 1.0, 7)
             store.add_row(iteration, row)
             peak = float(np.abs(row).max())
             for cut in (-1.0, 0.0, 0.3, 1.0, peak, abs(row[2]), peak + 1.0):
                 above = np.where(np.abs(row) >= cut)[0]
-                expected = int(above.max()) if above.size else None
-                assert store.reach(cut) == expected
+                expected = int(above.max()) if above.size else -1
+                assert store.reach_many(cut) == expected
+
+    def test_reach_many_answers_every_cut_at_once(self):
+        rng = np.random.default_rng(5)
+        store = SeriesStore(np.arange(9), capacity=1)
+        cuts = np.array([2.0, 0.1, 0.7, 0.0, 1.3])
+        assert store.reach_many(cuts).tolist() == [-1] * cuts.size
+        for iteration in range(1, 12):
+            store.add_row(iteration, rng.normal(0.0, 1.0, 9))
+            expected = [store.reach_many(cut) for cut in cuts]
+            assert store.reach_many(cuts).tolist() == expected
+
+    def test_memo_is_kept_until_the_next_row(self):
+        store = SeriesStore(np.arange(3))
+        calls = []
+
+        def compute():
+            calls.append(len(store))
+            return len(store)
+
+        store.add_row(1, np.ones(3))
+        assert store.memo("rows", compute) == store.memo("rows", compute) == 1
+        store.add_row(2, np.ones(3))
+        assert store.memo("rows", compute) == 2
+        assert calls == [1, 2]
 
 
 class TestMergeShards:

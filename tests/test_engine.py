@@ -858,3 +858,386 @@ class TestDoubleObserve:
         with pytest.raises(CollectionError):
             analysis.on_iteration(app.domain, 1)
         assert analysis.collector.samples_emitted == emitted
+
+
+# ----------------------------------------------------------------------
+# cohort dispatch: twins stepped in one call per iteration
+# ----------------------------------------------------------------------
+
+
+def _own_provider(provider):
+    """A provider object of its own: nothing shares collection with it."""
+    return lambda domain, location: provider(domain, location)
+
+
+def _outputs(analyses):
+    """Everything an analysis reports, for comparing two runs."""
+    out = []
+    for analysis in analyses:
+        entry = {"name": analysis.name, "summary": analysis.summary()}
+        if isinstance(analysis, CurveFitting):
+            model = analysis.model
+            entry.update(
+                events=analysis.threshold_events,
+                rows=analysis.collector.rows_ingested,
+                samples=analysis.collector.samples_emitted,
+                losses=analysis.trainer.losses,
+                converged=(
+                    analysis.monitor.converged,
+                    analysis.monitor.fired_at_update,
+                ),
+                coefficients=(
+                    model.coefficients.tobytes() if model.is_trained else None
+                ),
+                intercept=model.intercept if model.is_trained else None,
+            )
+        if isinstance(analysis, BreakPointAnalysis):
+            entry["feature"] = (
+                analysis.final_feature() if analysis.model.is_trained else None
+            )
+        out.append(entry)
+    return out
+
+
+class _StopAtStep(CurveFitting):
+    """Curve fitting that stops at a scripted iteration from inside the
+    cohort step (it does not override ``on_iteration``)."""
+
+    def __init__(self, *args, stop_at, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stop_at = stop_at
+
+    def step_cohort(self, members, domain, iteration, own=None):
+        visited = dict(super().step_cohort(members, domain, iteration, own))
+        for j, member in enumerate(members):
+            if iteration >= member.stop_at:
+                member.wants_stop = True
+                visited.setdefault(j, None)
+        return sorted(visited.items())
+
+
+class TestCohortDispatch:
+    def test_nine_threshold_sweep_observes_once_per_iteration(
+        self, lulesh_total_iterations, monkeypatch
+    ):
+        from repro.core.collector import DataCollector
+
+        calls = []
+        observe = DataCollector.observe
+
+        def counted(self, domain, iteration):
+            calls.append(iteration)
+            return observe(self, domain, iteration)
+
+        monkeypatch.setattr(DataCollector, "observe", counted)
+        engine = InSituEngine(
+            LuleshSimulation(SIZE, maintain_field=False), policy="all"
+        )
+        for i, threshold in enumerate(THRESHOLDS):
+            engine.add_analysis(
+                _break_point_analysis(
+                    lulesh_total_iterations, threshold, _provider, f"t{i}"
+                )
+            )
+        result = engine.run()
+        # The nine twins are one cohort, whose step observes once per
+        # iteration: not once per analysis.
+        assert calls == list(range(1, result.iterations + 1))
+
+    def _mixed(self, total, provider_for):
+        """Twins of both classes with a stub and a non-twin between."""
+        spatial, temporal = IterParam(1, 8, 1), IterParam(30, int(0.4 * total), 1)
+
+        def fitting(name, threshold, lag=10, **kwargs):
+            return CurveFitting(
+                provider_for(), spatial, temporal, order=3, lag=lag,
+                threshold=threshold, reference_value=10.0, name=name,
+                **kwargs,
+            )
+
+        def break_point(name, threshold):
+            return BreakPointAnalysis(
+                provider_for(), spatial, temporal, threshold=threshold,
+                max_location=SIZE, lag=10, order=3,
+                terminate_when_trained=True, name=name,
+            )
+
+        return [
+            fitting("fit_a", 0.05, terminate_when_trained=True),
+            break_point("bp_a", 0.02),
+            _StubAnalysis("stub", stop_at=120),
+            fitting("fit_lag5", 0.1, lag=5, terminate_when_trained=True),
+            break_point("bp_b", 0.1),
+            fitting("fit_b", 0.2),
+            break_point("bp_c", 0.2),
+        ]
+
+    @staticmethod
+    def _engine(analyses):
+        engine = InSituEngine(
+            LuleshSimulation(SIZE, maintain_field=False), policy="all"
+        )
+        for analysis in analyses:
+            engine.add_analysis(analysis)
+        return engine
+
+    def test_mixed_registration_matches_unshared_run(
+        self, lulesh_total_iterations
+    ):
+        total = lulesh_total_iterations
+        shared = self._mixed(total, lambda: _provider)
+        alone = self._mixed(total, lambda: _own_provider(_provider))
+        engine, ref_engine = self._engine(shared), self._engine(alone)
+        fit_a, bp_a, _, fit_lag5, bp_b, fit_b, bp_c = shared
+        # One trainer for the two classes' twins, another for the lag.
+        assert all(
+            a.trainer is fit_a.trainer for a in (bp_a, bp_b, fit_b, bp_c)
+        )
+        assert fit_lag5.trainer is not fit_a.trainer
+        stream, ref_stream = [], []
+        result = engine.run(progress=stream.append)
+        ref_result = ref_engine.run(progress=ref_stream.append)
+        assert engine.scheduler.shared.n_groups == 1
+        assert ref_engine.scheduler.shared.n_groups == len(alone) - 1
+        assert result.stopped_at == ref_result.stopped_at
+        assert result.iterations == ref_result.iterations
+        assert len(set(result.stopped_at.values())) > 1
+        assert engine.broadcaster.history == ref_engine.broadcaster.history
+        assert any(a.threshold_events for a in shared if a.name != "stub")
+        assert _outputs(shared) == _outputs(alone)
+        assert stream == ref_stream
+
+    @pytest.mark.parametrize(
+        "stops", [(40, 90, 130), (130, 90, 40), (90, 40, 130)],
+        ids=["leader_first", "leader_last", "leader_middle"],
+    )
+    def test_staggered_stops_match_solo_runs(self, stops):
+        history = _wave_history()
+
+        def analysis(stop, threshold, name):
+            return _StopAtStep(
+                ReplayApp.provider, (0, 9, 1), (1, 180, 1), order=3, lag=1,
+                batch_size=8, threshold=threshold, reference_value=1.0,
+                stop_at=stop, name=name,
+            )
+
+        thresholds = (0.3, 0.6, 0.9)
+        engine = InSituEngine(ReplayApp(history), policy="all")
+        twins = [
+            engine.add_analysis(analysis(stop, threshold, f"twin_{i}"))
+            for i, (stop, threshold) in enumerate(zip(stops, thresholds))
+        ]
+        assert len({id(a.trainer) for a in twins}) == 1
+        assert len({a.cohort_key() for a in twins}) == 1
+        result = engine.run()
+        assert len({id(a.monitor) for a in twins}) == len(twins)
+        assert len({id(a.collector.tally) for a in twins}) == len(twins)
+        crossings = [len(a.threshold_events) for a in twins]
+        assert len(set(crossings)) == len(twins) and min(crossings) > 0
+        for twin, stop, threshold in zip(twins, stops, thresholds):
+            assert result.stopped_at[twin.name] == stop
+            solo = InSituEngine(ReplayApp(history))
+            alone = solo.add_analysis(analysis(stop, threshold, twin.name))
+            assert solo.run().stopped_at == {twin.name: stop}
+            assert _outputs([twin]) == _outputs([alone])
+
+    @staticmethod
+    def _counting(read, clock):
+        """A provider ``read`` that counts calls per (iteration, location)."""
+        calls = {}
+
+        def provider(domain, location):
+            key = (clock(), location)
+            calls[key] = calls.get(key, 0) + 1
+            return read(domain, location)
+
+        return calls, provider
+
+    def test_region_sweeps_once_per_iteration(self, lulesh_total_iterations):
+        total = lulesh_total_iterations
+        thresholds = (0.002, 0.02, 0.2)
+        sim = LuleshSimulation(SIZE, maintain_field=False)
+        region = Region("sweep", sim.domain, policy="all")
+        calls, provider = self._counting(_provider, lambda: region.iteration)
+        swept = [
+            region.add_analysis(
+                _break_point_analysis(total, t, provider, f"t{t:g}")
+            )
+            for t in thresholds
+        ]
+        sim.run(region)
+        # No driver: the cohort's step samples inside its observe.
+        assert set(calls.values()) == {1}
+        assert len(calls) == 8 * len({it for it, _ in calls})
+        engine = InSituEngine(
+            LuleshSimulation(SIZE, maintain_field=False), policy="all"
+        )
+        driven = [
+            engine.add_analysis(
+                _break_point_analysis(total, t, _provider, f"t{t:g}")
+            )
+            for t in thresholds
+        ]
+        result = engine.run()
+        assert region.scheduler.stopped_at() == result.stopped_at
+        assert region.broadcaster.history == engine.broadcaster.history
+        assert _outputs(swept) == _outputs(driven)
+
+    def test_td_facade_sweeps_once_per_iteration(self):
+        from repro.core import capi
+
+        def facade(share):
+            app = ReplayApp(_wave_history())
+            calls, provider = self._counting(
+                ReplayApp.provider, lambda: app.iteration
+            )
+            region = capi.td_region_init("facade", app.domain)
+            added = [
+                capi.td_region_add_analysis(
+                    region,
+                    provider if share else _own_provider(provider),
+                    capi.td_iter_param_init(0, 9, 1),
+                    capi.Curve_Fitting, capi.td_iter_param_init(1, 150, 1),
+                    threshold=threshold, reference_value=1.0, order=3,
+                    lag=1, batch_size=8, name=f"facade_{threshold:g}",
+                )
+                for threshold in (0.3, 0.6, 0.9)
+            ]
+            while not app.done:
+                capi.td_region_begin(region)
+                app.step()
+                if not capi.td_region_end(region, app.domain):
+                    break
+            return region, added, calls
+
+        region, twins, calls = facade(share=True)
+        assert twins[0].trainer is twins[1].trainer is twins[2].trainer
+        assert set(calls.values()) == {1}
+        assert len(calls) == 10 * 150
+        ref_region, alone, ref_calls = facade(share=False)
+        assert set(ref_calls.values()) == {3}
+        assert region.broadcaster.history == ref_region.broadcaster.history
+        assert all(a.threshold_events for a in twins)
+        assert _outputs(twins) == _outputs(alone)
+
+    def test_time_axis_twins_under_adaptive_cadence(self):
+        from repro.engine import CadenceController, CadencePolicy
+        from tests.test_cadence import _regime_history
+
+        history = _regime_history()
+
+        def run(provider_for):
+            engine = InSituEngine(
+                ReplayApp(history),
+                policy="all",
+                cadence=CadenceController(
+                    CadencePolicy(drift_tolerance=0.02, probes_per_level=1)
+                ),
+            )
+            pair = [
+                engine.add_analysis(
+                    CurveFitting(
+                        provider_for(), IterParam(0, 7, 1),
+                        IterParam(1, history.shape[0], 1), axis="time",
+                        order=2, lag=1, batch_size=8, min_updates=5,
+                        monitor_window=3, monitor_patience=1,
+                        threshold=threshold, reference_value=5.0,
+                        name=f"regime_{threshold:g}",
+                    )
+                )
+                for threshold in (1.2, 1.5)
+            ]
+            return engine, pair, engine.run()
+
+        engine, shared, result = run(lambda: ReplayApp.provider)
+        ref_engine, alone, ref_result = run(
+            lambda: _own_provider(ReplayApp.provider)
+        )
+        assert shared[0].trainer is shared[1].trainer
+        (group,) = result.cadence["groups"]
+        assert group["probed"] > 0 and group["skipped"] > 0
+        assert group["snapbacks"] >= 1
+        for ref_group in ref_result.cadence["groups"]:
+            assert {**ref_group, "group": 0} == group
+        assert result.stopped_at == ref_result.stopped_at
+        assert engine.broadcaster.history == ref_engine.broadcaster.history
+        assert all(a.threshold_events for a in shared)
+        assert shared[0].threshold_events != shared[1].threshold_events
+        assert _outputs(shared) == _outputs(alone)
+
+    def test_unconverged_break_points_stop_at_window_end(
+        self, lulesh_total_iterations
+    ):
+        total = lulesh_total_iterations
+        end = int(0.4 * total)
+        engine = InSituEngine(
+            LuleshSimulation(SIZE, maintain_field=False), policy="all"
+        )
+        twins = [
+            engine.add_analysis(
+                BreakPointAnalysis(
+                    _provider, (1, 8, 1), (30, end, 1), threshold=threshold,
+                    max_location=SIZE, lag=10, order=3,
+                    terminate_when_trained=True, accuracy_threshold=1e-12,
+                    name=f"t{threshold:g}",
+                )
+            )
+            for threshold in (0.02, 0.2)
+        ]
+        result = engine.run()
+        assert not any(a.converged for a in twins)
+        # The paper's low-threshold rows: no confirmation, so each stops
+        # where its window ends.
+        assert result.stopped_at == {a.name: end for a in twins}
+
+    def test_on_iteration_override_runs_every_iteration(self, monkeypatch):
+        seen = []
+        override = _StopAtCurveFitting.on_iteration
+
+        def recorded(self, domain, iteration):
+            seen.append((self.name, iteration))
+            return override(self, domain, iteration)
+
+        monkeypatch.setattr(_StopAtCurveFitting, "on_iteration", recorded)
+        engine = InSituEngine(ReplayApp(_wave_history()), policy="all")
+        twins = [
+            engine.add_analysis(TestSharedTraining._analysis(stop, f"s{stop}"))
+            for stop in TestSharedTraining.STOPS
+        ]
+        assert all(a.cohort_key() is None for a in twins)
+        engine.run()
+        for stop in TestSharedTraining.STOPS:
+            assert [it for name, it in seen if name == f"s{stop}"] == list(
+                range(1, stop + 1)
+            )
+
+    def test_validator_extrapolates_once_per_store_row(
+        self, lulesh_total_iterations, monkeypatch
+    ):
+        from repro.core import curve_fitting
+
+        engine = InSituEngine(
+            LuleshSimulation(SIZE, maintain_field=False), policy="all"
+        )
+        analyses = [
+            engine.add_analysis(
+                _break_point_analysis(
+                    lulesh_total_iterations, threshold, _provider, f"t{i}"
+                )
+            )
+            for i, threshold in enumerate(THRESHOLDS)
+        ]
+        engine.run()
+        expected = [a.break_point(a.threshold, SIZE) for a in analyses]
+        fits = []
+        extrapolate = curve_fitting._extrapolate
+
+        def counted(*args):
+            fits.append(args)
+            return extrapolate(*args)
+
+        monkeypatch.setattr(curve_fitting, "_extrapolate", counted)
+        store = analyses[0].collector.store
+        store.add_row(store.last_iteration + 1, store.last_row() * 0.5)
+        assert [a.break_point(a.threshold, SIZE) for a in analyses] == expected
+        assert len(fits) == 1
