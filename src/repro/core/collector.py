@@ -22,8 +22,6 @@ Two pairing modes cover the paper's two case studies:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -280,41 +278,6 @@ class SeriesStore:
         return row
 
 
-@dataclass
-class Tally:
-    """What one collector has taken in, and the training it replayed.
-
-    ``rows`` counts the rows the collector processed (sampled or
-    reused), ``samples`` the training samples it emitted, and
-    ``replayed_seconds`` what the shared-trainer updates it replayed
-    took.  Twins stepped in one call share one tally (see
-    :meth:`repro.engine.collection.SharedCollector.join`).
-    """
-
-    rows: int = 0
-    samples: int = 0
-    replayed_seconds: float = 0.0
-
-
-@dataclass
-class Feed:
-    """One collector push into a trainer, kept as its ``last_feed``.
-
-    Collectors sharing a trainer (see
-    :class:`repro.engine.collection.SharedCollector`) push each
-    iteration once; every later subscriber replays the record instead
-    of repeating the update.  ``seconds`` is what the push took, and
-    ``flush`` holds ``(final loss, seconds)`` once
-    :meth:`DataCollector.finalize` has flushed the trainer after it.
-    """
-
-    iteration: Optional[int]
-    losses: List[float]
-    samples: int
-    seconds: float
-    flush: Optional[Tuple[Optional[float], float]] = None
-
-
 class DataCollector:
     """Streams matching samples from the simulation into the trainer.
 
@@ -350,11 +313,8 @@ class DataCollector:
         simulation and every later one reuses the stored row, so the
         provider runs at most once per (location, iteration).  Omitted,
         the collector owns a private store — the original per-analysis
-        behaviour.  Collectors with identical training may share one
-        trainer too (:meth:`rebind_trainer`): the first one to observe
-        an iteration trains it, and the rest replay that update.  Twins
-        the scheduler steps as one cohort observe once between them and
-        keep one :class:`Tally`.
+        behaviour.  Analyses with identical training go further and
+        share one collector, so they observe once between them.
     """
 
     def __init__(
@@ -401,7 +361,10 @@ class DataCollector:
                 f"but the spatial window is {spatial.indices().tolist()}"
             )
         self.store = store
-        self.tally = Tally()
+        self._rows = 0
+        self._samples = 0
+        # The newest iteration this collector took in.
+        self._last_iteration: Optional[int] = None
         # Adaptive-cadence hooks (installed by the engine's cadence
         # layer; both default to "off" so standalone collectors behave
         # exactly as before).
@@ -428,32 +391,10 @@ class DataCollector:
             )
         self.store = store
 
-    def rebind_trainer(self, trainer: MiniBatchTrainer) -> None:
-        """Train through an existing (shared) trainer.
-
-        Only legal before either trainer has taken a sample, so the
-        shared updates are exactly the ones this collector would have
-        run; the shared trainer's feature width must match this
-        collector's order.
-        """
-        if trainer is self.trainer:
-            return
-        if self.trainer.samples_seen or trainer.samples_seen:
-            raise ConfigurationError(
-                "cannot rebind a collector onto a trainer once either "
-                "trainer has taken samples"
-            )
-        if trainer.batch.n_features != self.order:
-            raise ConfigurationError(
-                f"shared trainer takes {trainer.batch.n_features} features "
-                f"but this collector emits {self.order}"
-            )
-        self.trainer = trainer
-
     @property
     def samples_emitted(self) -> int:
         """Number of AR training samples pushed into the trainer."""
-        return self.tally.samples
+        return self._samples
 
     @property
     def rows_ingested(self) -> int:
@@ -464,13 +405,7 @@ class DataCollector:
         "did I just collect a sample?" must use this per-collector
         counter instead.
         """
-        return self.tally.rows
-
-    @property
-    def replayed_seconds(self) -> float:
-        """Seconds of trainer updates this collector replayed from a
-        shared trainer instead of running them itself."""
-        return self.tally.replayed_seconds
+        return self._rows
 
     @property
     def done(self) -> bool:
@@ -508,16 +443,15 @@ class DataCollector:
             # The cadence layer widened this window's stride: neither
             # sample nor train on this iteration.
             return []
-        tally = self.tally
         if (
             self.store.last_iteration == iteration
-            and tally.rows < len(self.store)
+            and self._last_iteration != iteration
         ):
             # A collector sharing this store already sampled this
             # iteration; reuse the row instead of re-running the
-            # provider over the window.  The rows_ingested guard keeps
-            # a double observe() of the same iteration an error (via
-            # add_row below) rather than a silent duplicate emission.
+            # provider over the window.  A second observe() of an
+            # iteration this collector took in samples again, so
+            # add_row below raises rather than emitting it twice.
             row = self.store.row(-1)
         else:
             # One vectorized gather over the whole spatial window when
@@ -529,40 +463,18 @@ class DataCollector:
                     f"non-finite sample collected at iteration {iteration}"
                 )
             self.store.add_row(iteration, row)
-        tally.rows += 1
-        feed = self.trainer.last_feed
-        if feed is not None and feed.iteration == iteration:
-            # A collector sharing this trainer already pushed this
-            # iteration's samples (they are identical here); replay the
-            # update's outcome instead of training twice.
-            tally.replayed_seconds += feed.seconds
+        self._last_iteration = iteration
+        self._rows += 1
+        if self.axis == "space":
+            losses, samples = self._emit_spatial(iteration, row)
         else:
-            tick = time.perf_counter()
-            if self.axis == "space":
-                losses, samples = self._emit_spatial(iteration, row)
-            else:
-                losses, samples = self._emit_temporal(iteration)
-            feed = Feed(iteration, losses, samples, time.perf_counter() - tick)
-            self.trainer.last_feed = feed
-        tally.samples += feed.samples
-        return list(feed.losses)
+            losses, samples = self._emit_temporal(iteration)
+        self._samples += samples
+        return losses
 
     def finalize(self) -> Optional[float]:
-        """Flush a trailing partial mini-batch after collection ends.
-
-        A shared trainer is flushed once: every later subscriber gets
-        the same final loss.
-        """
-        feed = self.trainer.last_feed
-        if feed is None:
-            feed = self.trainer.last_feed = Feed(None, [], 0, 0.0)
-        if feed.flush is None:
-            tick = time.perf_counter()
-            loss = self.trainer.finalize()
-            feed.flush = (loss, time.perf_counter() - tick)
-        else:
-            self.tally.replayed_seconds += feed.flush[1]
-        return feed.flush[0]
+        """Flush a trailing partial mini-batch after collection ends."""
+        return self.trainer.finalize()
 
     # ------------------------------------------------------------------
 

@@ -70,13 +70,17 @@ class Analysis(abc.ABC):
         return False
 
     def cohort_key(self) -> Optional[tuple]:
-        """Key of the analyses this one can be stepped with in one call.
+        """Key of the analyses this one may share its collector with.
 
-        The scheduler steps the active analyses whose keys are equal
-        with one ``step_cohort(members, domain, iteration, own)`` call
-        on the first of them (see :meth:`CurveFitting.step_cohort`).
-        None, the default, dispatches this analysis alone through
-        :meth:`on_iteration`.
+        When an analysis subscribes to a collection group whose earlier
+        subscriber has an equal key, it takes that subscriber's
+        collector and monitor
+        (:meth:`repro.engine.collection.SharedCollector.subscribe`).
+        The scheduler steps the active analyses on one collector with
+        one ``step_cohort(members, domain, iteration, own)`` call on
+        the first of them (see :meth:`CurveFitting.step_cohort`).
+        None, the default, keeps this analysis on a collector of its
+        own, stepped through :meth:`on_iteration`.
         """
         return None
 
@@ -190,12 +194,9 @@ class CurveFitting(Analysis):
 
     @property
     def trainer(self) -> MiniBatchTrainer:
-        """The collector's trainer.
-
-        Shared with every identically-trained subscriber of the same
-        collection group until this analysis completes (see
-        :class:`repro.engine.collection.SharedCollector`).
-        """
+        """The collector's trainer, shared with the twins that share
+        the collector until this analysis completes (see
+        :class:`repro.engine.collection.SharedCollector`)."""
         return self.collector.trainer
 
     @property
@@ -219,28 +220,46 @@ class CurveFitting(Analysis):
         return None
 
     def cohort_key(self) -> Optional[tuple]:
-        """Twins of one class step together while their shared state agrees.
+        """The exact class, the training and the monitor settings.
 
-        Twins train through one trainer (see
-        :class:`repro.engine.collection.SharedCollector`), so they read
-        one store and one update per iteration.  The key also holds the
-        state :meth:`step_cohort` keeps once for all members: the
-        collector's tally, the early-stop monitor and the conclusion.
-        A subclass that overrides :meth:`on_iteration` is dispatched
-        alone, so its override runs.
+        Analyses with equal keys train alike on the same rows, so
+        :class:`repro.engine.collection.SharedCollector` gives them one
+        collector (with its trainer and model) and one early-stop
+        monitor.  None once training has begun, for a custom trainer or
+        model, and for a subclass that overrides :meth:`on_iteration`,
+        which is stepped alone so that its override runs.
         """
         if type(self).on_iteration is not CurveFitting.on_iteration:
             return None
         collector = self.collector
-        tally = collector.tally
+        trainer = collector.trainer
+        model = trainer.model
+        if type(trainer) is not MiniBatchTrainer or type(model) is not ARModel:
+            return None
+        if collector.rows_ingested or trainer.samples_seen or model.updates:
+            return None
+        monitor = self.monitor
         return (
             type(self),
-            id(collector.trainer),
-            id(collector.store),
-            (tally.rows, tally.samples, tally.replayed_seconds),
-            self.monitor.state(),
-            self._finalized,
-            self._converged_at,
+            collector.axis,
+            collector.lag,
+            collector.include_self,
+            collector.order,
+            trainer.batch.capacity,
+            trainer.drain_partial,
+            model.order,
+            model.lag,
+            model.learning_rate,
+            model.epochs_per_batch,
+            model.l2,
+            model.clip,
+            model.max_coefficient_sum,
+            model._w.tobytes(),
+            model._b,
+            monitor.accuracy_threshold,
+            monitor.window,
+            monitor.min_updates,
+            monitor.patience,
         )
 
     def step_cohort(
@@ -252,14 +271,14 @@ class CurveFitting(Analysis):
     ) -> List[Tuple[int, Optional[StatusBroadcast]]]:
         """One iteration of ``members``: this analysis and its twins.
 
-        ``members[0]`` is this analysis and every member's
-        :meth:`cohort_key` equals its own, so they share the collector's
-        tally and the monitor
-        (:meth:`repro.engine.collection.SharedCollector.join`).  The
-        shared work runs once: observe (sample, push, train), the loss
-        feed, the window-end flush, and one binary search of the newest
-        row for every member's threshold.  A member is visited only to
-        record its own crossing or its conclusion.
+        ``members`` are the active analyses on this analysis's
+        collector, this one first: twins, which share the collector and
+        the monitor from subscription
+        (:meth:`repro.engine.collection.SharedCollector.subscribe`).
+        The shared work runs once: observe (sample, push, train), the
+        loss feed, the window-end flush, and one binary search of the
+        newest row for every member's threshold.  A member is visited
+        only to record its own crossing or its conclusion.
 
         Returns ``(position, event)`` for the visited members, in member
         order.  When ``own`` is a list, each visit's seconds are added

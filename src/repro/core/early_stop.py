@@ -81,20 +81,6 @@ class EarlyStopMonitor:
             return None
         return sum(self._recent) / len(self._recent)
 
-    def state(self) -> tuple:
-        """Settings and progress: monitors with equal states answer one
-        loss stream alike."""
-        return (
-            self.accuracy_threshold,
-            self.window,
-            self.min_updates,
-            self.patience,
-            tuple(self._recent),
-            self._updates,
-            self._streak,
-            self._fired_at,
-        )
-
     def observe(self, loss: float) -> bool:
         """Fold one batch loss in; returns True if now converged."""
         self._updates += 1

@@ -147,10 +147,6 @@ class MiniBatchTrainer:
         self._losses: List[float] = []
         self._samples_seen = 0
         self._updates = 0
-        #: The latest collector push (a ``repro.core.collector.Feed``).
-        #: Collectors sharing this trainer push each iteration once and
-        #: replay the record (see ``DataCollector.observe``).
-        self.last_feed = None
 
     @property
     def losses(self) -> List[float]:

@@ -266,13 +266,14 @@ class EngineResult:
 
         Simulation-step time up to the analysis's stop iteration (the
         whole run, if it never stopped) plus that analysis's own
-        accumulated dispatch time, including the shared-trainer updates
-        it replayed — an estimate of what an independent run with only
-        this analysis attached would have cost, priced from a single
-        shared run.  The shared provider sweep runs in
-        the executor's collection phase (a few float reads per matching
-        iteration), so per-analysis dispatch time excludes it; that is
-        far below timer noise.  Needs ``record_timings=True``.
+        accumulated dispatch time, including the seconds of the work
+        its cohort shares, training included — an estimate of what an
+        independent run with only this analysis attached would have
+        cost, priced from a single shared run.  The shared provider
+        sweep runs in the executor's collection phase (a few float
+        reads per matching iteration), so per-analysis dispatch time
+        excludes it; that is far below timer noise.  Needs
+        ``record_timings=True``.
         """
         stop = self.stopped_at.get(name, self.iterations)
         if name not in self.analysis_seconds:

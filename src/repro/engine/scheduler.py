@@ -17,18 +17,19 @@ early-stop state, and decides — under a configurable termination policy
     Stop once a given count (int) or fraction (float in (0, 1]) of the
     analyses have requested termination.
 
-Dispatch walks *cohorts*: the active analyses whose
-``Analysis.cohort_key`` agrees, such as the nine thresholds of a Table
-IV sweep, which share one trainer.  One ``step_cohort`` call does the
-work they share once per iteration (observe, train, the loss feed, the
-window-end flush, one binary search for every threshold) and visits a
-member only for its own crossing, confirmation or stop.  An analysis
-without a key, or alone in its cohort, gets its own ``on_iteration``
-call.  Events are published in the order the analyses were attached,
-as if each had been dispatched in turn.
+Dispatch walks *cohorts*: the active analyses on one collector, such
+as the nine thresholds of a Table IV sweep, twins that took one
+collector when they subscribed (:meth:`SharedCollector.subscribe`).
+One ``step_cohort`` call does the work they share once per iteration
+(observe, train, the loss feed, the window-end flush, one binary search
+for every threshold) and visits a member only for its own crossing,
+confirmation or stop.  An analysis alone on its collector, or without
+one, gets its own ``on_iteration`` call.  Events are published in the
+order the analyses were attached, as if each had been dispatched in
+turn.
 
 An analysis that requests termination is *completed*: it is never
-dispatched again, and if it shared its trainer, tally or monitor with
+dispatched again, and if it shared its collector, monitor or store with
 analyses that go on it gets private copies (:meth:`SharedCollector.fork`),
 so its state is bit-identical to an independent run that terminated
 the simulation at that iteration.
@@ -49,7 +50,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.collector import DataCollector
 from repro.core.curve_fitting import Analysis
 from repro.core.events import (
     ACTION_TERMINATE,
@@ -95,9 +95,8 @@ class AnalysisState:
 
 
 class _Cohort:
-    """Active analyses stepped in one call: those with one
-    ``cohort_key``, or one analysis alone, stepped by its own
-    ``on_iteration``."""
+    """Active analyses stepped in one call: those on one collector, or
+    one analysis alone, stepped by its own ``on_iteration``."""
 
     def __init__(self, states: List[AnalysisState], indexes: List[int]) -> None:
         self.indexes = indexes
@@ -155,9 +154,7 @@ class AnalysisScheduler:
         cost an independent run terminating at the same iteration
         would have paid.  Each member of a cohort is charged the
         seconds of the work the cohort shares, training included, plus
-        its own visits, so each carries its full training cost.  An
-        analysis that replays an update another cohort ran is charged
-        what the update took (``DataCollector.replayed_seconds``).  The
+        its own visits, so each carries its full training cost.  The
         provider sweep is not shared out that way: under the engines'
         driver it runs in the executor's collection phase, and a
         scheduler dispatched directly samples inside the first cohort
@@ -271,17 +268,9 @@ class AnalysisScheduler:
         """Accumulated dispatch seconds per analysis, keyed by name.
 
         With ``record_timings``, each includes its cohort's shared
-        seconds and the seconds of the shared-trainer updates it
-        replayed.
+        seconds.
         """
-        seconds = {}
-        for state in self._states:
-            total = state.seconds
-            collector = getattr(state.analysis, "collector", None)
-            if self.record_timings and isinstance(collector, DataCollector):
-                total += collector.replayed_seconds
-            seconds[state.analysis.name] = total
-        return seconds
+        return {s.analysis.name: s.seconds for s in self._states}
 
     def summaries(self) -> Dict[str, ExtractionSummary]:
         """Per-analysis extraction summaries, keyed by analysis name."""
@@ -320,11 +309,10 @@ class AnalysisScheduler:
             if not state.active:
                 stopped.append(state.analysis)
         if stopped:
-            # Freeze each completed analysis's training where a twin
-            # sharing its trainer trains on.  Forking here, not at the
-            # stop, is the same state: a twin stepped after the stop
-            # replays this iteration's feed and flush from the trainer
-            # (DataCollector.observe, .finalize) instead of training it.
+            # Freeze each completed analysis where a twin sharing its
+            # collector trains on.  Forking here, not at the stop, is
+            # the same state: the twins stepped this iteration in the
+            # one call that stopped it.
             active = [s.analysis for s in self._states if s.active]
             for analysis in stopped:
                 self.shared.fork(analysis, active)
@@ -337,27 +325,22 @@ class AnalysisScheduler:
         return not self._stop_requested
 
     def _form_cohorts(self) -> List[_Cohort]:
-        """Group the active analyses by ``cohort_key``, in registration
-        order of each group's first member; a None key stands alone.
-        Members of one cohort keep one tally and one monitor
-        (:meth:`SharedCollector.join`)."""
+        """Group the active analyses by collector, in registration
+        order of each group's first member; an analysis without a
+        collector stands alone."""
         groups: List[List[int]] = []
-        keyed: Dict[tuple, List[int]] = {}
+        by_collector: Dict[int, List[int]] = {}
         for index, state in enumerate(self._states):
             if not state.active:
                 continue
-            key = state.analysis.cohort_key()
-            if key is not None and key in keyed:
-                keyed[key].append(index)
+            collector = getattr(state.analysis, "collector", None)
+            if collector is not None and id(collector) in by_collector:
+                by_collector[id(collector)].append(index)
                 continue
             groups.append([index])
-            if key is not None:
-                keyed[key] = groups[-1]
-        cohorts = [_Cohort(self._states, indexes) for indexes in groups]
-        for cohort in cohorts:
-            if len(cohort.analyses) > 1:
-                self.shared.join(cohort.analyses)
-        return cohorts
+            if collector is not None:
+                by_collector[id(collector)] = groups[-1]
+        return [_Cohort(self._states, indexes) for indexes in groups]
 
     def _required_stops(self) -> int:
         n = len(self._states)

@@ -258,9 +258,9 @@ def train_many_from_history(
     shared-collection layer samples each history row exactly once and
     fans it out — an N-configuration sweep (thresholds, batch sizes,
     model orders, ...) costs a single pass.  Configurations with
-    identical training share one trainer/model (forked when one
-    stops); monitors stay per analysis, so results are bit-identical
-    to N independent replays.
+    identical training and early-stop settings share one collector,
+    model and monitor (forked when one stops), so results are
+    bit-identical to N independent replays.
     """
     arr = np.asarray(history, dtype=np.float64)
     app = ReplayApp(arr)

@@ -63,7 +63,8 @@ class BreakPointAnalysis(CurveFitting):
 
     def cohort_key(self) -> Optional[tuple]:
         """:meth:`CurveFitting.cohort_key` plus the confirmation cadence
-        and the reference velocity, which the cohort keeps alike."""
+        and whether the reference velocity is dynamic (then its value
+        too: twins move it together from one value)."""
         key = super().cohort_key()
         if key is None:
             return None

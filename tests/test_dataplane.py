@@ -266,11 +266,14 @@ class TestSharedReuse:
 
         bare, _ = _collector(_scalar)
         wrapped, _ = _collector(checked(_scalar))
+        holder = _Holder(wrapped)
         shared = SharedCollector()
         assert shared.subscribe(_Holder(bare))
-        assert shared.subscribe(_Holder(wrapped))
+        assert shared.subscribe(holder)
         assert shared.n_groups == 1
         assert wrapped.store is bare.store
+        # Without a cohort_key a subscriber is nobody's twin.
+        assert holder.collector is wrapped
 
 
 class _WelfordStats(RunningStats):

@@ -123,6 +123,23 @@ class _StopAtCurveFitting(CurveFitting):
         return event
 
 
+class _StopAtStep(CurveFitting):
+    """Curve fitting that stops at a scripted iteration from inside the
+    cohort step (it does not override ``on_iteration``)."""
+
+    def __init__(self, *args, stop_at, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stop_at = stop_at
+
+    def step_cohort(self, members, domain, iteration, own=None):
+        visited = dict(super().step_cohort(members, domain, iteration, own))
+        for j, member in enumerate(members):
+            if iteration >= member.stop_at:
+                member.wants_stop = True
+                visited.setdefault(j, None)
+        return sorted(visited.items())
+
+
 def _wave_history(n_iterations=200, n_locations=10):
     """A travelling wave recording: smooth, so every update differs."""
     t = np.arange(n_iterations, dtype=np.float64)[:, None]
@@ -191,11 +208,14 @@ class TestWorkloads:
 
 
 class TestSharedCollector:
-    def _analysis(self, provider, spatial=(0, 5, 1), temporal=(1, 40, 1), **kw):
+    def _analysis(
+        self, provider, spatial=(0, 5, 1), temporal=(1, 40, 1),
+        cls=CurveFitting, **kw,
+    ):
         kw.setdefault("order", 2)
         kw.setdefault("lag", 1)
         kw.setdefault("batch_size", 4)
-        return CurveFitting(provider, spatial, temporal, **kw)
+        return cls(provider, spatial, temporal, **kw)
 
     def test_same_window_shares_one_store(self):
         shared = SharedCollector()
@@ -211,41 +231,67 @@ class TestSharedCollector:
     def test_identical_training_shares_one_trainer(self):
         shared = SharedCollector()
         a = self._analysis(ReplayApp.provider, threshold=0.1, reference_value=1.0)
-        b = self._analysis(ReplayApp.provider, accuracy_threshold=0.5)
+        b = self._analysis(
+            ReplayApp.provider, threshold=0.2, reference_value=2.0, name="b"
+        )
         shared.subscribe(a)
         shared.subscribe(b)
+        # Twins (they differ only in threshold, reference and name)
+        # share one collector, so one trainer and model, and one
+        # early-stop monitor.
+        assert a.collector is b.collector
         assert a.trainer is b.trainer
         assert a.model is b.model
-        # Early-stop monitors stay per analysis.
-        assert a.monitor is not b.monitor
+        assert a.monitor is b.monitor
+        (group,) = shared.groups
+        assert group.collectors == [a.collector, a.collector]
+        assert shared.shared_sweeps_saved == 1
 
-    # (field, override) — each differs from the base analysis in
-    # exactly the named training field, both sides valid.
+    _BREAK_POINT = {"cls": BreakPointAnalysis, "threshold": 0.1, "max_location": 8}
+    _OVERRIDE = {"cls": _StopAtCurveFitting, "stop_at": 1000}
+
+    # (field, base, variant) — the variant differs from the base in
+    # exactly the named field, both sides valid.  The on_iteration row
+    # differs in nothing: an override is never shared.
     TRAINING_VARIANTS = [
-        ("batch_size", {"batch_size": 8}),
-        ("learning_rate", {"learning_rate": 0.05}),
-        ("epochs_per_batch", {"epochs_per_batch": 4}),
-        ("l2", {"l2": 0.1}),
-        ("seed", {"seed": 1}),
-        ("lag", {"lag": 2}),
-        ("order", {"order": 3}),
-        ("include_self", {"include_self": False}),
-        ("axis", {"axis": "time"}),
+        ("batch_size", {}, {"batch_size": 8}),
+        ("learning_rate", {}, {"learning_rate": 0.05}),
+        ("epochs_per_batch", {}, {"epochs_per_batch": 4}),
+        ("l2", {}, {"l2": 0.1}),
+        ("seed", {}, {"seed": 1}),
+        ("lag", {}, {"lag": 2}),
+        ("order", {}, {"order": 3}),
+        ("include_self", {}, {"include_self": False}),
+        ("axis", {}, {"axis": "time"}),
+        ("accuracy_threshold", {}, {"accuracy_threshold": 0.5}),
+        ("monitor_window", {}, {"monitor_window": 3}),
+        ("min_updates", {}, {"min_updates": 4}),
+        ("monitor_patience", {}, {"monitor_patience": 1}),
+        ("class", {"threshold": 0.1, "reference_value": 1.0}, _BREAK_POINT),
+        ("check_every", _BREAK_POINT, {**_BREAK_POINT, "check_every": 4}),
+        (
+            "reference_dynamic",
+            _BREAK_POINT,
+            {**_BREAK_POINT, "reference_value": 1.0},
+        ),
+        ("on_iteration", _OVERRIDE, _OVERRIDE),
     ]
 
     @pytest.mark.parametrize(
-        "field, override",
+        "field, base, override",
         TRAINING_VARIANTS,
         ids=[v[0] for v in TRAINING_VARIANTS],
     )
-    def test_each_training_field_prevents_sharing(self, field, override):
+    def test_each_training_field_prevents_sharing(self, field, base, override):
         shared = SharedCollector()
-        a = self._analysis(ReplayApp.provider)
-        b = self._analysis(ReplayApp.provider, **override)
+        a = self._analysis(ReplayApp.provider, **base)
+        b = self._analysis(ReplayApp.provider, name="b", **override)
         shared.subscribe(a)
         shared.subscribe(b)
         assert a.collector.store is b.collector.store
+        assert a.collector is not b.collector
         assert a.trainer is not b.trainer
+        assert a.monitor is not b.monitor
 
     def test_late_subscriber_after_training_gets_own_trainer(self):
         shared = SharedCollector()
@@ -308,6 +354,10 @@ class TestSharedCollector:
         shared.subscribe(late)
         assert late.collector.store is a.collector.store
         assert len(late.collector.store) == 1
+        # ``a`` has taken a row (though no sample yet), so the late
+        # subscriber is not its twin: its counters start at zero.
+        assert late.collector is not a.collector
+        assert late.collector.rows_ingested == 0
 
 
 # ----------------------------------------------------------------------
@@ -698,7 +748,7 @@ class TestSharedTraining:
 
     @staticmethod
     def _analysis(stop_at, name):
-        return _StopAtCurveFitting(
+        return _StopAtStep(
             ReplayApp.provider,
             (0, 9, 1),
             (1, 180, 1),
@@ -722,7 +772,7 @@ class TestSharedTraining:
             stop: engine.add_analysis(self._analysis(stop, f"stop_{stop}"))
             for stop in self.STOPS
         }
-        assert len({id(a.trainer) for a in shared.values()}) == 1
+        assert len({id(a.collector) for a in shared.values()}) == 1
         result = engine.run()
         return solo, shared, result
 
@@ -742,33 +792,16 @@ class TestSharedTraining:
                 == twin.collector.samples_emitted
             )
             assert alone.summary() == twin.summary()
+            # Evaluated on the rows collected through its stop, not on
+            # the rows its twins collected after it.
+            assert len(alone.collector.store) == len(twin.collector.store)
+            assert alone.fit_error() == twin.fit_error()
+            for mine, theirs in zip(
+                alone.predicted_vs_real(), twin.predicted_vs_real()
+            ):
+                np.testing.assert_array_equal(mine, theirs)
         updates = [shared[stop].trainer.updates for stop in self.STOPS]
         assert updates == sorted(updates) and len(set(updates)) == 3
-
-    def test_finalize_flushes_once_and_shares_the_loss(self):
-        shared = SharedCollector()
-        a, b = (
-            CurveFitting(
-                ReplayApp.provider, (0, 5, 1), (1, 40, 1),
-                order=2, lag=1, batch_size=4, name=name,
-            )
-            for name in "ab"
-        )
-        shared.subscribe(a)
-        shared.subscribe(b)
-        app = ReplayApp(_wave_history(n_iterations=2, n_locations=6))
-        for iteration in (1, 2):
-            app.step()
-            assert a.collector.observe(app.domain, iteration) == (
-                b.collector.observe(app.domain, iteration)
-            )
-        # Five samples in a batch of four: one update, one pending.
-        assert a.trainer.updates == 1 and len(a.trainer.batch) == 1
-        loss = a.collector.finalize()
-        assert loss is not None
-        assert b.collector.finalize() == loss
-        assert a.trainer.updates == 2
-        assert a.collector.samples_emitted == b.collector.samples_emitted == 5
 
     def test_completed_analyses_end_on_distinct_trainers(self, shared_and_solo):
         _, shared, _ = shared_and_solo
@@ -784,18 +817,22 @@ class TestSharedTraining:
     def test_fork_copies_only_for_a_twin_that_trains_on(
         self, monkeypatch, stops, copies
     ):
-        """Twins that stop in one iteration keep sharing their trainer;
-        one that stops while others train on gets the only copy.  Every
-        fit still equals its solo run."""
+        """Twins that stop in one iteration keep sharing their collector;
+        one that stops while others train on gets the only copies of
+        trainer and monitor.  Every fit still equals its solo run."""
+        from repro.core.early_stop import EarlyStopMonitor
+        from repro.core.minibatch import MiniBatchTrainer
         from repro.engine import collection
 
         made = []
-        deepcopy = collection.copy.deepcopy
+        real = collection.copy
         monkeypatch.setattr(
             collection,
             "copy",
             types.SimpleNamespace(
-                deepcopy=lambda obj: made.append(obj) or deepcopy(obj)
+                copy=real.copy,
+                deepcopy=lambda obj: made.append(type(obj))
+                or real.deepcopy(obj),
             ),
         )
         history = _wave_history()
@@ -805,8 +842,12 @@ class TestSharedTraining:
             for i, stop in enumerate(stops)
         ]
         result = engine.run()
-        assert len(made) == copies
+        assert sorted(made, key=lambda t: t.__name__) == (
+            [EarlyStopMonitor] * copies + [MiniBatchTrainer] * copies
+        )
+        assert len({id(a.collector) for a in shared}) == copies + 1
         assert len({id(a.trainer) for a in shared}) == copies + 1
+        assert len({id(a.monitor) for a in shared}) == copies + 1
         for twin, stop in zip(shared, stops):
             assert result.stopped_at[twin.name] == stop
             solo = InSituEngine(ReplayApp(history))
@@ -818,7 +859,7 @@ class TestSharedTraining:
             assert alone.trainer.losses == twin.trainer.losses
             assert alone.summary() == twin.summary()
 
-    def test_replayed_updates_are_charged_to_every_subscriber(
+    def test_shared_updates_are_charged_to_every_member(
         self, lulesh_total_iterations, monkeypatch
     ):
         total = lulesh_total_iterations
@@ -844,19 +885,36 @@ class TestSharedTraining:
 
 
 class TestDoubleObserve:
-    def test_duplicate_iteration_still_raises(self):
+    @pytest.mark.parametrize(
+        "late", [False, True], ids=["solo", "late_subscriber"]
+    )
+    def test_duplicate_iteration_still_raises(self, late):
         from repro.errors import CollectionError
 
-        analysis = CurveFitting(
-            ReplayApp.provider, (0, 5, 1), (1, 40, 1),
-            order=2, lag=1, batch_size=4,
-        )
+        def fitting():
+            return CurveFitting(
+                ReplayApp.provider, (0, 5, 1), (1, 40, 1),
+                order=2, lag=1, batch_size=4,
+            )
+
+        analysis = fitting()
         app = ReplayApp(np.ones((4, 6)))
         app.step()
-        analysis.on_iteration(app.domain, 1)
+        iteration = 1
+        if late:
+            # A collector joining a store that already holds a row.
+            shared = SharedCollector()
+            first = fitting()
+            shared.subscribe(first)
+            first.on_iteration(app.domain, 1)
+            shared.subscribe(analysis)
+            assert analysis.collector is not first.collector
+            app.step()
+            iteration = 2
+        analysis.on_iteration(app.domain, iteration)
         emitted = analysis.collector.samples_emitted
         with pytest.raises(CollectionError):
-            analysis.on_iteration(app.domain, 1)
+            analysis.on_iteration(app.domain, iteration)
         assert analysis.collector.samples_emitted == emitted
 
 
@@ -897,23 +955,6 @@ def _outputs(analyses):
             )
         out.append(entry)
     return out
-
-
-class _StopAtStep(CurveFitting):
-    """Curve fitting that stops at a scripted iteration from inside the
-    cohort step (it does not override ``on_iteration``)."""
-
-    def __init__(self, *args, stop_at, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.stop_at = stop_at
-
-    def step_cohort(self, members, domain, iteration, own=None):
-        visited = dict(super().step_cohort(members, domain, iteration, own))
-        for j, member in enumerate(members):
-            if iteration >= member.stop_at:
-                member.wants_stop = True
-                visited.setdefault(j, None)
-        return sorted(visited.items())
 
 
 class TestCohortDispatch:
@@ -989,11 +1030,11 @@ class TestCohortDispatch:
         alone = self._mixed(total, lambda: _own_provider(_provider))
         engine, ref_engine = self._engine(shared), self._engine(alone)
         fit_a, bp_a, _, fit_lag5, bp_b, fit_b, bp_c = shared
-        # One trainer for the two classes' twins, another for the lag.
-        assert all(
-            a.trainer is fit_a.trainer for a in (bp_a, bp_b, fit_b, bp_c)
-        )
-        assert fit_lag5.trainer is not fit_a.trainer
+        # One collector per class's twins; the lag trains on its own.
+        assert fit_b.collector is fit_a.collector
+        assert bp_b.collector is bp_a.collector and bp_c.collector is bp_a.collector
+        assert bp_a.trainer is not fit_a.trainer
+        assert fit_lag5.trainer not in (fit_a.trainer, bp_a.trainer)
         stream, ref_stream = [], []
         result = engine.run(progress=stream.append)
         ref_result = ref_engine.run(progress=ref_stream.append)
@@ -1027,11 +1068,10 @@ class TestCohortDispatch:
             engine.add_analysis(analysis(stop, threshold, f"twin_{i}"))
             for i, (stop, threshold) in enumerate(zip(stops, thresholds))
         ]
-        assert len({id(a.trainer) for a in twins}) == 1
-        assert len({a.cohort_key() for a in twins}) == 1
+        assert len({id(a.collector) for a in twins}) == 1
         result = engine.run()
         assert len({id(a.monitor) for a in twins}) == len(twins)
-        assert len({id(a.collector.tally) for a in twins}) == len(twins)
+        assert len({id(a.collector) for a in twins}) == len(twins)
         crossings = [len(a.threshold_events) for a in twins]
         assert len(set(crossings)) == len(twins) and min(crossings) > 0
         for twin, stop, threshold in zip(twins, stops, thresholds):
@@ -1201,10 +1241,16 @@ class TestCohortDispatch:
         monkeypatch.setattr(_StopAtCurveFitting, "on_iteration", recorded)
         engine = InSituEngine(ReplayApp(_wave_history()), policy="all")
         twins = [
-            engine.add_analysis(TestSharedTraining._analysis(stop, f"s{stop}"))
+            engine.add_analysis(
+                _StopAtCurveFitting(
+                    ReplayApp.provider, (0, 9, 1), (1, 180, 1), order=3,
+                    lag=1, batch_size=8, stop_at=stop, name=f"s{stop}",
+                )
+            )
             for stop in TestSharedTraining.STOPS
         ]
         assert all(a.cohort_key() is None for a in twins)
+        assert len({id(a.collector) for a in twins}) == len(twins)
         engine.run()
         for stop in TestSharedTraining.STOPS:
             assert [it for name, it in seen if name == f"s{stop}"] == list(
