@@ -65,7 +65,7 @@ import sys
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -366,7 +366,14 @@ class _WorkerGroupSpec:
 
 @dataclass(frozen=True)
 class _WorkerTask:
-    """Everything a worker rank needs to run its collection loop."""
+    """Everything a worker rank needs to run its collection loop.
+
+    Under fork, ``app`` is rank 0's built, not-yet-stepped app, which
+    the worker inherits copy-on-write instead of calling
+    ``app_factory``.  Under spawn it is None (the task is pickled, and
+    a state-sized app would be pickled with it), so the worker builds
+    its app from ``app_factory``.
+    """
 
     rank: int
     app_factory: Callable[[], object]
@@ -375,10 +382,14 @@ class _WorkerTask:
     faults: Optional[FaultPlan] = None
     #: ``(lo, hi, ghost)`` under block stepping; None steps a replica.
     block: Optional[Tuple[int, int, int]] = None
+    app: Optional[SimulationApp] = None
 
 
 def _shard_worker(conn, task: _WorkerTask) -> None:
     """Worker-rank main loop: step a replica, stream shard rows back.
+
+    The replica is ``task.app``, rank 0's unstepped app inherited under
+    fork, or a fresh ``task.app_factory()`` under spawn.
 
     Protocol (parent -> worker): ``("advance", n, active, ghosts)``
     requests up to ``n`` more iterations sampling the groups in
@@ -414,7 +425,9 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     """
     failed = False
     try:
-        app = as_simulation_app(task.app_factory())
+        app = as_simulation_app(
+            task.app_factory() if task.app is None else task.app
+        )
         if task.block is not None:
             lo, hi, ghost = task.block
             app.shard(max(0, lo - ghost), min(len(app.state), hi + ghost))
@@ -632,6 +645,12 @@ class MultiprocessExecutor:
     reaches the live workers as a ``reshard`` message, and speculation
     resumes.  A worker that raised ships its traceback first; it lands
     in a ``worker_error`` event.
+
+    **Start-up.**  Under the fork start method each worker inherits
+    rank 0's built, not-yet-stepped app copy-on-write, so the app is
+    built once per run.  Only spawned workers and the replay after a
+    death call ``app_factory``; the factory must be picklable either
+    way, so a run does not depend on the host's start method.
     """
 
     #: Worker chunks between skew checks when rebalancing.
@@ -769,6 +788,11 @@ class MultiprocessExecutor:
                     "partial of classes); pickling rank "
                     f"{task.rank}'s task failed: {exc}"
                 ) from exc
+        if method == "fork":
+            # Forked workers inherit rank 0's app, built and not yet
+            # stepped, instead of rebuilding it; the check above pickled
+            # each task without it, as spawn sends it.
+            tasks = [replace(task, app=self.app) for task in tasks]
         for task in tasks:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
@@ -1435,7 +1459,9 @@ class DistributedEngine:
         share a simulated clock).
     app_factory:
         Zero-argument callable building a fresh deterministic replica
-        of the simulation.  Required by the multiprocessing backend.
+        of the simulation.  Required by the multiprocessing backend:
+        spawned workers and the replay after a worker death build from
+        it, while forked workers inherit rank 0's unstepped app.
     policy, quorum, record_timings, cadence, name:
         As for :class:`~repro.engine.scheduler.InSituEngine`.  Adaptive
         cadence runs on every backend: the multiprocessing backend

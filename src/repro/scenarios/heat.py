@@ -25,10 +25,10 @@ from repro.errors import ConfigurationError, NotTrainedError
 from repro.scenarios.spec import Param, ScenarioSpec, check_window, register
 
 
-#: Nodes one pass of the step covers before the next pass starts.  The
-#: step's three arrays (state, Laplacian, next state) are 256 KB each
-#: over one tile, so a tile's slices stay in a 2 MB L2 across its five
-#: passes instead of streaming from memory on every pass.
+#: Nodes one pass of the step covers before the next pass starts.  A
+#: tile's slices of the state and the next state, and the tile-sized
+#: Laplacian scratch, are 256 KB each, so they stay in a 2 MB L2 across
+#: the tile's five passes instead of streaming from memory on every pass.
 TILE = 32768
 
 
@@ -43,7 +43,9 @@ class HeatDiffusionApp:
     state.  It can be block-sharded: see the optional members
     ``stencil_radius``, ``state`` and ``shard`` in
     :mod:`repro.engine.workload`.  The step runs in :data:`TILE`-node
-    tiles, bit-identical to one pass over the whole range.
+    tiles, bit-identical to one pass over the whole range.  The app
+    holds two state-sized arrays (state and next state), one per mode
+    for the closed form, and one tile of Laplacian scratch.
     """
 
     stencil_radius = 1
@@ -56,13 +58,16 @@ class HeatDiffusionApp:
         self.modes = modes
         self.n_iterations = n_iterations
         self.iteration = 0
+        # Row k is ``amplitude * sin(k * pi * j / (n_nodes + 1))``, the
+        # same operations in the same order, computed in place.
         j = np.arange(1, self.n_nodes + 1, dtype=np.float64)
-        self._shapes = np.stack(
-            [
-                amplitude * np.sin(k * np.pi * j / (self.n_nodes + 1))
-                for k, amplitude in self.modes
-            ]
-        )
+        self._shapes = np.empty((len(self.modes), self.n_nodes))
+        for row, (k, amplitude) in zip(self._shapes, self.modes):
+            np.multiply(k * np.pi, j, out=row)
+            np.divide(row, self.n_nodes + 1, out=row)
+            np.sin(row, out=row)
+            np.multiply(amplitude, row, out=row)
+        del j  # the state buffers below can reuse its memory
         self.u = self._shapes.sum(axis=0)
         # With no nonzero amplitude the state is zero throughout, and
         # so it is when the amplitudes of one wavenumber cancel.
@@ -73,9 +78,11 @@ class HeatDiffusionApp:
             )
         # Step buffers, allocated once: at large n_nodes, fresh
         # temporaries every step make the step's cost depend on whether
-        # the allocator reuses or re-maps them.  The second one starts
-        # as a copy, so nodes a sharded step skips stay finite.
-        self._lap = np.empty_like(self.u)
+        # the allocator reuses or re-maps them.  The next state starts
+        # as a copy, so nodes a sharded step skips stay finite.  The
+        # Laplacian is one tile of scratch that every tile reuses,
+        # sized by the step from the TILE it reads.
+        self._lap = np.empty(0)
         self._next = self.u.copy()
         self._range = (0, self.n_nodes)
 
@@ -92,17 +99,22 @@ class HeatDiffusionApp:
         Same operations in the same order as
         ``lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]; u + r * lap``, so
         every state is bit-identical: each is elementwise and reads only
-        the old state.  Results go into the preallocated buffers, which
-        then swap; providers copy what they read, so nothing holds the
-        old one.
+        the old state.  Each tile's Laplacian goes into the one tile of
+        scratch, and the next state into the preallocated buffer; the
+        state buffers then swap.  Providers copy what they read, so
+        nothing holds the old one.
         """
-        u, lap, out, r = self.u, self._lap, self._next, self.r
+        u, out, r = self.u, self._next, self.r
         lo, hi = self._range
         n = self.n_nodes
-        for t0 in range(lo, hi, TILE):
-            t1 = min(t0 + TILE, hi)
+        width = min(TILE, n)
+        if len(self._lap) < width:
+            self._lap = np.empty(width)
+        for t0 in range(lo, hi, width):
+            t1 = min(t0 + width, hi)
             a, b = max(t0, 1), min(t1, n - 1)
-            inner = lap[a:b]
+            lap = self._lap[: t1 - t0]
+            inner = lap[a - t0 : b - t0]
             np.multiply(u[a:b], 2.0, out=inner)
             np.subtract(u[a - 1 : b - 1], inner, out=inner)
             np.add(inner, u[a + 1 : b + 1], out=inner)
@@ -110,9 +122,8 @@ class HeatDiffusionApp:
                 lap[0] = -2.0 * u[0] + u[1]
             if t1 == n:
                 lap[-1] = u[-2] - 2.0 * u[-1]
-            tile = lap[t0:t1]
-            np.multiply(tile, r, out=tile)
-            np.add(u[t0:t1], tile, out=out[t0:t1])
+            np.multiply(lap, r, out=lap)
+            np.add(u[t0:t1], lap, out=out[t0:t1])
         self.u, self._next = out, u
         self.iteration += 1
 

@@ -5,11 +5,14 @@ own block and swaps halo cells through rank 0 once per chunk.  Rank 0's
 block holds every sampled location, so every stored row must equal the
 serial run's bit for bit.  Runs that need worker-sampled shards
 (rebalancing, a slowed worker) and apps that cannot shard keep the
-replica path.  Every run must leave no child process behind.
+replica path.  Every run must leave no child process behind.  Forked
+workers start from rank 0's built app; only spawned workers and the
+replay after a worker death build one from ``app_factory``.
 """
 
 import functools
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -28,8 +31,18 @@ TINY_BIGSIM = {
     "window": (6, 69),
 }
 
+#: The test's own process: an app built anywhere else is a rebuild.
+_TEST_PID = os.getpid()
 
-def _heat(n_ranks, *, adaptive=False, params=None, **engine_kwargs):
+
+def _built_here(factory):
+    """``factory()`` in the test's process; an error in any other."""
+    if os.getpid() != _TEST_PID:
+        raise RuntimeError(f"process {os.getpid()} called app_factory")
+    return factory()
+
+
+def _heat(n_ranks, *, adaptive=False, params=None, wrap=None, **engine_kwargs):
     spec = scenarios.get("heat-diffusion")
     merged = spec.params(quick=True, overrides=params or {})
     cadence = spec.cadence_controller() if adaptive else None
@@ -38,10 +51,11 @@ def _heat(n_ranks, *, adaptive=False, params=None, **engine_kwargs):
             spec.app_factory(**merged), policy=spec.policy, cadence=cadence
         )
     else:
+        factory = functools.partial(spec.app_factory, **merged)
         engine = DistributedEngine(
             backend="multiprocessing",
             n_ranks=n_ranks,
-            app_factory=functools.partial(spec.app_factory, **merged),
+            app_factory=factory if wrap is None else functools.partial(wrap, factory),
             policy=spec.policy,
             cadence=cadence,
             **engine_kwargs,
@@ -132,6 +146,55 @@ def test_app_without_shard_keeps_the_replica_path():
     result = engine.run()
     assert multiprocessing.active_children() == []
     assert result.transport_stats["pipeline"]["chunks_speculated"] > 0
+
+
+def test_forked_workers_never_call_app_factory():
+    serial = _heat(1)
+    sharded = _heat(2, wrap=_built_here)
+    _assert_rows_identical(serial, sharded)
+    engine, _, result = sharded
+    assert result.recovery_events == []
+    assert _block_stepped(engine, result)
+
+
+def test_forked_replica_workers_never_call_app_factory():
+    serial = InSituEngine(_replay_app(), policy="all")
+    expected = serial.add_analysis(_replay_analysis())
+    serial_result = serial.run()
+    engine = DistributedEngine(
+        backend="multiprocessing",
+        n_ranks=2,
+        app_factory=functools.partial(_built_here, _replay_app),
+        policy="all",
+    )
+    analysis = engine.add_analysis(_replay_analysis())
+    result = engine.run()
+    assert multiprocessing.active_children() == []
+    assert result.recovery_events == []
+    assert result.transport_stats["pipeline"]["chunks_speculated"] > 0
+    _assert_rows_identical(
+        (serial, [expected], serial_result), (engine, [analysis], result)
+    )
+
+
+def test_spawned_workers_build_from_app_factory(monkeypatch):
+    serial = _heat(1)
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    sharded = _heat(2)
+    assert methods == ["spawn"]
+    _assert_rows_identical(serial, sharded)
+    engine, _, result = sharded
+    assert _block_stepped(engine, result)
+    assert result.transport_stats["total_halo_bytes"] > 0
+    assert result.recovery_events == []
 
 
 def test_worker_death_replays_and_stays_bit_identical():

@@ -1,8 +1,9 @@
 """Tests for the heat-diffusion step: bit-identical, allocation-free.
 
 The step writes into buffers allocated once, so its cost does not
-depend on whether the allocator reuses or re-maps large temporaries.
-It must still produce exactly the states of the plain expression.
+depend on whether the allocator reuses or re-maps large temporaries:
+two state-sized arrays and one tile of Laplacian scratch.  The initial
+state and the step must still produce exactly the plain expressions.
 A sharded step, with ghost cells refreshed once per chunk, must produce
 exactly the unsharded states on the cells it owns.  The step walks its
 range in ``heat.TILE``-node tiles; tests patch ``TILE`` down to a few
@@ -59,6 +60,48 @@ def test_step_bit_identical_to_reference(n_nodes, tile, monkeypatch):
             app.u.view(np.uint64), reference.view(np.uint64)
         ), f"state diverged at step {step + 1}"
     assert app.iteration == 200
+
+
+@pytest.mark.parametrize(
+    "n_nodes, modes",
+    [
+        (3, ((1, 1.0), (3, 0.4))),
+        (48, ((1, 1), (3, -0.4), (7, 2.5))),
+        (4001, ((np.int64(5), np.float32(0.3)), (2, 1.0))),
+        (100_000, ((1, 1.0), (3, 0.4))),
+    ],
+    ids=["3", "48-three-modes", "4001-numpy-scalars", "100000"],
+)
+def test_initial_state_bit_identical_to_expression(n_nodes, modes):
+    app = HeatDiffusionApp(n_nodes=n_nodes, r=0.4, modes=modes, n_iterations=1)
+    j = np.arange(1, n_nodes + 1, dtype=np.float64)
+    shapes = np.stack([a * np.sin(k * np.pi * j / (n_nodes + 1)) for k, a in modes])
+    assert np.array_equal(app._shapes.view(np.uint64), shapes.view(np.uint64))
+    assert np.array_equal(app.u.view(np.uint64), shapes.sum(axis=0).view(np.uint64))
+
+
+def test_app_holds_two_states_plus_its_mode_shapes():
+    tracemalloc.start()
+    try:
+        app = _app(100_000, 20)
+        for _ in range(10):
+            app.step()
+        current, peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # NumPy's own trace domain counts array buffers only: the state and
+    # next state, one closed-form row per mode and one tile of
+    # Laplacian scratch.  A state-sized Laplacian would be a fifth state.
+    buffers = snapshot.filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    )
+    retained = sum(trace.size for trace in buffers.traces)
+    state = app.u.nbytes
+    assert retained <= (len(app.modes) + 2) * state + heat.TILE * app.u.itemsize
+    # Built in place: no state-sized temporary outlived its operation,
+    # so building and stepping never held more than the app keeps.
+    assert peak - current < 0.5 * state
 
 
 def test_step_allocates_no_state_sized_temporaries():
