@@ -9,13 +9,13 @@ shows the three things the distributed runtime guarantees:
    :class:`~repro.engine.InSituEngine` bit for bit: each rank gathers
    only its shard of the velocity window, and the reduced rows are
    exactly the serial provider sweeps.
-2. **Mergeable collection** — the rank-local shard stores reassemble
-   into the full series (`SeriesStore.merge_shards`), and the per-rank
-   `RunningStats` partials Chan-merge into the global aggregate.
-3. **Accounted communication** — the per-iteration row reduction,
-   collective stop agreement and final statistics reduction all charge
-   Hockney-model time to the `SimComm` ledger, which is how modeled
-   scaling numbers stay tied to measured runs.
+2. **One copy of each row** — the rank shards reduce into the group
+   store every analysis reads, row for row equal to the serial store,
+   and `collection_stats` folds each of its values once.
+3. **Accounted communication** — the per-iteration row reduction and
+   the collective stop agreement charge Hockney-model time to the
+   `SimComm` ledger, which is how modeled scaling numbers stay tied to
+   measured runs.
 
 The workload itself is resolved by name from the scenario registry —
 the spec's factories build the simulation and the threshold sweep, so
@@ -92,28 +92,26 @@ def main():
             f"{result.stopped_at[name]:>11} {delta:>12.1e}"
         )
 
-    # Mergeable collection: rank shards reassemble into the full store.
-    executor = engine.executor
-    merged = executor.merged_store(0)
-    full = dist[0].collector.store
-    assert np.array_equal(merged.matrix(), full.matrix())
+    # One copy of each row: the group store, laid out over the ranks.
+    plan = engine.driver.plans[0]
+    full = plan.store.matrix()
+    assert np.array_equal(full, serial_engine.driver.plans[0].store.matrix())
     stats = result.collection_stats[0]
-    widths = [s.locations.shape[0] for s in executor.shard_stores(0)]
+    widths = [shard.shape[0] for shard in plan.shards]
 
     print()
     print(
-        f"shards per rank: {widths} locations "
-        f"(merge_shards round-trips the full {full.matrix().shape} store)"
+        f"shards per rank: {widths} locations of the {full.shape} group "
+        "store, equal to the serial store"
     )
     print(
-        f"Chan-merged collection stats: {stats.count} samples, "
-        f"mean {stats.mean[0]:.4f} (matrix mean {full.matrix().mean():.4f})"
+        f"collection stats: {stats.count} samples, "
+        f"mean {stats.mean[0]:.4f} (store mean {full.mean():.4f})"
     )
     print(
         f"communication ledger: {result.comm_seconds * 1e3:.3f} ms across "
-        f"{engine.comm.allreduce_count} allreduces, "
-        f"{engine.comm.broadcast_count} broadcasts, "
-        f"{engine.comm.gather_count} gathers"
+        f"{engine.comm.allreduce_count} allreduces and "
+        f"{engine.comm.broadcast_count} broadcasts"
     )
     print(
         "per-rank sampling seconds: "

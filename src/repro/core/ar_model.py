@@ -69,8 +69,7 @@ class RunningStats:
     def merge(self, other: "RunningStats") -> "RunningStats":
         """Fold another partial aggregate into this one (Chan's merge).
 
-        This is the rank-reduction counterpart of :meth:`update`: two
-        aggregates built over disjoint sample sets combine into the
+        Two aggregates built over disjoint sample sets combine into the
         aggregate of their union, in O(width), without revisiting any
         sample.  Merging an empty partial is the identity; merging into
         an empty aggregate copies the other side.  Returns ``self`` so
@@ -94,22 +93,6 @@ class RunningStats:
                 other._mean, other._m2, other.count,
             ))
         return self
-
-    @classmethod
-    def merged(cls, parts: "Sequence[RunningStats]") -> "RunningStats":
-        """Reduce a sequence of partial aggregates, left to right.
-
-        The distributed runtime merges per-rank partials in rank order;
-        Chan's merge is associative to rounding, so any bracketing
-        agrees within ~1e-12 (pinned by the regression tests).
-        """
-        parts = list(parts)
-        if not parts:
-            raise ConfigurationError("need at least one partial to merge")
-        out = cls(parts[0].width)
-        for part in parts:
-            out.merge(part)
-        return out
 
     @property
     def mean(self) -> np.ndarray:

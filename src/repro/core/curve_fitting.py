@@ -246,7 +246,6 @@ class CurveFitting(Analysis):
             collector.include_self,
             collector.order,
             trainer.batch.capacity,
-            trainer.drain_partial,
             model.order,
             model.lag,
             model.learning_rate,

@@ -128,22 +128,11 @@ class MiniBatchTrainer:
         Mini-batch size.
     n_features:
         Feature dimensionality, forwarded to the batch buffer.
-    drain_partial:
-        When True, :meth:`finalize` trains on a final partially-filled
-        batch instead of discarding it.
     """
 
-    def __init__(
-        self,
-        model,
-        capacity: int,
-        n_features: int,
-        *,
-        drain_partial: bool = True,
-    ) -> None:
+    def __init__(self, model, capacity: int, n_features: int) -> None:
         self.model = model
         self.batch = MiniBatch(capacity, n_features)
-        self.drain_partial = drain_partial
         self._losses: List[float] = []
         self._samples_seen = 0
         self._updates = 0
@@ -215,9 +204,8 @@ class MiniBatchTrainer:
         return losses
 
     def finalize(self) -> Optional[float]:
-        """Flush a trailing partial batch at end of collection."""
-        if len(self.batch) == 0 or not self.drain_partial:
-            self.batch.reset()
+        """Train on a trailing partial batch at end of collection."""
+        if len(self.batch) == 0:
             return None
         return self._train_and_reset()
 

@@ -1,8 +1,8 @@
 """Distributed rank-parallel runtime: shard the engine over ranks.
 
 The paper runs feature extraction *in situ on real MPI ranks*: every
-rank samples the part of the domain it owns, partial statistics are
-reduced, and status broadcasts keep all processes synchronized on the
+rank samples the part of the domain it owns, the parts are reduced,
+and status broadcasts keep all processes synchronized on the
 threshold-detection and termination decisions.  This module is that
 runtime for our substrate.  :class:`DistributedEngine` drives the same
 analyses as the serial :class:`~repro.engine.scheduler.InSituEngine`,
@@ -10,19 +10,22 @@ but the collection plane is sharded:
 
 * each collection group's spatial window is block-decomposed over
   ranks (:class:`~repro.parallel.decomposition.BlockDecomposition`);
-* every rank owns a :class:`RankCollector` — shard-restricted provider
-  views (:class:`~repro.core.providers.ShardView`), a rank-local
-  :class:`~repro.core.collector.SeriesStore` over its shard columns,
-  and a Chan-mergeable :class:`~repro.core.ar_model.RunningStats`
-  partial over its samples;
+* every rank samples its shard through shard-restricted provider views
+  (:class:`~repro.core.providers.ShardView`) and keeps a ledger of its
+  sampling seconds (on simcomm, a :class:`RankCollector`);
 * per matching iteration the full-width row is reduced from the rank
   shards (an ``allreduce_array`` over the communicator, or a pipe
   gather from worker processes) and lands in the group's shared store,
-  so training consumes exactly the rows a serial run would have seen —
-  fit coefficients and stop iterations are bit-identical;
+  the one copy of each collected row, so training consumes exactly the
+  rows a serial run would have seen — fit coefficients and stop
+  iterations are bit-identical;
 * the termination decision is collective: the scheduler's stop flag
   passes through an allreduce every iteration (``stop_reducer``), and
   status events still flow through the broadcast path.
+
+At the end of a run each group's aggregate statistics
+(``DistributedResult.collection_stats``) are folded once from its
+store.
 
 Two execution backends ship behind the
 :class:`~repro.engine.driver.Executor` protocol:
@@ -43,8 +46,7 @@ Two execution backends ship behind the
     must be picklable) and stream their shard rows back in chunks, one
     pickled payload per chunk over the control pipe
     (:mod:`repro.engine.transport`); the parent assembles rows, trains
-    and decides termination, then reduces the workers' partial
-    statistics at shutdown.  Results match the serial engine because
+    and decides termination.  Results match the serial engine because
     row assembly is a pure concatenation of shard gathers.  Row and
     halo bytes moved and serialization/transfer seconds land in
     ``DistributedResult.transport_stats``.
@@ -71,7 +73,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.ar_model import RunningStats
-from repro.core.collector import SeriesStore
 from repro.core.curve_fitting import Analysis
 from repro.core.params import IterParam
 from repro.core.providers import ShardView
@@ -126,56 +127,32 @@ _EMPTY_SHARD = np.empty(0, dtype=np.float64)
 
 
 class RankCollector:
-    """One rank's collection state: shard views, stores and partials.
+    """One rank's collection state on simcomm: shard views and a ledger.
 
-    This is the rank-local face of the shared-collection layer — what a
-    :class:`~repro.engine.collection.SharedCollector` owns on a real
-    MPI rank: per group, a shard-restricted provider view, a
-    :class:`SeriesStore` covering only the shard's columns, and a
-    width-1 :class:`RunningStats` partial folding every value the rank
-    has sampled (the aggregate Chan-merged across ranks at shutdown).
-
-    The collector is *elastic*: :meth:`reshard` adopts a new shard
-    layout mid-run, archiving the current stores as a completed
-    **epoch** (a span of iterations sampled under one layout) and
-    opening fresh ones over the new columns.  Stats partials persist
-    across epochs — they are value-level and column-agnostic.
+    Per group, a shard-restricted provider view, and the seconds the
+    rank spent sampling through them.  The parts it samples are
+    reduced into the group's store, which keeps the one copy of each
+    row.  :meth:`reshard` re-points the views at a new shard layout
+    mid-run (an elastic recovery or rebalance).
     """
 
     def __init__(self, rank: int, plans: Sequence[GroupPlan]) -> None:
         self.rank = rank
-        self.stats = [RunningStats(1) for _ in plans]
         self.sample_seconds = 0.0
-        #: Per group: stores of completed epochs, in time order.
-        self.archived: List[List[SeriesStore]] = [[] for _ in plans]
-        self.views: List[ShardView] = []
-        self.stores: List[SeriesStore] = []
-        self._open_epoch(plans)
+        self.reshard(plans)
 
-    def _open_epoch(self, plans: Sequence[GroupPlan]) -> None:
+    def reshard(self, plans: Sequence[GroupPlan]) -> None:
+        """Adopt the plans' current shard layout."""
         self.views = [
             ShardView(plan.provider, plan.shards[self.rank])
             for plan in plans
         ]
-        self.stores = [
-            SeriesStore(plan.shards[self.rank], capacity=plan.temporal.count)
-            for plan in plans
-        ]
 
-    def reshard(self, plans: Sequence[GroupPlan]) -> None:
-        """Adopt the plans' new shard layout (archives the open epoch)."""
-        for group, store in enumerate(self.stores):
-            self.archived[group].append(store)
-        self._open_epoch(plans)
-
-    def collect(self, domain: object, iteration: int, group: int) -> np.ndarray:
-        """Gather this rank's shard of one group at one iteration."""
+    def collect(self, domain: object, group: int) -> np.ndarray:
+        """Gather this rank's shard of one group."""
         tick = time.perf_counter()
         part = self.views[group].sample(domain)
         self.sample_seconds += time.perf_counter() - tick
-        self.stores[group].add_row(iteration, part)
-        if part.size:
-            self.stats[group].update(part.reshape(-1, 1))
         return part
 
 
@@ -280,7 +257,7 @@ class SimCommExecutor:
             offsets = self._offsets[g]
             contributions = []
             for rank in self.ranks:
-                part = rank.collect(domain, iteration, g)
+                part = rank.collect(domain, g)
                 sampled_counts[rank.rank] += int(part.shape[0])
                 self.layout.samples[rank.rank] += int(part.shape[0])
                 padded = np.zeros(width, dtype=np.float64)
@@ -297,50 +274,6 @@ class SimCommExecutor:
                     )
             self.layout.tick()
         return rows
-
-    def shard_stores(self, group: int) -> List[SeriesStore]:
-        """Current-epoch rank-local stores of one group, in rank order."""
-        return [rank.stores[group] for rank in self.ranks]
-
-    def merged_store(self, group: int) -> SeriesStore:
-        """Reassemble the full store across ranks and reshard epochs.
-
-        Each epoch (the span between two layout changes) merges exactly
-        like a static run — shard columns concatenated in rank order —
-        and the epochs then stack in time order.  Fault-free, balanced
-        runs have a single epoch, where this reduces to one
-        :meth:`SeriesStore.merge_shards` call.
-        """
-        epochs = [
-            [rank.archived[group][e] for rank in self.ranks]
-            for e in range(len(self.ranks[0].archived[group]))
-        ]
-        epochs.append([rank.stores[group] for rank in self.ranks])
-        merged = [SeriesStore.merge_shards(stores) for stores in epochs]
-        occupied = [store for store in merged if len(store)]
-        if not occupied:
-            return merged[-1]
-        if len(occupied) == 1:
-            return occupied[0]
-        out = SeriesStore(
-            self.plans[group].locations,
-            capacity=max(1, sum(len(store) for store in occupied)),
-        )
-        for store in occupied:
-            matrix = store.matrix()
-            for index, it in enumerate(store.iterations):
-                out.add_row(int(it), matrix[index])
-        return out
-
-    def reduce_stats(self) -> List[RunningStats]:
-        merged = []
-        for g in range(len(self.plans)):
-            partials = self.comm.gather(
-                [rank.stats[g] for rank in self.ranks]
-            )
-            stats = RunningStats.merged(partials)
-            merged.append(self.comm.bcast_obj(stats))
-        return merged
 
     def rank_sample_seconds(self) -> np.ndarray:
         return np.array(
@@ -405,10 +338,7 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     overlap/idle ledgers read), and a final ``("stats", {...})``.  An
     uncaught exception is shipped back as ``("error", traceback)``
     before the worker exits nonzero, so the parent's recovery event can
-    say *why* the rank died.  Workers do *not* fold partial statistics
-    — chunked prefetch may sample iterations the parent never consumes
-    (a mid-chunk stop), so the parent folds each rank's partial from
-    the shard parts it actually uses.
+    say *why* the rank died.
 
     Block stepping (``task.block``): the replica steps its block plus
     ``ghost`` cells each side and samples nothing.  ``ghosts`` are the
@@ -619,10 +549,9 @@ class MultiprocessExecutor:
     after a chunk's rows land in the parent's buffer, the next chunk is
     speculatively requested with the same frozen active set, so worker
     stepping and sampling of chunk *k+1* overlaps rank-0 compute of
-    chunk *k* — rank 0 steps its own app, samples its shard, folds
-    stats and trains — instead of alternating with it.  The speculative
-    replies are received on the main thread at the next chunk
-    boundary.  The speculation is adopted when the needed groups are a
+    chunk *k* — rank 0 steps its own app, samples its shard and trains
+    — instead of alternating with it.  The speculative replies are
+    received on the main thread at the next chunk boundary.  The speculation is adopted when the needed groups are a
     subset of the speculated set (chunk freezing only ever
     over-collects); otherwise — the active set grew between chunks,
     e.g. an adaptive cadence snap-back — it is discarded and rank 0
@@ -688,13 +617,6 @@ class MultiprocessExecutor:
         # Rank 0's shard views, by (group, rank); dropped on a reshard.
         self._views: Dict[Tuple[int, int], ShardView] = {}
         self._rank0_seconds = 0.0
-        # Per-rank partial statistics, folded by the parent from the
-        # shard parts the engine actually consumes — chunked prefetch
-        # over-collects past a mid-chunk stop, and those rows must not
-        # leak into the reduced aggregates.
-        self._rank_stats = [
-            [RunningStats(1) for _ in self.plans] for _ in range(n_ranks)
-        ]
         self._buffer: deque = deque()
         self._chunk_active: tuple = ()
         self._processes: list = []
@@ -1189,10 +1111,9 @@ class MultiprocessExecutor:
             chunk_active = tuple(sorted(active))
         domain = self.app.domain
         rows: Dict[int, np.ndarray] = {}
-        consumed = set(active)
         resampled = False
         samples0 = self.layout.samples[0]
-        for g in sorted(consumed.union(chunk_active)):
+        for g in sorted(set(active).union(chunk_active)):
             if not self.plans[g].temporal.matches(iteration):
                 continue
             # A group the chunk was frozen without is one an adaptive
@@ -1219,12 +1140,6 @@ class MultiprocessExecutor:
                     part = worker[g]
                 parts.append(part)
             rows[g] = np.concatenate(parts)
-            if g in consumed:
-                for rank, part in enumerate(parts):
-                    if part.size:
-                        self._rank_stats[rank][g].update(
-                            part.reshape(-1, 1)
-                        )
         if self._delay0 is not None and rows:
             tick = time.perf_counter()
             time.sleep(
@@ -1242,8 +1157,7 @@ class MultiprocessExecutor:
             return
         # A mid-chunk stop can leave a speculative chunk in flight;
         # drain it (the workers have already produced it) and drop the
-        # payloads — its iterations were never consumed, so nothing
-        # leaks into stats.
+        # payloads: its iterations were never consumed.
         self._retire_speculation()
         stats: List[Optional[dict]] = [None] * len(self._conns)
         for index in range(len(self._conns)):
@@ -1257,15 +1171,6 @@ class MultiprocessExecutor:
         self._worker_stats = stats
         for process in self._processes:
             process.join(timeout=10.0)
-
-    def reduce_stats(self) -> List[RunningStats]:
-        self._finish_workers()
-        return [
-            RunningStats.merged(
-                [self._rank_stats[rank][g] for rank in range(self.n_ranks)]
-            )
-            for g in range(len(self.plans))
-        ]
 
     def rank_sample_seconds(self) -> np.ndarray:
         self._finish_workers()
@@ -1397,7 +1302,8 @@ class DistributedResult(EngineResult):
     the modelled communication time charged during the run, per-rank
     sampling seconds (their max is the parallel sampling wall time the
     scaling cross-check compares against the model), and one
-    Chan-merged :class:`RunningStats` aggregate per collection group.
+    :class:`RunningStats` aggregate per collection group over every
+    value its store collected.
     """
 
     n_ranks: int = 1
@@ -1572,14 +1478,15 @@ class DistributedEngine:
             make_executor=self._make_executor,
             n_ranks=self.n_ranks,
             record_timings=record_timings,
-            # The rank shards (and the simcomm executor's shard stores)
-            # must span resumed runs, so plans are built once and late
-            # analysis attachments are rejected by the driver.
+            # The rank shards must span resumed runs, so plans are
+            # built once and late analysis attachments are rejected by
+            # the driver.
             replan_each_run=False,
-            # The simcomm executor carries the rank-local shard stores
-            # and partials, which must span resumed runs; it is created
-            # once and reused.  Multiprocessing executors are per-run
-            # (resume is rejected in run()).
+            # The simcomm executor carries the elastic layout (dead
+            # ranks, due rebalances) and the per-rank sampling ledgers,
+            # which must span resumed runs; it is created once and
+            # reused.  Multiprocessing executors are per-run (resume is
+            # rejected in run()).
             reuse_executor=(backend == BACKEND_SIMCOMM),
             on_plans=self._wire_wavefront_ranks,
             cadence=as_cadence_controller(cadence),
@@ -1609,7 +1516,7 @@ class DistributedEngine:
 
     @property
     def executor(self) -> Optional[Executor]:
-        """The executor of the most recent run (simcomm keeps shard state)."""
+        """The executor of the most recent run (simcomm keeps its layout)."""
         return self.driver.executor
 
     # ------------------------------------------------------------------
@@ -1650,14 +1557,19 @@ class DistributedEngine:
 
     def _finalize_result(self, base: dict, executor: Executor) -> "DistributedResult":
         """Extend the driver's base result with the rank dimension."""
-        collection_stats = executor.reduce_stats()
         rank_seconds = executor.rank_sample_seconds()
-        # reduce_stats() drains the workers, which can surface a late
-        # death; re-snapshot the events the driver captured earlier.
+        # rank_sample_seconds() drains the workers, which can surface a
+        # late death; re-snapshot the events the driver captured earlier.
         base = dict(base)
         base["recovery_events"] = list(
             getattr(executor, "recovery_events", None) or []
         )
+        # Every collected value once: one fold over each group's store.
+        collection_stats = []
+        for plan in self.driver.plans:
+            stats = RunningStats(1)
+            stats.update(plan.store.matrix().reshape(-1, 1))
+            collection_stats.append(stats)
         return DistributedResult(
             **base,
             n_ranks=self.n_ranks,

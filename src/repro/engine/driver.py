@@ -138,9 +138,6 @@ class Executor(Protocol):
     and returns the assembled full-width row of every group it sampled
     (a superset of what the engine will consume is allowed — the
     multiprocessing backend freezes the active set per chunk).
-    ``reduce_stats`` folds the per-rank collection partials into one
-    aggregate per group, in rank order (serial executors may return an
-    empty list).
     """
 
     n_ranks: int
@@ -151,8 +148,6 @@ class Executor(Protocol):
     def advance(
         self, iteration: int, active: Sequence[int]
     ) -> Dict[int, np.ndarray]: ...
-
-    def reduce_stats(self) -> list: ...
 
     def rank_sample_seconds(self) -> np.ndarray: ...
 
@@ -199,9 +194,6 @@ class LocalExecutor:
             rows[g] = batch_sample(plan.provider, domain, plan.locations)
             self.sample_seconds += time.perf_counter() - tick
         return rows
-
-    def reduce_stats(self) -> list:
-        return []
 
     def rank_sample_seconds(self) -> np.ndarray:
         return np.array([self.sample_seconds], dtype=np.float64)
@@ -362,8 +354,8 @@ class ExecutionDriver:
         late attachments.
     reuse_executor:
         Keep one executor across resumed runs (the simcomm backend's
-        shard stores and partials must persist); otherwise a fresh
-        executor is built per run.
+        elastic layout and sampling ledgers must persist); otherwise a
+        fresh executor is built per run.
     on_plans:
         Optional hook called once when plans are (re)built — the
         distributed engine wires wavefront-rank ownership here.
@@ -430,9 +422,8 @@ class ExecutionDriver:
             if self.on_plans is not None:
                 self.on_plans(self._plans)
         elif shared.n_groups != len(self._plans):
-            # The rank shards (and, for simcomm, the executor's shard
-            # stores) were planned on the first run; a new collection
-            # group would silently escape them.
+            # The rank shards were planned on the first run; a new
+            # collection group would silently escape them.
             raise ConfigurationError(
                 "analyses cannot be attached between distributed runs; "
                 "attach everything before the first run() or build a "

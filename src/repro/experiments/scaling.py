@@ -121,8 +121,7 @@ def distributed_crosscheck(
     * ``measured_sample_seconds`` — the slowest rank's gather wall time
       (the parallel sampling time of an iteration-synchronous run);
     * ``comm_seconds`` — the Hockney charges for the per-iteration row
-      allreduce, the collective stop agreement and the final statistics
-      reduction;
+      allreduce and the collective stop agreement;
     * ``measured_speedup`` vs ``modeled_speedup`` — the first divides
       the 1-rank sampling time by (measured max-rank + comm), the
       second by the model's ideal division (serial / ranks + comm).

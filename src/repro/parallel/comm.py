@@ -1,22 +1,23 @@
 """A simulated MPI communicator with an accounted cost model.
 
-The feature-extraction library needs exactly three things from MPI: a
-rank/size identity, a broadcast of small status payloads, and
-occasionally an allreduce of a scalar.  :class:`SimComm` provides those
-over in-process Python objects while *charging* each call's modelled
-wall-clock cost to an internal ledger, so the experiment harness can
-fold communication time into the measured overhead the way the paper's
-real MPI runs do.
+The feature-extraction library needs two things from MPI: a broadcast
+of small status payloads, and an allreduce (the stop agreement, and
+the distributed engine's row reduction).  :class:`SimComm` provides
+those over in-process Python objects while *charging* each call's
+modelled wall-clock cost to an internal ledger, so the experiment
+harness can fold communication time into the measured overhead the way
+the paper's real MPI runs do.
 
 The communicator is deliberately synchronous and deterministic: a
-broadcast deposits the payload into every rank's mailbox immediately
-and advances the shared simulated clock by the tree cost.
+collective returns its result at once and advances the simulated clock
+by the tree cost.  It keeps no payload; the status events a broadcast
+carries are recorded once, in the broadcaster's ``history``.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -34,9 +35,9 @@ _ARRAY_REDUCERS = {
 class SimComm:
     """Simulated communicator covering ``size`` ranks.
 
-    A single :class:`SimComm` object stands for the whole communicator;
-    rank-specific views come from :meth:`view`.  All modelled time lands
-    in :attr:`charged_seconds`.
+    One :class:`SimComm` object stands for the whole communicator.  All
+    modelled time lands in :attr:`charged_seconds`;
+    :attr:`broadcast_count` and :attr:`allreduce_count` count the calls.
 
     Parameters
     ----------
@@ -44,64 +45,35 @@ class SimComm:
         Number of ranks.
     cost_model:
         Communication cost model; defaults to intra-node parameters.
-    rank:
-        The rank this view acts as (0 for the root view).
     """
 
     def __init__(
-        self,
-        size: int,
-        cost_model: Optional[CommCostModel] = None,
-        *,
-        rank: int = 0,
-        _shared: Optional[dict] = None,
+        self, size: int, cost_model: Optional[CommCostModel] = None
     ) -> None:
         if size <= 0:
             raise CommunicatorError(f"size must be positive, got {size}")
-        if not 0 <= rank < size:
-            raise CommunicatorError(
-                f"rank must be in [0, {size}), got {rank}"
-            )
         self.size = size
-        self.rank = rank
         self.cost_model = cost_model or CommCostModel()
-        # Shared state between all rank views of the same communicator.
-        self._shared = _shared if _shared is not None else {
-            "charged_seconds": 0.0,
-            "broadcasts": 0,
-            "allreduces": 0,
-            "gathers": 0,
-            "mailboxes": [[] for _ in range(size)],
-        }
-
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-
-    def view(self, rank: int) -> "SimComm":
-        """A view of this communicator acting as ``rank``."""
-        return SimComm(
-            self.size, self.cost_model, rank=rank, _shared=self._shared
-        )
+        self.reset_accounting()
 
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
 
     def broadcast(self, payload: Any, root: int = 0) -> Any:
-        """Deliver ``payload`` from ``root`` to every rank's mailbox.
+        """Broadcast ``payload`` from ``root`` to every rank.
 
-        Returns the payload (as MPI_Bcast does on every rank).  The
-        modelled cost covers the pickled payload size through a
-        binomial tree.
+        Returns the payload (as MPI_Bcast does on every rank) and keeps
+        no reference to it.  The modelled cost covers the pickled
+        payload size through a binomial tree.
         """
-        self._check_rank(root)
+        if not 0 <= root < self.size:
+            raise CommunicatorError(
+                f"rank {root} out of range for size {self.size}"
+            )
         size_bytes = len(pickle.dumps(payload))
-        cost = self.cost_model.broadcast(size_bytes, self.size)
-        self._charge(cost)
-        self._shared["broadcasts"] += 1
-        for mailbox in self._shared["mailboxes"]:
-            mailbox.append(payload)
+        self.charged_seconds += self.cost_model.broadcast(size_bytes, self.size)
+        self.broadcast_count += 1
         return payload
 
     def allreduce(self, value, op: str = "sum"):
@@ -122,13 +94,11 @@ class SimComm:
             )
         if isinstance(value, np.ndarray):
             arr = np.asarray(value, dtype=np.float64)
-            self._charge(self.cost_model.allreduce(arr.nbytes, self.size))
-            self._shared["allreduces"] += 1
+            self._charge_allreduce(arr.nbytes)
             if op == "sum":
                 return arr * self.size
             return arr.copy()
-        self._charge(self.cost_model.allreduce(8, self.size))
-        self._shared["allreduces"] += 1
+        self._charge_allreduce(8)
         if op == "sum":
             return float(value) * self.size
         return float(value)
@@ -164,99 +134,21 @@ class SimComm:
                 f"contributions must share one shape, got {sorted(shapes)}"
             )
         stack = np.stack(parts)
-        self._charge(self.cost_model.allreduce(parts[0].nbytes, self.size))
-        self._shared["allreduces"] += 1
+        self._charge_allreduce(parts[0].nbytes)
         return _ARRAY_REDUCERS[op](stack)
-
-    def gather(self, contributions: Sequence[Any], root: int = 0) -> List[Any]:
-        """Gather one payload per rank to ``root``; returns the list.
-
-        ``contributions`` must hold exactly ``size`` payloads in rank
-        order.  The charged cost models a binomial combining tree where
-        the payload grows toward the root (see
-        :meth:`CommCostModel.gather`); payload bytes are measured per
-        contribution (``nbytes`` for arrays, pickled size otherwise).
-        """
-        self._check_rank(root)
-        parts = list(contributions)
-        if len(parts) != self.size:
-            raise CommunicatorError(
-                f"expected one contribution per rank ({self.size}), "
-                f"got {len(parts)}"
-            )
-        per_rank_bytes = max(
-            (_payload_bytes(part) for part in parts), default=0
-        )
-        self._charge(self.cost_model.gather(per_rank_bytes, self.size))
-        self._shared["gathers"] += 1
-        return parts
-
-    def bcast_obj(self, payload: Any, root: int = 0) -> Any:
-        """Broadcast an arbitrary object, charging its pickled size.
-
-        Unlike :meth:`broadcast` this is a *data-plane* collective: the
-        payload is not deposited into the status mailboxes, so bulk
-        reductions do not drown the status-event history the paper's
-        broadcasts carry.
-        """
-        self._check_rank(root)
-        cost = self.cost_model.broadcast(_payload_bytes(payload), self.size)
-        self._charge(cost)
-        self._shared["broadcasts"] += 1
-        return payload
 
     def barrier(self) -> None:
         """Synchronisation point: charged as a zero-byte allreduce."""
-        self._charge(self.cost_model.allreduce(0, self.size))
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-
-    @property
-    def charged_seconds(self) -> float:
-        """Total modelled communication time so far."""
-        return self._shared["charged_seconds"]
-
-    @property
-    def broadcast_count(self) -> int:
-        return self._shared["broadcasts"]
-
-    @property
-    def allreduce_count(self) -> int:
-        return self._shared["allreduces"]
-
-    @property
-    def gather_count(self) -> int:
-        return self._shared["gathers"]
-
-    def mailbox(self, rank: Optional[int] = None) -> List[Any]:
-        """Payloads delivered to ``rank`` (default: this view's rank)."""
-        target = self.rank if rank is None else rank
-        self._check_rank(target)
-        return list(self._shared["mailboxes"][target])
+        self.charged_seconds += self.cost_model.allreduce(0, self.size)
 
     def reset_accounting(self) -> None:
-        """Zero the charged-time ledger (mailboxes are kept)."""
-        self._shared["charged_seconds"] = 0.0
-        self._shared["broadcasts"] = 0
-        self._shared["allreduces"] = 0
-        self._shared["gathers"] = 0
+        """Zero the charged-time ledger and the call counts."""
+        self.charged_seconds = 0.0
+        self.broadcast_count = 0
+        self.allreduce_count = 0
 
-    # ------------------------------------------------------------------
-
-    def _charge(self, seconds: float) -> None:
-        self._shared["charged_seconds"] += seconds
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.size:
-            raise CommunicatorError(
-                f"rank {rank} out of range for size {self.size}"
-            )
-
-
-def _payload_bytes(payload: Any) -> int:
-    """Wire size of one payload: raw bytes for arrays, pickled otherwise."""
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    return len(pickle.dumps(payload))
+    def _charge_allreduce(self, message_bytes: int) -> None:
+        self.charged_seconds += self.cost_model.allreduce(
+            message_bytes, self.size
+        )
+        self.allreduce_count += 1

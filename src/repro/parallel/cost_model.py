@@ -76,26 +76,6 @@ class CommCostModel:
         """Cost of an allreduce (reduce + broadcast tree)."""
         return 2.0 * self.broadcast(message_bytes, n_ranks)
 
-    def gather(self, message_bytes: int, n_ranks: int) -> float:
-        """Cost of gathering one ``message_bytes`` payload per rank.
-
-        Binomial combining tree: ``ceil(log2 p)`` latency stages, but
-        unlike a broadcast the payload *grows* toward the root — the
-        root ultimately receives ``(p - 1)`` foreign payloads, so the
-        bandwidth term is ``(p - 1) * n / bw`` rather than per-stage.
-        """
-        if message_bytes < 0:
-            raise ConfigurationError(
-                f"message_bytes must be >= 0, got {message_bytes}"
-            )
-        stages = self.tree_stages(n_ranks)
-        if stages == 0:
-            return 0.0
-        return (
-            stages * self.latency_s
-            + (n_ranks - 1) * message_bytes / self.bandwidth_bytes_per_s
-        )
-
 
 @dataclass(frozen=True)
 class ThreadingModel:

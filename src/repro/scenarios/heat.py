@@ -32,6 +32,11 @@ from repro.scenarios.spec import Param, ScenarioSpec, check_window, register
 TILE = 32768
 
 
+def _mode_shape(k, amplitude, j, n_nodes) -> np.ndarray:
+    """Sine mode ``k`` at the 1-based node indices ``j`` (float64)."""
+    return amplitude * np.sin(k * np.pi * j / (n_nodes + 1))
+
+
 class HeatDiffusionApp:
     """Explicit finite-difference heat equation (its own domain).
 
@@ -44,8 +49,9 @@ class HeatDiffusionApp:
     ``stencil_radius``, ``state`` and ``shard`` in
     :mod:`repro.engine.workload`.  The step runs in :data:`TILE`-node
     tiles, bit-identical to one pass over the whole range.  The app
-    holds two state-sized arrays (state and next state), one per mode
-    for the closed form, and one tile of Laplacian scratch.
+    holds two state-sized arrays (state and next state) and one tile of
+    Laplacian scratch; the closed form evaluates each mode only at the
+    locations it is asked for.
     """
 
     stencil_radius = 1
@@ -58,17 +64,14 @@ class HeatDiffusionApp:
         self.modes = modes
         self.n_iterations = n_iterations
         self.iteration = 0
-        # Row k is ``amplitude * sin(k * pi * j / (n_nodes + 1))``, the
-        # same operations in the same order, computed in place.
-        j = np.arange(1, self.n_nodes + 1, dtype=np.float64)
-        self._shapes = np.empty((len(self.modes), self.n_nodes))
-        for row, (k, amplitude) in zip(self._shapes, self.modes):
-            np.multiply(k * np.pi, j, out=row)
-            np.divide(row, self.n_nodes + 1, out=row)
-            np.sin(row, out=row)
-            np.multiply(amplitude, row, out=row)
-        del j  # the state buffers below can reuse its memory
-        self.u = self._shapes.sum(axis=0)
+        # The modes summed in order, one TILE of nodes at a time, so
+        # building holds no state-sized temporary.
+        self.u = np.zeros(n_nodes)
+        for t0 in range(0, n_nodes, TILE):
+            u = self.u[t0 : t0 + TILE]
+            j = np.arange(t0 + 1, t0 + 1 + len(u), dtype=np.float64)
+            for k, amplitude in modes:
+                u += _mode_shape(k, amplitude, j, n_nodes)
         # With no nonzero amplitude the state is zero throughout, and
         # so it is when the amplitudes of one wavenumber cancel.
         if not self.u.any():
@@ -150,10 +153,12 @@ class HeatDiffusionApp:
         """Closed-form ``u`` at ``(iteration, location)`` — shape (T, L)."""
         locations = np.asarray(locations, dtype=np.int64)
         iterations = np.asarray(iterations, dtype=np.float64)
+        j = locations + 1.0
         out = np.zeros((iterations.shape[0], locations.shape[0]), dtype=np.float64)
-        for (k, _), shape in zip(self.modes, self._shapes):
+        for k, amplitude in self.modes:
             mu = self.decay_factor(k)
-            out += np.power(mu, iterations)[:, None] * shape[locations][None, :]
+            shape = _mode_shape(k, amplitude, j, self.n_nodes)
+            out += np.power(mu, iterations)[:, None] * shape[None, :]
         return out
 
 

@@ -82,9 +82,9 @@ class TestRunningStatsMerge:
         rng = np.random.default_rng(5)
         rows = rng.standard_normal((17, 2)) * 3.0 + 1.0
         bulk = self._filled(rows)
-        merged = RunningStats.merged(
-            [self._filled(row.reshape(1, -1)) for row in rows]
-        )
+        merged = RunningStats(2)
+        for row in rows:
+            merged.merge(self._filled(row.reshape(1, -1)))
         assert merged.count == bulk.count
         np.testing.assert_allclose(
             merged.mean, bulk.mean, rtol=1e-12, atol=1e-15
@@ -134,10 +134,6 @@ class TestRunningStatsMerge:
     def test_non_stats_rejected(self):
         with pytest.raises(ConfigurationError):
             RunningStats(2).merge(np.zeros(2))
-
-    def test_merged_needs_at_least_one_partial(self):
-        with pytest.raises(ConfigurationError):
-            RunningStats.merged([])
 
     def test_model_exposes_mergeable_stats(self):
         model = ARModel(2)

@@ -7,9 +7,13 @@ scenarios, and the multiprocessing backend must match on a replayed
 scenario with real worker processes.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro import scenarios
+from repro.core.ar_model import RunningStats
 from repro.core.curve_fitting import Analysis, CurveFitting
 from repro.core.features import ExtractionSummary
 from repro.core.params import IterParam
@@ -451,17 +455,9 @@ class TestDistributedMechanics:
             )
         )
         result = engine.run()
-        executor = engine.executor
-        widths = [
-            store.locations.shape[0] for store in executor.shard_stores(0)
-        ]
+        widths = [shard.shape[0] for shard in engine.driver.plans[0].shards]
         assert sum(widths) == 4
         assert widths.count(0) == 4
-        # Ranks that never collect still merge cleanly.
-        merged = executor.merged_store(0)
-        np.testing.assert_array_equal(
-            merged.matrix(), analysis.collector.store.matrix()
-        )
         assert result.collection_stats[0].count == 4 * len(
             analysis.collector.store
         )
@@ -526,15 +522,14 @@ class TestDistributedMechanics:
         result = engine.run()
         assert result.stopped_at == serial_result.stopped_at
         _assert_fits_match(serial_analysis, analysis)
-        # Regression: the rank-local shard state spans both run() calls
-        # — the reduced aggregates and the reassembled store must cover
-        # the pre-resume rows too.
+        # Regression: the store spans both run() calls, and so do the
+        # aggregates folded from it.
         rows = len(analysis.collector.store)
         assert result.collection_stats[0].count == 32 * rows
-        merged = engine.executor.merged_store(0)
-        np.testing.assert_array_equal(
-            merged.matrix(), analysis.collector.store.matrix()
-        )
+        store = analysis.collector.store
+        serial_store = serial_analysis.collector.store
+        np.testing.assert_array_equal(store.iterations, serial_store.iterations)
+        np.testing.assert_array_equal(store.matrix(), serial_store.matrix())
 
     def test_attaching_analyses_between_runs_rejected(self):
         engine = DistributedEngine(_replay_app(), n_ranks=2, policy="all")
@@ -544,6 +539,57 @@ class TestDistributedMechanics:
         engine.add_analysis(_replay_analysis(name="late", n_iterations=60))
         with pytest.raises(ConfigurationError, match="between distributed"):
             engine.run()
+
+
+class TestCollectionStats:
+    """``collection_stats[g]`` is one fold over the values group ``g``'s
+    store collected, bit for bit, on either backend and mp path."""
+
+    @staticmethod
+    def _assert_folds_store(engine, result):
+        plans = engine.driver.plans
+        assert len(result.collection_stats) == len(plans)
+        for plan, stats in zip(plans, result.collection_stats):
+            expected = RunningStats(1)
+            expected.update(plan.store.matrix().reshape(-1, 1))
+            assert stats.count == expected.count > 0
+            assert stats.mean.tobytes() == expected.mean.tobytes()
+            assert stats.std.tobytes() == expected.std.tobytes()
+
+    def test_simcomm(self):
+        engine = DistributedEngine(_replay_app(), n_ranks=3)
+        engine.add_analysis(_replay_analysis())
+        self._assert_folds_store(engine, engine.run())
+
+    def test_simcomm_resumed(self):
+        engine = DistributedEngine(_replay_app(), n_ranks=3, policy="all")
+        engine.add_analysis(_replay_analysis())
+        engine.run(max_iterations=40)
+        self._assert_folds_store(engine, engine.run())
+
+    def test_mp_replica_path(self):
+        engine = DistributedEngine(
+            backend="multiprocessing", n_ranks=2, app_factory=_replay_app
+        )
+        engine.add_analysis(_replay_analysis())
+        result = engine.run()
+        assert result.transport_stats["total_halo_bytes"] == 0
+        self._assert_folds_store(engine, result)
+
+    def test_mp_block_path(self):
+        spec = scenarios.get("heat-diffusion")
+        params = spec.params(quick=True)
+        engine = DistributedEngine(
+            backend="multiprocessing",
+            n_ranks=2,
+            app_factory=functools.partial(spec.app_factory, **params),
+            policy=spec.policy,
+        )
+        for analysis in spec.analysis_factory(**params):
+            engine.add_analysis(analysis)
+        result = engine.run()
+        assert result.transport_stats["total_halo_bytes"] > 0
+        self._assert_folds_store(engine, result)
 
 
 class TestMultiDiagnosticProvider:

@@ -76,11 +76,18 @@ def test_initial_state_bit_identical_to_expression(n_nodes, modes):
     app = HeatDiffusionApp(n_nodes=n_nodes, r=0.4, modes=modes, n_iterations=1)
     j = np.arange(1, n_nodes + 1, dtype=np.float64)
     shapes = np.stack([a * np.sin(k * np.pi * j / (n_nodes + 1)) for k, a in modes])
-    assert np.array_equal(app._shapes.view(np.uint64), shapes.view(np.uint64))
-    assert np.array_equal(app.u.view(np.uint64), shapes.sum(axis=0).view(np.uint64))
+    expected = shapes.sum(axis=0).view(np.uint64)
+    assert np.array_equal(app.u.view(np.uint64), expected)
+    # The closed form at iteration 0, over every node and at a strided,
+    # descending subset of them.
+    exact = app.exact(np.arange(n_nodes), [0])[0]
+    assert np.array_equal(exact.view(np.uint64), expected)
+    subset = np.arange(n_nodes)[::-7]
+    exact = app.exact(subset, [0])[0]
+    assert np.array_equal(exact.view(np.uint64), expected[subset])
 
 
-def test_app_holds_two_states_plus_its_mode_shapes():
+def test_app_holds_two_states_and_one_tile():
     tracemalloc.start()
     try:
         app = _app(100_000, 20)
@@ -91,14 +98,14 @@ def test_app_holds_two_states_plus_its_mode_shapes():
     finally:
         tracemalloc.stop()
     # NumPy's own trace domain counts array buffers only: the state and
-    # next state, one closed-form row per mode and one tile of
-    # Laplacian scratch.  A state-sized Laplacian would be a fifth state.
+    # next state and one tile of Laplacian scratch.  A state-sized
+    # Laplacian, or one kept row per mode, would be a third state.
     buffers = snapshot.filter_traces(
         [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     )
     retained = sum(trace.size for trace in buffers.traces)
     state = app.u.nbytes
-    assert retained <= (len(app.modes) + 2) * state + heat.TILE * app.u.itemsize
+    assert retained <= 2 * state + heat.TILE * app.u.itemsize
     # Built in place: no state-sized temporary outlived its operation,
     # so building and stepping never held more than the app keeps.
     assert peak - current < 0.5 * state

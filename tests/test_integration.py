@@ -76,7 +76,7 @@ class TestLuleshPipeline:
         # Threshold crossings and the conclusion event were broadcast.
         assert comm.broadcast_count >= 1
         assert comm.charged_seconds > 0
-        assert len(comm.mailbox(7)) == comm.broadcast_count
+        assert len(region.broadcaster.history) == comm.broadcast_count
 
     def test_two_analyses_one_region(self, lulesh_truth):
         _, truth_run = lulesh_truth

@@ -128,15 +128,6 @@ class TestMiniBatchTrainer:
         assert trainer.updates == 1
         assert model.batches[0][1].shape == (2,)
 
-    def test_finalize_without_drain_discards(self):
-        model = _CountingModel()
-        trainer = MiniBatchTrainer(
-            model, capacity=4, n_features=1, drain_partial=False
-        )
-        trainer.push([1], 1)
-        assert trainer.finalize() is None
-        assert trainer.updates == 0
-
     def test_finalize_on_empty_batch_is_noop(self):
         model = _CountingModel()
         trainer = MiniBatchTrainer(model, capacity=2, n_features=1)

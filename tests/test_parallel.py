@@ -1,9 +1,13 @@
 """Tests for repro.parallel (simulated comm, cost models, decomposition)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.events import StatusBroadcast
 from repro.errors import CommunicatorError, ConfigurationError
 from repro.parallel.comm import SimComm
 from repro.parallel.cost_model import CommCostModel, ThreadingModel
@@ -49,21 +53,6 @@ class TestCommCostModel:
         lo, hi = sorted((a, b))
         assert model.broadcast(64, lo) <= model.broadcast(64, hi)
 
-    def test_gather_cost(self):
-        model = CommCostModel(latency_s=1e-6, bandwidth_bytes_per_s=1e9)
-        assert model.gather(1024, 1) == 0.0
-        # 4 ranks: 2 latency stages, 3 foreign payloads into the root.
-        assert model.gather(1000, 4) == pytest.approx(2e-6 + 3e-6)
-        with pytest.raises(ConfigurationError):
-            model.gather(-1, 4)
-
-    @given(st.integers(1, 256), st.integers(1, 256))
-    @settings(max_examples=40)
-    def test_gather_monotone_in_ranks(self, a, b):
-        model = CommCostModel()
-        lo, hi = sorted((a, b))
-        assert model.gather(64, lo) <= model.gather(64, hi)
-
 
 class TestThreadingModel:
     def test_validation(self):
@@ -88,17 +77,23 @@ class TestThreadingModel:
 
 
 class TestSimComm:
-    def test_size_and_rank_validation(self):
+    def test_size_validation(self):
         with pytest.raises(CommunicatorError):
             SimComm(0)
-        with pytest.raises(CommunicatorError):
-            SimComm(4, rank=4)
 
-    def test_broadcast_delivers_to_all_mailboxes(self):
-        comm = SimComm(4)
-        comm.broadcast({"x": 1})
-        for rank in range(4):
-            assert comm.mailbox(rank) == [{"x": 1}]
+    def test_broadcast_returns_its_payload(self):
+        payload = {"x": 1}
+        assert SimComm(4).broadcast(payload) is payload
+
+    def test_broadcast_keeps_no_reference_to_its_payload(self):
+        comm = SimComm(8)
+        payload = StatusBroadcast(1, predicted_value=0.5, wavefront_rank=3)
+        ref = weakref.ref(payload)
+        comm.broadcast(payload)
+        del payload
+        gc.collect()
+        assert ref() is None
+        assert comm.broadcast_count == 1
 
     def test_broadcast_charges_time(self):
         comm = SimComm(8)
@@ -178,57 +173,19 @@ class TestSimComm:
             comm.allreduce_array(np.array([1.0, 2.0])), [4.0, 8.0]
         )
 
-    def test_gather_returns_rank_ordered_payloads(self):
-        comm = SimComm(3)
-        parts = [np.zeros(4), np.ones(4), np.full(4, 2.0)]
-        gathered = comm.gather(parts)
-        assert len(gathered) == 3
-        np.testing.assert_array_equal(gathered[1], np.ones(4))
-        assert comm.gather_count == 1
-        assert comm.charged_seconds == pytest.approx(
-            comm.cost_model.gather(32, 3)
-        )
-
-    def test_gather_validates_rank_count_and_root(self):
-        comm = SimComm(2)
-        with pytest.raises(CommunicatorError):
-            comm.gather([1.0])
-        with pytest.raises(CommunicatorError):
-            comm.gather([1.0, 2.0], root=7)
-
-    def test_gather_free_on_single_rank(self):
-        comm = SimComm(1)
-        assert comm.gather(["x"]) == ["x"]
-        assert comm.charged_seconds == 0.0
-
-    def test_bcast_obj_charges_without_mailbox_deposit(self):
-        comm = SimComm(4)
-        payload = {"stats": list(range(10))}
-        assert comm.bcast_obj(payload) is payload
-        assert comm.charged_seconds > 0
-        assert comm.broadcast_count == 1
-        assert comm.mailbox(0) == []
-
-    def test_views_share_state(self):
-        comm = SimComm(4)
-        view = comm.view(2)
-        assert view.rank == 2
-        comm.broadcast("hello")
-        assert view.mailbox() == ["hello"]
-        assert view.charged_seconds == comm.charged_seconds
-
     def test_barrier_charges(self):
         comm = SimComm(4)
         comm.barrier()
         assert comm.charged_seconds > 0
 
-    def test_reset_accounting_keeps_mailboxes(self):
+    def test_reset_accounting_zeroes_the_ledger(self):
         comm = SimComm(2)
         comm.broadcast("x")
+        comm.allreduce(1.0)
         comm.reset_accounting()
         assert comm.charged_seconds == 0.0
         assert comm.broadcast_count == 0
-        assert comm.mailbox(0) == ["x"]
+        assert comm.allreduce_count == 0
 
 
 class TestProcessorGrid:

@@ -120,7 +120,7 @@ class TestRegion:
             region.begin()
             region.end()
         assert comm.broadcast_count == 2
-        assert len(comm.mailbox(3)) == 2
+        assert len(region.broadcaster.history) == comm.broadcast_count
 
     def test_terminate_action_stops_loop(self):
         region = Region()
