@@ -591,6 +591,51 @@ class TestCollectionStats:
         assert result.transport_stats["total_halo_bytes"] > 0
         self._assert_folds_store(engine, result)
 
+    def test_simcomm_after_a_reshard(self):
+        # The kill re-points every rank's views mid-run; the store keeps
+        # the rows from before and after the new layout alike.
+        engine = DistributedEngine(
+            _replay_app(), n_ranks=4, faults="kill:rank=1,iter=7"
+        )
+        engine.add_analysis(_replay_analysis())
+        result = engine.run(max_iterations=120)
+        assert [e.kind for e in result.recovery_events] == [
+            "rank_death",
+            "reshard",
+        ]
+        self._assert_folds_store(engine, result)
+
+    def test_mp_after_a_kill(self):
+        # The fold runs after rank_sample_seconds() has drained the
+        # workers, so the resampled rows are in the store it reads.
+        engine = DistributedEngine(
+            backend="multiprocessing",
+            n_ranks=3,
+            app_factory=_replay_app,
+            faults="kill:rank=2,iter=10",
+        )
+        engine.add_analysis(_replay_analysis())
+        result = engine.run(max_iterations=120)
+        assert [e.kind for e in result.recovery_events] == [
+            "rank_death",
+            "reshard",
+        ]
+        self._assert_folds_store(engine, result)
+
+    def test_simcomm_and_mp_agree_bit_for_bit(self):
+        def stats(**kwargs):
+            engine = DistributedEngine(n_ranks=2, **kwargs)
+            engine.add_analysis(_replay_analysis())
+            return engine.run().collection_stats
+
+        simcomm = stats(app=_replay_app())
+        mp = stats(backend="multiprocessing", app_factory=_replay_app)
+        assert len(simcomm) == len(mp) == 1
+        for a, b in zip(simcomm, mp):
+            assert a.count == b.count > 0
+            assert a.mean.tobytes() == b.mean.tobytes()
+            assert a.std.tobytes() == b.std.tobytes()
+
 
 class TestMultiDiagnosticProvider:
     def test_locations_are_range_checked(self):

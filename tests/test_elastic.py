@@ -61,6 +61,17 @@ class TestSimCommDeaths:
         assert reshard.counts_after[1] == reshard.counts_after[2] == 0
         assert engine.executor.layout.counts() == reshard.counts_after
 
+    def test_rank_views_follow_the_reshard(self):
+        engine, _, _ = _simcomm_run("kill:rank=1,iter=7")
+        executor = engine.executor
+        for rank in executor.ranks:
+            assert len(rank.views) == len(executor.plans)
+            for view, plan in zip(rank.views, executor.plans):
+                np.testing.assert_array_equal(
+                    view.locations, plan.shards[rank.rank]
+                )
+        assert all(view.locations.size == 0 for view in executor.ranks[1].views)
+
 
 def test_backends_reshard_a_dead_rank_alike():
     # The reshard happens at different iterations (simcomm before the

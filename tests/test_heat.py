@@ -87,6 +87,28 @@ def test_initial_state_bit_identical_to_expression(n_nodes, modes):
     assert np.array_equal(exact.view(np.uint64), expected[subset])
 
 
+def test_exact_at_locations_bit_identical_to_full_rows():
+    # Evaluating each mode at the requested locations only must give the
+    # bits of evaluating it over every node and then indexing, at any
+    # iteration and for locations in any order, repeated or not.
+    n_nodes = 4001
+    modes = ((np.int64(5), np.float32(0.3)), (2, 1.0), (9, -0.7))
+    app = HeatDiffusionApp(n_nodes=n_nodes, r=0.4, modes=modes, n_iterations=1)
+    j = np.arange(1, n_nodes + 1, dtype=np.float64)
+    iterations = np.array([0.0, 1.0, 17.0, 250.0])
+    rng = np.random.default_rng(11)
+    locations = rng.integers(0, n_nodes, size=300)
+    expected = np.zeros((iterations.size, locations.size))
+    for k, a in modes:
+        row = a * np.sin(k * np.pi * j / (n_nodes + 1))
+        expected += (
+            np.power(app.decay_factor(k), iterations)[:, None]
+            * row[locations][None, :]
+        )
+    exact = app.exact(locations, iterations)
+    assert np.array_equal(exact.view(np.uint64), expected.view(np.uint64))
+
+
 def test_app_holds_two_states_and_one_tile():
     tracemalloc.start()
     try:
