@@ -18,11 +18,11 @@ Three subcommands drive the scenario registry
     still applies, so CI can fail an adaptive run whose accuracy
     drifts.  ``--quick`` applies the spec's trimmed smoke parameters;
     ``--json out.json`` writes the full report.  ``--faults SPEC``
-    injects deterministic failures (rank kills, slowdowns, transport
-    drops) into the distributed run and ``--rebalance`` migrates work
-    away from slow ranks; both leave results bit-identical to serial,
-    so the cross-check still applies.  Exit status 1 on validation
-    failure or serial/distributed divergence.
+    injects deterministic failures (rank kills and slowdowns) into the
+    distributed run and ``--rebalance`` migrates work away from slow
+    ranks; both leave results bit-identical to serial, so the
+    cross-check still applies.  Exit status 1 on validation failure or
+    serial/distributed divergence.
 
 ``bench``
     Time every (or the named) scenario serial and distributed, print a
@@ -328,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="inject deterministic faults into a distributed run, e.g. "
-        "'kill:rank=2,iter=40;slow:rank=1,per_sample=1e-4;"
-        "drop:rank=1,chunk=2'",
+        "'kill:rank=2,iter=40;slow:rank=1,per_sample=1e-4'",
     )
     p_run.add_argument(
         "--rebalance",

@@ -48,7 +48,6 @@ from repro.engine.distributed import (
 from repro.engine.faults import (
     KILL_EXIT_CODE,
     DelayFault,
-    DropFault,
     FaultPlan,
     KillFault,
     RecoveryEvent,
@@ -98,7 +97,6 @@ __all__ = [
     "DelayFault",
     "DistributedEngine",
     "DistributedResult",
-    "DropFault",
     "EngineResult",
     "ExecutionDriver",
     "Executor",

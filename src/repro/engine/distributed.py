@@ -328,9 +328,8 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     requests up to ``n`` more iterations sampling the groups in
     ``active`` (``ghosts`` is None outside block stepping);
     ``("reshard", locations_per_group)`` adopts a new shard layout (an
-    elastic recovery or rebalance — no reply); ``("resend",)`` replays
-    the chunk retained by an injected drop fault; ``("finish",)``
-    requests the worker's timing/byte counters and ends the loop.
+    elastic recovery or rebalance — no reply); ``("finish",)`` requests
+    the worker's timing/byte counters and ends the loop.
     Replies: one ``("rows", pickled_payload, extra)`` acknowledgement
     per chunk, where ``extra`` carries the worker's cumulative
     sample-seconds ledger (which the parent's rebalancer reads) and the
@@ -350,8 +349,7 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
     fault ``os._exit``\\ s the process the moment the replica reaches
     the fault iteration (no ack, no cleanup — a reclaimed preemptible
     instance); a delay fault really sleeps inside the timed sampling
-    section; a drop fault withholds one chunk's payload once and serves
-    it on the parent's resend request.
+    section.
     """
     failed = False
     try:
@@ -367,12 +365,8 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
         sender = PickleRowSender()
         kill = task.faults.kill_for(task.rank) if task.faults else None
         delay = task.faults.delay_for(task.rank) if task.faults else None
-        drop = task.faults.drop_for(task.rank) if task.faults else None
         sample_seconds = 0.0
         iteration = 0
-        chunks_sent = 0
-        dropped_once = False
-        retained: Optional[tuple] = None
         while True:
             message = conn.recv()
             command = message[0]
@@ -428,21 +422,7 @@ def _shard_worker(conn, task: _WorkerTask) -> None:
                         app.state[lo:lo + width].copy(),
                         app.state[hi - width:hi].copy(),
                     )
-                if (
-                    drop is not None
-                    and not dropped_once
-                    and chunks_sent == drop.chunk
-                ):
-                    dropped_once = True
-                    retained = (payload, extra)
-                    conn.send(("dropped", extra))
-                else:
-                    sender.send(conn, payload, extra)
-                    chunks_sent += 1
-            elif command == "resend":
-                sender.send(conn, *retained)
-                retained = None
-                chunks_sent += 1
+                sender.send(conn, payload, extra)
             elif command == "reshard":
                 views = [
                     ShardView(spec.provider, locations)
@@ -547,20 +527,18 @@ class MultiprocessExecutor:
 
     **Pipelined chunk execution** (every multi-rank run): immediately
     after a chunk's rows land in the parent's buffer, the next chunk is
-    speculatively requested with the same frozen active set, so worker
+    speculatively requested with the same frozen active set (or the
+    boundary's set, when the frozen set does not cover it), so worker
     stepping and sampling of chunk *k+1* overlaps rank-0 compute of
     chunk *k* — rank 0 steps its own app, samples its shard and trains
     — instead of alternating with it.  The speculative replies are
-    received on the main thread at the next chunk boundary.  The speculation is adopted when the needed groups are a
-    subset of the speculated set (chunk freezing only ever
-    over-collects); otherwise — the active set grew between chunks,
-    e.g. an adaptive cadence snap-back — it is discarded and rank 0
-    resamples that boundary chunk's rows from its live app (the worker
-    replicas are already past those iterations and cannot rewind),
-    which is bit-identical because the replicas are deterministic.
-    Rank 0 samples every shard it does not get from a worker — its
-    own, a dead rank's, a discarded speculation's, a group backfilled
-    mid-chunk — through one helper, :meth:`_sample`.
+    received on the main thread at the next chunk boundary, and every
+    speculated chunk is adopted: a group the active set dropped is
+    over-collected, which is harmless, and a group it gained (an
+    adaptive cadence snap-back) is backfilled by rank 0 for that chunk
+    only, bit-identical because the replicas are deterministic.  Rank 0
+    samples every shard it does not get from a worker — its own, a dead
+    rank's, a backfilled group's — through one helper, :meth:`_sample`.
 
     **Elasticity** (the shared
     :class:`~repro.engine.elastic.ElasticLayout`): a worker death
@@ -630,7 +608,6 @@ class MultiprocessExecutor:
         # Pipelining state: at most one speculative chunk in flight.
         self._speculative: Optional[_Speculation] = None
         self._chunks_speculated = 0
-        self._chunks_discarded = 0
         self._backfilled_rows = 0
         # Overlap/idle ledgers (wall-clock instrumentation only); each
         # worker's busy seconds for its latest chunk come in its ack.
@@ -770,60 +747,29 @@ class MultiprocessExecutor:
     def _recv(self, index: int, expected: str):
         process = self._processes[index]
         conn = self._conns[index]
-        resent = False
-        while True:
-            try:
-                # Poll so a killed worker surfaces as a clean error
-                # instead of the parent blocking forever on a
-                # half-closed pipe.
-                while not conn.poll(0.2):
-                    if not process.is_alive():
-                        # One last poll: the worker may have replied and
-                        # exited between the poll and the liveness check.
-                        if conn.poll(0):
-                            break
-                        raise self._died(index)
-                reply = conn.recv()
-            except (EOFError, ConnectionResetError) as exc:
-                raise self._died(index) from exc
-            if reply[0] == "error":
-                raise self._died(index, worker_traceback=reply[1])
-            if reply[0] == "dropped" and expected == "rows":
-                # Injected transport loss: the worker withheld the
-                # chunk; ask it to replay its retained payload.
-                self._note_extra(index, reply[1])
-                self.recovery_events.append(
-                    RecoveryEvent(
-                        kind="chunk_dropped",
-                        iteration=self._last_iteration,
-                        rank=index + 1,
-                        detail=(
-                            "transport chunk dropped once (injected); "
-                            "resend requested"
-                        ),
-                    )
-                )
-                self._post(index, ("resend",))
-                resent = True
-                continue
-            if reply[0] != expected:
-                raise CommunicatorError(
-                    f"worker protocol desync: expected {expected!r}, "
-                    f"got {reply[0]!r}"
-                )
-            if expected == "rows":
-                self._note_extra(index, reply[2])
-            if resent:
-                self.recovery_events.append(
-                    RecoveryEvent(
-                        kind="chunk_resent",
-                        iteration=self._last_iteration,
-                        rank=index + 1,
-                        detail="dropped chunk replayed from the worker's "
-                        "retained payload",
-                    )
-                )
-            return reply
+        try:
+            # Poll so a killed worker surfaces as a clean error instead
+            # of the parent blocking forever on a half-closed pipe.
+            while not conn.poll(0.2):
+                if not process.is_alive():
+                    # One last poll: the worker may have replied and
+                    # exited between the poll and the liveness check.
+                    if conn.poll(0):
+                        break
+                    raise self._died(index)
+            reply = conn.recv()
+        except (EOFError, ConnectionResetError) as exc:
+            raise self._died(index) from exc
+        if reply[0] == "error":
+            raise self._died(index, worker_traceback=reply[1])
+        if reply[0] != expected:
+            raise CommunicatorError(
+                f"worker protocol desync: expected {expected!r}, "
+                f"got {reply[0]!r}"
+            )
+        if expected == "rows":
+            self._note_extra(index, reply[2])
+        return reply
 
     def _note_extra(self, index: int, extra) -> None:
         self._worker_seconds[index] = float(extra["sample_seconds"])
@@ -880,17 +826,8 @@ class MultiprocessExecutor:
                 self._on_worker_death(death)
         return posted
 
-    def _ingest_payloads(
-        self, payloads: Dict[int, list], frozen: tuple, adopt: bool = True
-    ) -> None:
-        """Validate decoded chunk payloads and fill the parent buffer.
-
-        With ``adopt=False`` (a discarded speculative chunk) the worker
-        parts are dropped and every buffered entry carries ``None`` in
-        each worker slot, which routes the whole row through rank 0's
-        deterministic-resample backfill in :meth:`advance` — the
-        synchronous fallback for an active-set-drift boundary.
-        """
+    def _ingest_payloads(self, payloads: Dict[int, list], frozen: tuple) -> None:
+        """Validate decoded chunk payloads and fill the parent buffer."""
         if payloads:
             lengths = {len(p) for p in payloads.values()}
             if len(lengths) > 1:
@@ -911,8 +848,6 @@ class MultiprocessExecutor:
                             "worker replicas diverged: iterations "
                             f"{sorted({it, entry_iteration})}"
                         )
-                    if not adopt:
-                        continue
                     parts_by_worker[index] = parts
                     for part in parts:
                         if part is not None:
@@ -943,7 +878,7 @@ class MultiprocessExecutor:
         self._rank0_idle += time.perf_counter() - start
         return payloads
 
-    def _post_speculation(self) -> None:
+    def _post_speculation(self, frozen: tuple) -> None:
         """Speculatively request the next chunk behind the buffered one.
 
         Fenced off when a reshard is pending (death or due rebalance
@@ -957,7 +892,6 @@ class MultiprocessExecutor:
             or not self._buffer
         ):
             return
-        frozen = self._chunk_active
         posted = self._post_advance(frozen)
         if posted:
             self._speculative = _Speculation(frozen, posted)
@@ -994,32 +928,24 @@ class MultiprocessExecutor:
             self._ingest_payloads(
                 self._collect(self._post_advance(frozen)), frozen
             )
-        elif set(frozen) <= set(state.frozen):
-            # Chunk freezing only ever over-collects: the engine
-            # consumes rows by its per-iteration active set, so a
-            # speculated superset is adopted as-is.
-            self._ingest_payloads(payloads, state.frozen)
         else:
-            # The active set grew between chunks (adaptive cadence
-            # snap-back / re-widening): the speculated chunk lacks rows
-            # for the new groups and the worker replicas are already
-            # past these iterations, so the chunk cannot be re-collected
-            # from them.  Drop the payloads and fall back to synchronous
-            # for this boundary — rank 0 resamples every row from its
-            # live app, bit-identical because the replicas are
-            # deterministic.
-            self._chunks_discarded += 1
-            self._ingest_payloads(payloads, frozen, adopt=False)
+            # Every speculated chunk is adopted.  Its frozen set only
+            # ever over-collects for a group the active set dropped; a
+            # group it gained (an adaptive cadence snap-back) is
+            # backfilled by rank 0 in advance().  The next chunk keeps
+            # the adopted set while that covers the boundary's.
+            self._ingest_payloads(payloads, state.frozen)
+            if set(frozen) <= set(state.frozen):
+                frozen = state.frozen
         self.layout.tick()
-        self._post_speculation()
+        self._post_speculation(frozen)
 
     def _sample(self, group: int, rank: int, domain: object) -> np.ndarray:
         """Rank 0 samples ``rank``'s shard of ``group`` from its live app.
 
-        One path for rank 0's own shard, a dead rank's shard, a
-        discarded speculation and a group backfilled mid-chunk: all are
-        bit-identical to what the rank would have sent, because the
-        replicas are deterministic.
+        One path for rank 0's own shard, a dead rank's shard and a
+        backfilled group's: all are bit-identical to what the rank would
+        have sent, because the replicas are deterministic.
         """
         shard = self.plans[group].shards[rank]
         if not shard.shape[0]:
@@ -1117,16 +1043,16 @@ class MultiprocessExecutor:
             if not self.plans[g].temporal.matches(iteration):
                 continue
             # A group the chunk was frozen without is one an adaptive
-            # cadence re-collects mid-chunk (a probe stride landing
-            # between boundaries, or a snap-back): no worker sampled
-            # it, so rank 0 assembles the whole row.
+            # cadence re-collects after the chunk was posted (a probe
+            # stride landing between boundaries, or a snap-back): no
+            # worker sampled it, so rank 0 assembles the whole row.
             backfill = g not in chunk_active
             self._backfilled_rows += backfill
             parts = [self._sample(g, 0, domain)]
             for rank, worker in enumerate(worker_parts, start=1):
                 if worker is None or backfill:
-                    # No worker part: a dead rank, a discarded
-                    # speculation, or a group backfilled mid-chunk.
+                    # No worker part: a dead rank, or a backfilled
+                    # group.
                     part = self._sample(g, rank, domain)
                     resampled |= (
                         worker is None and not backfill and part.size > 0
@@ -1201,8 +1127,8 @@ class MultiprocessExecutor:
         0 was busy — and ``idle_seconds`` — for rank 0, time blocked
         waiting on worker rows; for a worker, time its finished chunk
         sat waiting for rank 0.  The ``pipeline`` block summarizes the
-        speculation machinery (chunks speculated/discarded, rows
-        backfilled by rank 0 for mid-chunk cadence growth).
+        speculation machinery: chunks speculated, and rows backfilled by
+        rank 0 for groups the active set gained mid-chunk.
 
         ``bytes_moved`` counts row payloads only.  Under block stepping
         the halo cells travel beside them, in the chunk request and its
@@ -1256,7 +1182,6 @@ class MultiprocessExecutor:
             "total_halo_bytes": sum(r["halo_bytes"] for r in per_rank),
             "pipeline": {
                 "chunks_speculated": int(self._chunks_speculated),
-                "chunks_discarded": int(self._chunks_discarded),
                 "backfilled_rows": int(self._backfilled_rows),
             },
         }
@@ -1379,11 +1304,10 @@ class DistributedEngine:
         Multiprocessing only: iterations per worker round trip.
     faults:
         Optional :class:`~repro.engine.faults.FaultPlan` (or its spec
-        string) of deterministic failures to inject — rank kills,
-        per-rank slowdowns, one-shot transport drops.  Validated
-        against the rank count and backend at construction.  A rank
-        death never aborts the run: the dead rank's shard is re-sharded
-        over the survivors.
+        string) of deterministic failures to inject — rank kills and
+        per-rank slowdowns.  Validated against the rank count and
+        backend at construction.  A rank death never aborts the run:
+        the dead rank's shard is re-sharded over the survivors.
     rebalance:
         Enable skew-triggered rebalancing: every
         ``REBALANCE_EVERY`` iterations (simcomm) or worker chunks

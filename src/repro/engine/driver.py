@@ -222,9 +222,9 @@ class EngineResult:
     Serial and simcomm runs move rows in-process and leave it ``None``.
 
     ``recovery_events`` is the elasticity audit trail: one
-    :class:`~repro.engine.faults.RecoveryEvent` per rank death,
-    reshard, rebalance migration or transport drop/resend the run
-    survived, in order.  Empty for fault-free, balanced runs.
+    :class:`~repro.engine.faults.RecoveryEvent` per rank death, worker
+    error, reshard or rebalance migration the run survived, in order.
+    Empty for fault-free, balanced runs.
     """
 
     iterations: int

@@ -16,17 +16,12 @@ at an exact, named point:
   workers really sleep; simcomm charges the delay to the rank's
   sample-seconds ledger without sleeping, so rebalancing decisions
   stay bit-deterministic.
-* :class:`DropFault` — worker rank ``R``'s ``chunk``-th transport
-  chunk is dropped once before it is pickled; the parent
-  detects the hole and requests a resend from the worker's retained
-  payload.  Transport-level, so multiprocessing-only.
 
 Plans parse from a compact CLI spec (``repro run --faults ...``)::
 
     kill:rank=2,iter=40
     slow:rank=1,per_iter=0.01
     slow:rank=3,per_sample=1e-4
-    drop:rank=1,chunk=2
 
 with multiple clauses joined by ``;``.  Every injected fault and every
 recovery action taken in response is recorded as a
@@ -35,6 +30,7 @@ recovery action taken in response is recorded as a
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -42,7 +38,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "DelayFault",
-    "DropFault",
     "FaultPlan",
     "KillFault",
     "RecoveryEvent",
@@ -86,9 +81,12 @@ class DelayFault:
             raise ConfigurationError(
                 f"delay fault rank must be >= 0, got {self.rank}"
             )
-        if self.per_iteration < 0 or self.per_sample < 0:
+        if not all(
+            math.isfinite(seconds) and seconds >= 0
+            for seconds in (self.per_iteration, self.per_sample)
+        ):
             raise ConfigurationError(
-                "delay fault seconds must be >= 0, got "
+                "delay fault seconds must be finite and >= 0, got "
                 f"per_iteration={self.per_iteration}, "
                 f"per_sample={self.per_sample}"
             )
@@ -103,38 +101,14 @@ class DelayFault:
 
 
 @dataclass(frozen=True)
-class DropFault:
-    """Drop rank ``rank``'s ``chunk``-th transport chunk once (0-based)."""
-
-    rank: int
-    chunk: int
-
-    def __post_init__(self) -> None:
-        if self.rank <= 0:
-            raise ConfigurationError(
-                "drop fault rank must be a worker rank (>= 1); rank 0 "
-                f"moves no chunks, got {self.rank}"
-            )
-        if self.chunk < 0:
-            raise ConfigurationError(
-                f"drop fault chunk must be >= 0, got {self.chunk}"
-            )
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Deterministic set of faults to inject into one distributed run."""
 
     kills: Tuple[KillFault, ...] = ()
     delays: Tuple[DelayFault, ...] = ()
-    drops: Tuple[DropFault, ...] = ()
 
     def __post_init__(self) -> None:
-        for label, faults in (
-            ("kill", self.kills),
-            ("slow", self.delays),
-            ("drop", self.drops),
-        ):
+        for label, faults in (("kill", self.kills), ("slow", self.delays)):
             seen = set()
             for fault in faults:
                 if fault.rank in seen:
@@ -145,7 +119,7 @@ class FaultPlan:
                 seen.add(fault.rank)
 
     def __bool__(self) -> bool:
-        return bool(self.kills or self.delays or self.drops)
+        return bool(self.kills or self.delays)
 
     # -- lookups ---------------------------------------------------------
 
@@ -161,21 +135,14 @@ class FaultPlan:
                 return fault
         return None
 
-    def drop_for(self, rank: int) -> Optional[DropFault]:
-        for fault in self.drops:
-            if fault.rank == rank:
-                return fault
-        return None
-
     def validate_for(self, n_ranks: int, backend: str) -> None:
         """Reject faults the run's shape cannot express.
 
         ``backend`` is ``"simcomm"`` or ``"multiprocessing"``.  Kill
         faults must leave at least one survivor; on multiprocessing,
-        rank 0 is the parent process and cannot be killed; drop faults
-        are transport-level and only exist on multiprocessing.
+        rank 0 is the parent process and cannot be killed.
         """
-        for fault in (*self.kills, *self.delays, *self.drops):
+        for fault in (*self.kills, *self.delays):
             if fault.rank >= n_ranks:
                 raise ConfigurationError(
                     f"fault names rank {fault.rank} but the run has "
@@ -186,20 +153,12 @@ class FaultPlan:
                 f"fault plan kills all {n_ranks} rank(s); at least one "
                 "rank must survive to adopt the dead shards"
             )
-        if backend == "multiprocessing":
-            if self.kill_for(0) is not None:
-                raise ConfigurationError(
-                    "cannot kill rank 0 on the multiprocessing backend: "
-                    "it is the parent process driving the run (use the "
-                    "simcomm backend to simulate a rank-0 death)"
-                )
-        else:
-            if self.drops:
-                raise ConfigurationError(
-                    "drop faults are transport-level and only apply to "
-                    "the multiprocessing backend; the simcomm backend "
-                    "moves rows in-process"
-                )
+        if backend == "multiprocessing" and self.kill_for(0) is not None:
+            raise ConfigurationError(
+                "cannot kill rank 0 on the multiprocessing backend: "
+                "it is the parent process driving the run (use the "
+                "simcomm backend to simulate a rank-0 death)"
+            )
 
     # -- parsing ---------------------------------------------------------
 
@@ -209,11 +168,10 @@ class FaultPlan:
 
         Clauses are ``;``-separated, each ``type:key=value,...``::
 
-            kill:rank=2,iter=40;slow:rank=3,per_sample=1e-4;drop:rank=1,chunk=2
+            kill:rank=2,iter=40;slow:rank=3,per_sample=1e-4
         """
         kills: List[KillFault] = []
         delays: List[DelayFault] = []
-        drops: List[DropFault] = []
         for clause in spec.split(";"):
             clause = clause.strip()
             if not clause:
@@ -245,39 +203,34 @@ class FaultPlan:
                         ),
                     )
                 )
-            elif kind == "drop":
-                drops.append(
-                    DropFault(
-                        rank=_take_int(clause, fields, "rank"),
-                        chunk=_take_int(clause, fields, "chunk"),
-                    )
-                )
             else:
                 raise ConfigurationError(
                     f"unknown fault type {kind!r} in {clause!r}; expected "
-                    "kill, slow or drop"
+                    "kill or slow"
                 )
             if fields:
                 raise ConfigurationError(
                     f"fault clause {clause!r} has unknown field(s) "
                     f"{sorted(fields)}"
                 )
-        return cls(kills=tuple(kills), delays=tuple(delays), drops=tuple(drops))
+        return cls(kills=tuple(kills), delays=tuple(delays))
 
     def to_spec(self) -> str:
-        """The plan re-rendered as a ``--faults`` spec string."""
+        """The plan re-rendered as a ``--faults`` spec string.
+
+        Seconds render with ``repr``, the shortest string that parses
+        back to the same float, so ``parse(plan.to_spec()) == plan``.
+        """
         clauses = []
         for k in self.kills:
             clauses.append(f"kill:rank={k.rank},iter={k.iteration}")
         for d in self.delays:
             parts = [f"slow:rank={d.rank}"]
             if d.per_iteration:
-                parts.append(f"per_iter={d.per_iteration:g}")
+                parts.append(f"per_iter={float(d.per_iteration)!r}")
             if d.per_sample:
-                parts.append(f"per_sample={d.per_sample:g}")
+                parts.append(f"per_sample={float(d.per_sample)!r}")
             clauses.append(",".join(parts))
-        for d in self.drops:
-            clauses.append(f"drop:rank={d.rank},chunk={d.chunk}")
         return ";".join(clauses)
 
 
@@ -352,9 +305,8 @@ class RecoveryEvent:
 
     ``kind`` is one of ``"rank_death"`` (a rank stopped participating),
     ``"reshard"`` (dead shards redistributed over survivors),
-    ``"rebalance"`` (skew-triggered weight migration),
-    ``"chunk_dropped"`` / ``"chunk_resent"`` (transport drop + replay),
-    or ``"worker_error"`` (a propagated worker traceback).
+    ``"rebalance"`` (skew-triggered weight migration), or
+    ``"worker_error"`` (a propagated worker traceback).
     """
 
     kind: str

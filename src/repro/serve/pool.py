@@ -131,7 +131,7 @@ class WorkerPool:
     may itself fan out multiprocessing shard workers.
     """
 
-    def __init__(self, size: int = 2, start_method: Optional[str] = None):
+    def __init__(self, size: int = 2):
         if size <= 0:
             raise ServeError(f"pool size must be positive, got {size}")
         self.size = int(size)
@@ -140,7 +140,7 @@ class WorkerPool:
         # inherit those fds and keep streams from ever reaching EOF.
         # Spawn starts clean — its import cost is exactly what the
         # warm pool exists to amortize.
-        self._ctx = multiprocessing.get_context(start_method or "spawn")
+        self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
         self._free: Optional[asyncio.Queue] = None
         self._busy = 0

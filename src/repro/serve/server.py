@@ -102,11 +102,10 @@ class AnalysisServer:
         port: int = 0,
         workers: int = 2,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        start_method: Optional[str] = None,
     ):
         self.host = host
         self.port = port
-        self.pool = WorkerPool(size=workers, start_method=start_method)
+        self.pool = WorkerPool(size=workers)
         self.cache = ResultCache(max_bytes=cache_bytes)
         self._server: Optional[asyncio.AbstractServer] = None
         self._inflight: Set[asyncio.Task] = set()

@@ -210,16 +210,6 @@ def test_worker_death_replays_and_stays_bit_identical():
     assert "replayed a fresh replica to iteration 16" in reshard.detail
 
 
-def test_dropped_chunk_is_resent():
-    serial = _heat(1)
-    dropped = _heat(2, faults="drop:rank=1,chunk=2")
-    _assert_rows_identical(serial, dropped)
-    engine, _, result = dropped
-    assert _block_stepped(engine, result)
-    kinds = [event.kind for event in result.recovery_events]
-    assert kinds == ["chunk_dropped", "chunk_resent"]
-
-
 @pytest.mark.parametrize("n_ranks", [1, 2])
 @pytest.mark.parametrize(
     "name, window, size",

@@ -174,8 +174,10 @@ class TestAdaptiveGuards:
         # mp + adaptive used to be rejected: workers freeze the active
         # set per chunk, so a mid-chunk cadence change (snap-back,
         # widening, early-stop) left them collecting the wrong rows.
-        # Rank 0 now backfills cadence-driven gaps from its own replica,
-        # so the combination runs and must still match serial exactly.
+        # Rank 0 now backfills, from its own live app, every row of a
+        # group its chunk was frozen without (also in an adopted
+        # speculative chunk), so the combination runs and must still
+        # match serial exactly.
         run = scenarios.run_scenario(
             "heat-diffusion",
             config=scenarios.RunConfig(

@@ -160,6 +160,20 @@ class TestRun:
         assert "error: n_nodes must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("drop:rank=1,chunk=2", "error: unknown fault type 'drop'"),
+            ("slow:rank=1,per_iter=nan", "error: delay fault seconds must be finite"),
+            ("slow:rank=0,per_iter=inf", "error: delay fault seconds must be finite"),
+        ],
+    )
+    def test_bad_faults_exit_2(self, capsys, spec, message):
+        argv = ["run", "heat-diffusion", "--quick", "--ranks", "2", "--backend", "mp"]
+        assert main(argv + ["--faults", spec]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
         "scenario, param, message",
         [
             ("advection-front", "speed=abc", "speed must be a finite real"),

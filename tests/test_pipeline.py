@@ -4,9 +4,9 @@ The acceptance core: every multi-rank run speculates the next chunk,
 and results stay bit-identical to the serial engine — speculation only
 ever changes *when* rows are fetched, never what the engine consumes.
 The hard edges each get a deterministic test: a speculative chunk
-discarded when the active set grows between chunk boundaries, a worker
-killed while a speculative chunk is in flight, and teardown on failure
-paths.
+adopted when the active set grows between chunk boundaries (rank 0
+backfills the group it gained), a worker killed while a speculative
+chunk is in flight, and teardown on failure paths.
 """
 
 import os
@@ -163,7 +163,7 @@ class TestPipelinedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# speculation discard: the active set grows between chunk boundaries
+# speculation adoption: the active set changes between chunk boundaries
 # ----------------------------------------------------------------------
 
 N_ITER = 16
@@ -203,14 +203,14 @@ def _two_group_executor():
     return executor, plans, app.history
 
 
-class TestSpeculationDiscard:
-    def test_grown_active_set_discards_and_stays_bit_identical(self):
+class TestSpeculationAdoption:
+    def test_grown_active_set_adopts_and_backfills_bit_identical(self):
         # Chunk 1 is requested with only group 0 active, so the
         # speculative chunk 2 freezes {0} as well.  Activating group 1
         # at the chunk-2 boundary makes the needed set a *superset* of
-        # the speculated one — the workers never sampled group 1 and
-        # their replicas are already past those iterations, so the
-        # chunk must be discarded and re-sampled by rank 0.
+        # the speculated one.  The chunk is adopted anyway: the workers'
+        # group-0 parts are used, and rank 0 backfills group 1's rows
+        # for that chunk only.
         executor, plans, history = _two_group_executor()
         try:
             executor.start()
@@ -219,18 +219,24 @@ class TestSpeculationDiscard:
                 active = (0,) if iteration in (1, 3, 4) else (0, 1)
                 rows = executor.advance(iteration, active)
                 rows_seen[iteration] = rows
-            assert executor._chunks_discarded == 1
-            # Iteration 2 wanted group 1 mid-chunk (frozen without it):
-            # rank 0 backfilled that row from its live app.
-            assert executor._backfilled_rows >= 1
             for iteration, rows in rows_seen.items():
                 for g, row in rows.items():
                     window = plans[g].locations
                     np.testing.assert_array_equal(
                         row, history[iteration - 1, window]
                     )
-            # Speculation resumed after the discarded boundary.
+            # Iteration 2 (mid-chunk) and iterations 5-8 (the adopted
+            # chunk) wanted group 1, which their chunks were frozen
+            # without: rank 0 backfilled those five rows.
+            assert executor._backfilled_rows == 5
             assert executor._chunks_speculated >= 2
+            assert "chunks_discarded" not in (
+                executor.transport_stats()["pipeline"]
+            )
+            # Per rank, values sampled.  The worker's 32 group-0 values
+            # of chunk 2 are kept; rank 0 samples only its 32 group-1
+            # values of that chunk.
+            assert executor.layout.samples == [208, 128]
         finally:
             executor.close()
 
@@ -246,7 +252,9 @@ class TestSpeculationDiscard:
                 np.testing.assert_array_equal(
                     rows[0], history[iteration - 1, plans[0].locations]
                 )
-            assert executor._chunks_discarded == 0
+            # Freezing only over-collects here: rank 0 never samples
+            # the worker's shard.
+            assert executor._backfilled_rows == 0
         finally:
             executor.close()
 
